@@ -11,7 +11,7 @@
 // memory. Zeroing happens at carve time instead (Make clears exactly the
 // span it hands out), so a recycled arena is indistinguishable from a
 // fresh one to its callers while Reset stays effectively O(1) between
-// sweep cells.
+// the design points a sweep worker moves through.
 //
 // All helpers accept a nil *Arena and degrade to plain make, so
 // arena-aware constructors need no branching at call sites.

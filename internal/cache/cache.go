@@ -191,7 +191,7 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // NewIn is New with the metadata arrays carved from the arena (nil falls
-// back to the ordinary heap). Sweep workers build pooled simulators out
+// back to the ordinary heap). Sweep workers build their simulators out
 // of one arena so construction batches into a few slab allocations.
 func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {

@@ -155,8 +155,9 @@ type Controller struct {
 	obs      ctrlObs
 
 	// Scratch buffers reused across SubmitBatch/TransferTime calls so
-	// batch scheduling allocates only the returned completion slice:
-	// pendBuf holds the not-yet-scheduled request indices, chBuf/bkBuf/
+	// batch scheduling allocates nothing in steady state: doneBuf backs
+	// the returned completion times, pendBuf holds the not-yet-scheduled
+	// request indices, chBuf/bkBuf/
 	// rowBuf the per-request address decomposition (computed once per
 	// request instead of once per scheduling step), reqBuf the synthetic
 	// request list of a block transfer. The decomposition deliberately
@@ -165,6 +166,7 @@ type Controller struct {
 	// inner loop scans only the channel/bank columns when hunting for a
 	// row hit, so the packed int32 columns keep that scan inside a couple
 	// of cache lines per 16 pending requests.
+	doneBuf []clock.Time
 	pendBuf []int
 	chBuf   []int32
 	bkBuf   []int32
@@ -314,8 +316,13 @@ func (c *Controller) service(addr uint64, at clock.Time) clock.Time {
 // requests were given. Under FRFCFS the controller reorders within the
 // batch: at each step it picks, among requests that have arrived, one
 // whose target row is open in its bank; if none, the oldest request.
+// The returned slice is the controller's scratch buffer: it is valid
+// until the next SubmitBatch or TransferTime call.
 func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
-	done := make([]clock.Time, len(reqs))
+	if cap(c.doneBuf) < len(reqs) {
+		c.doneBuf = make([]clock.Time, len(reqs))
+	}
+	done := c.doneBuf[:len(reqs)]
 	if len(reqs) == 0 {
 		return done
 	}

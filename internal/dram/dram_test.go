@@ -155,6 +155,23 @@ func TestSubmitBatchResultsAligned(t *testing.T) {
 	}
 }
 
+// TestTransferTimeAllocFree pins the reused completion buffer: once a
+// controller has served a transfer of a given size, repeating it (as
+// every Fusion DMA copy does) allocates nothing, and the reused buffer
+// does not change the answer.
+func TestTransferTimeAllocFree(t *testing.T) {
+	c := MustNew(DDR3_1333())
+	want := c.TransferTime(64<<10, 0)
+	c.Reset()
+	if allocs := testing.AllocsPerRun(10, func() { c.TransferTime(64<<10, 0) }); allocs != 0 {
+		t.Fatalf("TransferTime allocated %.0f times per call, want 0", allocs)
+	}
+	c.Reset()
+	if got := c.TransferTime(64<<10, 0); got != want {
+		t.Fatalf("TransferTime on a reused buffer = %v, want %v", got, want)
+	}
+}
+
 func TestTransferTimeScalesWithSize(t *testing.T) {
 	c := MustNew(DDR3_1333())
 	small := c.TransferTime(4096, 0).Sub(0)

@@ -58,10 +58,13 @@ func RunAddressSpaces(kernels []string) ([]Cell, error) {
 	return Executor{}.RunAddressSpaces(kernels)
 }
 
-// Executor runs sweep cells on a fixed-size worker pool. Workers stream
-// cells from a shared queue, and each worker owns one pooled simulator
-// per system, Reset between cells — so a sweep allocates per (worker,
-// system), not per cell, and never has more goroutines than workers.
+// Executor runs sweep cells on a fixed-size worker pool, scheduled
+// system-affine: a worker claims one system and runs that system's cells
+// on one simulator, Reset between cells. When it moves to another system
+// it drops the simulator and rewinds its arena, so the next simulator is
+// carved from the same slabs. A worker therefore holds at most one live
+// simulator, a sweep's memory grows with its workers rather than with
+// its systems, and it never has more goroutines than workers.
 type Executor struct {
 	// Par is the number of workers; zero or negative means GOMAXPROCS.
 	Par int
@@ -72,10 +75,10 @@ type Executor struct {
 	Obs *Observer
 	// Cache, when non-nil, memoizes cells through the content-addressed
 	// result cache: every cell is probed up front, hits are served
-	// without touching a simulator (the pooled simulators are never
-	// built for an all-hit sweep), and only misses are dispatched to
-	// the worker pool, which fills the cache as it completes them.
-	// Determinism makes the cache exact — see internal/rescache.
+	// without touching a simulator (no simulator is built for an all-hit
+	// sweep), and only misses are dispatched to the worker pool, which
+	// fills the cache as it completes them. Determinism makes the cache
+	// exact — see internal/rescache.
 	Cache *rescache.Store
 	// CacheVerify, in (0, 1], re-simulates that fraction of cache hits
 	// and fails the sweep loudly if a cached result differs from the
@@ -100,12 +103,84 @@ func (e Executor) RunAddressSpaces(kernels []string) ([]Cell, error) {
 	return e.RunSystems(sysList, kernels)
 }
 
+// job is one pending cell of a sweep.
+type job struct {
+	ki, si int
+	// verify re-simulates a cell already served from the cache and
+	// compares against the cached result instead of storing it.
+	verify bool
+}
+
+// affineQueue hands out a sweep's pending cells system-affine. A worker
+// keeps taking cells of the system it holds a simulator for; when that
+// system has none left it claims the next unclaimed system; once every
+// system is claimed it steals single cells from the system with the
+// most cells left, so the tail stays parallel down to one cell.
+//
+// A thief retires when the system it stole from runs dry instead of
+// stealing again. That bounds construction: every system is claimed
+// once, and each steal happens while the stolen system's claimer is
+// still on it and has not stolen yet, so at most workers-1 workers ever
+// steal — systems+workers-1 simulators per sweep.
+type affineQueue struct {
+	mu    sync.Mutex
+	jobs  [][]job // per system, its pending cells in kernel order
+	next  []int   // per system, the index of its next untaken cell
+	claim int     // systems below this index have been claimed
+}
+
+// worker is one worker's position in an affineQueue.
+type worker struct {
+	si    int  // system of the worker's simulator, -1 before its first cell
+	stole bool // the worker's system was stolen from, not claimed
+}
+
+func (q *affineQueue) left(si int) int { return len(q.jobs[si]) - q.next[si] }
+
+func (q *affineQueue) pop(w *worker, si int) job {
+	j := q.jobs[si][q.next[si]]
+	q.next[si]++
+	w.si = si
+	return j
+}
+
+// take returns w's next cell, updating w.si to its system; false means
+// the worker has nothing left to run.
+func (q *affineQueue) take(w *worker) (job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if w.si >= 0 && q.left(w.si) > 0 {
+		return q.pop(w, w.si), true
+	}
+	if w.stole {
+		return job{}, false
+	}
+	for q.claim < len(q.jobs) {
+		si := q.claim
+		q.claim++
+		if q.left(si) > 0 {
+			return q.pop(w, si), true
+		}
+	}
+	best := -1
+	for si := range q.jobs {
+		if q.left(si) > 0 && (best < 0 || q.left(si) > q.left(best)) {
+			best = si
+		}
+	}
+	if best < 0 {
+		return job{}, false
+	}
+	w.stole = true
+	return q.pop(w, best), true
+}
+
 // RunSystems measures every (kernel, system) cell. Each cell is an
-// independent simulation (a pooled simulator is Reset to cold between
-// cells, which is bit-identical to a fresh one), so results are
-// deterministic and returned in kernel-major, system-minor order
-// regardless of scheduling. All failing cells are reported, each with
-// its kernel/system context.
+// independent simulation (a simulator is Reset to cold between cells,
+// which is bit-identical to a fresh one), so results are deterministic
+// and returned in kernel-major, system-minor order regardless of
+// scheduling; only the order in which cells complete depends on it. All
+// failing cells are reported, each with its kernel/system context.
 //
 // With a Cache attached, the executor schedules cache-aware: all cells
 // are probed before the worker pool starts, hits are materialized
@@ -131,19 +206,12 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 		}
 	}
 
-	type job struct {
-		ki, si  int
-		enqueue time.Time
-		// verify re-simulates a cell already served from the cache and
-		// compares against the cached result instead of storing it.
-		verify bool
-	}
 	cells := make([]Cell, n)
 	errs := make([]error, n) // disjoint slots; no mutex needed
 
 	// Cache probe phase: resolve every hit before the pool spins up, so
-	// a warm sweep never constructs a simulator. pending collects the
-	// jobs that still need a worker (misses, and hits sampled for
+	// a warm sweep never constructs a simulator. q collects the jobs
+	// that still need a worker (misses, and hits sampled for
 	// verification); hits remembers what to report to the observer once
 	// it has begun.
 	type hit struct {
@@ -152,8 +220,13 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 		at      time.Time
 	}
 	var keys []rescache.Key
-	var pending []job
 	var hits []hit
+	q := &affineQueue{jobs: make([][]job, len(sysList)), next: make([]int, len(sysList))}
+	pending := 0
+	enqueue := func(j job) {
+		q.jobs[j.si] = append(q.jobs[j.si], j)
+		pending++
+	}
 	if e.Cache != nil {
 		keys = make([]rescache.Key, n)
 		fps := make([]string, len(programs))
@@ -167,7 +240,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				at := time.Now()
 				res, ok := e.Cache.Get(keys[idx])
 				if !ok {
-					pending = append(pending, job{ki: ki, si: si})
+					enqueue(job{ki: ki, si: si})
 					continue
 				}
 				// The hash is name-invariant: a differently-named file for
@@ -176,15 +249,14 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				cells[idx] = Cell{System: sysList[si].Name, Kernel: p.Name, Result: res}
 				hits = append(hits, hit{ki: ki, si: si, probeNS: int64(time.Since(at)), at: at})
 				if verifySampled(keys[idx], e.CacheVerify) {
-					pending = append(pending, job{ki: ki, si: si, verify: true})
+					enqueue(job{ki: ki, si: si, verify: true})
 				}
 			}
 		}
 	} else {
-		pending = make([]job, 0, n)
 		for ki := range programs {
 			for si := range sysList {
-				pending = append(pending, job{ki: ki, si: si})
+				enqueue(job{ki: ki, si: si})
 			}
 		}
 	}
@@ -193,87 +265,54 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
+	if workers > pending {
+		workers = pending
 	}
 
-	// The queue is buffered to hold the whole sweep: the producer never
-	// blocks, so a job's enqueue instant is its true ready time and
-	// queue wait measures worker backlog, not producer pacing.
-	jobs := make(chan job, len(pending))
 	obsv.begin(n, workers, e.Cache)
 	for _, h := range hits {
 		si := h.si
 		obsv.cachedCell(sysList[si].Name, specs[si], programs[h.ki].Name,
 			cells[h.ki*len(sysList)+si].Result, h.probeNS, h.at)
 	}
+	// Every pending cell is ready once the probe phase ends, so a cell's
+	// queue wait is its start instant minus this one.
+	ready := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// One pooled simulator per system, created on first use and
-			// Reset between this worker's cells. Construction metadata
-			// (cache arrays, MSHR files, core rings) comes out of one
-			// per-worker arena, so building the pool costs a handful of
-			// slab allocations; the arena is dropped with the pool when
-			// the worker exits and is never Reset while the pool lives.
+			// The worker's one live simulator is carved from its arena;
+			// the arena is rewound whenever the worker moves to another
+			// system, once nothing references the old simulator.
 			ar := arena.New()
-			sims := make([]*sim.Simulator, len(sysList))
-			if obsv == nil {
-				// Uninstrumented worker loop, kept separate from the
-				// observed one so an unobserved sweep (the benchmarks)
-				// executes exactly the pre-observability body.
-				for j := range jobs {
-					idx := j.ki*len(sysList) + j.si
-					p, sys := programs[j.ki], sysList[j.si]
-					s := sims[j.si]
-					if s == nil {
-						var err error
-						if s, err = sim.NewWithOptions(sys, sim.Options{Arena: ar}); err != nil {
-							errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
-							continue
-						}
-						sims[j.si] = s
-					} else {
-						s.Reset()
-					}
-					res, err := s.Run(p)
-					if err != nil {
-						errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
-						continue
-					}
-					if j.verify {
-						if res != cells[idx].Result {
-							errs[idx] = fmt.Errorf("%s on %s: %w (key %s)",
-								p.Name, sys.Name, ErrCacheMismatch, keys[idx].Digest())
-						}
-						continue
-					}
-					// (miss) fill the cache before publishing the cell.
-					if e.Cache != nil {
-						// Write failures degrade to memory-only; the store
-						// latches them for the CLI to surface as a warning.
-						_ = e.Cache.Put(keys[idx], res)
-					}
-					cells[idx] = Cell{System: sys.Name, Kernel: p.Name, Result: res}
-				}
-				return
-			}
+			var s *sim.Simulator
 			// Observability state is per worker: one registry (and
 			// optional host profiler / interval sampler) shared by the
-			// worker's pooled simulators, reset before every cell so each
-			// post-run snapshot covers exactly that cell.
-			reg := obs.NewRegistry()
+			// worker's successive simulators, reset before every cell so
+			// each post-run snapshot covers exactly that cell. All of it
+			// stays nil, and the simulator uninstrumented, without an
+			// Observer.
+			var reg *obs.Registry
 			var hp *obs.HostProf
 			var sampler *obs.Sampler
-			if obsv.HostProfEvery > 0 {
-				hp = obs.NewHostProf(obsv.HostProfEvery)
+			if obsv != nil {
+				reg = obs.NewRegistry()
+				if obsv.HostProfEvery > 0 {
+					hp = obs.NewHostProf(obsv.HostProfEvery)
+				}
+				if obsv.IntervalPS > 0 {
+					sampler = obs.NewSampler(reg, obsv.IntervalPS)
+				}
 			}
-			if obsv.IntervalPS > 0 {
-				sampler = obs.NewSampler(reg, obsv.IntervalPS)
-			}
-			for j := range jobs {
+			pos := worker{si: -1}
+			for {
+				prev := pos.si
+				j, ok := q.take(&pos)
+				if !ok {
+					return
+				}
 				idx := j.ki*len(sysList) + j.si
 				p, sys := programs[j.ki], sysList[j.si]
 				kind := "kernel"
@@ -282,34 +321,37 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				}
 				span := obsv.beginCell(w, sys.Name, specs[j.si], p.Name, kind)
 				started := time.Now()
-				s := sims[j.si]
-				if s == nil {
-					var err error
+				var res sim.Result
+				var err error
+				if j.si != prev || s == nil {
+					// Nothing references the arena once the old simulator
+					// is dropped, so the new one is carved from its slabs.
+					ar.Reset()
 					s, err = sim.NewWithOptions(sys, sim.Options{
 						Metrics: reg, HostProf: hp, Sampler: sampler, Arena: ar,
 					})
-					if err != nil {
-						errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
-						obsv.endCell(w, span, newCellRecord(sys.Name, specs[j.si], p.Name, sim.Result{}, err),
-							obs.Snapshot{}, j.enqueue, started)
-						continue
+					if err == nil {
+						obsv.simBuilt()
 					}
-					sims[j.si] = s
 				} else {
 					s.Reset()
 				}
 				reg.Reset()
 				sampler.Reset()
-				s.SetRunSpan(span)
-				res, err := s.Run(p)
-				s.SetRunSpan(nil)
+				if err == nil {
+					s.SetRunSpan(span)
+					res, err = s.Run(p)
+					s.SetRunSpan(nil)
+				}
 				if j.verify && err == nil && res != cells[idx].Result {
 					err = fmt.Errorf("%w (key %s)", ErrCacheMismatch, keys[idx].Digest())
 				}
-				rec := newCellRecord(sys.Name, specs[j.si], p.Name, res, err)
-				rec.Verify = j.verify
-				obsv.endCell(w, span, rec, reg.Snapshot(), j.enqueue, started)
-				obsv.writeIntervalCSV(sys.Name, p.Name, sampler)
+				if obsv != nil {
+					rec := newCellRecord(sys.Name, specs[j.si], p.Name, res, err)
+					rec.Verify = j.verify
+					obsv.endCell(w, span, rec, reg.Snapshot(), ready, started)
+					obsv.writeIntervalCSV(sys.Name, p.Name, sampler)
+				}
 				if err != nil {
 					errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
 					continue
@@ -317,6 +359,9 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				if j.verify {
 					continue
 				}
+				// (miss) fill the cache before publishing the cell. Write
+				// failures degrade to memory-only; the store latches them
+				// for the CLI to surface as a warning.
 				if e.Cache != nil {
 					_ = e.Cache.Put(keys[idx], res)
 				}
@@ -324,11 +369,6 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 			}
 		}(w)
 	}
-	for _, j := range pending {
-		j.enqueue = time.Now()
-		jobs <- j
-	}
-	close(jobs)
 	wg.Wait()
 	obsv.finish()
 

@@ -53,6 +53,7 @@ type Observer struct {
 	failed   int
 	cached   int
 	verified int
+	built    int
 	workers  []workerState
 	start    time.Time
 	err      error
@@ -143,6 +144,7 @@ func (o *Observer) begin(totalCells, workers int, cache *rescache.Store) {
 	o.total = totalCells
 	o.done, o.failed = 0, 0
 	o.cached, o.verified = 0, 0
+	o.built = 0
 	o.cache = cache
 	o.finished = false
 	o.workers = make([]workerState, workers)
@@ -214,6 +216,16 @@ func (o *Observer) cachedCell(system, spec, kernel string, res sim.Result, probe
 	o.Trace.Span(0, system+"/"+kernel, "cached",
 		hostPS(o.start, started), hostPS(o.start, end),
 		map[string]any{"probe_ns": probeNS})
+}
+
+// simBuilt counts one simulator constructed by a worker.
+func (o *Observer) simBuilt() {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	o.built++
+	o.mu.Unlock()
 }
 
 // endCell completes a cell: merges the worker registry's snapshot into
@@ -347,7 +359,8 @@ func (o *Observer) Progress() SweepProgress {
 }
 
 // Metrics returns the sweep-wide aggregate metric snapshot: the merge of
-// every completed cell's registry, plus sweep.* bookkeeping counters.
+// every completed cell's registry, plus sweep.* bookkeeping counters;
+// sweep.sims_built counts the simulators the workers constructed.
 // The returned snapshot is a private copy, safe to serialise while
 // workers keep merging.
 func (o *Observer) Metrics() obs.Snapshot {
@@ -361,6 +374,7 @@ func (o *Observer) Metrics() obs.Snapshot {
 	out.Counters["sweep.cells.total"] = uint64(o.total)
 	out.Counters["sweep.cells.done"] = uint64(o.done)
 	out.Counters["sweep.cells.failed"] = uint64(o.failed)
+	out.Counters["sweep.sims_built"] = uint64(o.built)
 	if o.cache != nil {
 		out.Counters["sweep.cells.cached"] = uint64(o.cached)
 		out.Counters["sweep.cells.verified"] = uint64(o.verified)

@@ -206,6 +206,7 @@ func TestNilObserverIsNoop(t *testing.T) {
 	span := o.beginCell(0, "s", "spec", "k", "kernel")
 	o.endCell(0, span, CellRecord{}, obs.Snapshot{}, time.Time{}, time.Time{})
 	o.cachedCell("s", "spec", "k", sim.Result{}, 0, time.Time{})
+	o.simBuilt()
 	o.finish()
 	if err := o.Err(); err != nil {
 		t.Fatal(err)

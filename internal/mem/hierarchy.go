@@ -382,9 +382,9 @@ func New(cfg Config) (*Hierarchy, error) {
 // NewIn is New with the hierarchy's cache metadata arrays and MSHR files
 // carved from the arena (nil falls back to the heap). The arena is used
 // only during construction — the hierarchy keeps no reference to it — so
-// the caller decides the lifecycle: a sweep worker builds its pooled
-// simulators out of one arena and drops or resets it wholesale when the
-// pool retires.
+// the caller decides the lifecycle: a sweep worker builds its simulator
+// out of one arena and rewinds it when it drops that simulator for the
+// next system's.
 func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -427,7 +427,7 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	for p := range h.gen {
 		h.gen[p] = 1 // zero-valued memo slots must never match
 	}
-	if err := h.buildPipelines(); err != nil {
+	if err := h.buildPipelines(a); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -436,8 +436,9 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 // buildPipelines composes the per-PU stage pipelines over the
 // substrates New assembled: private levels, MSHR merge, request hop,
 // L3 (with coherence), the terminal backend cfg.Tech selects, response
-// hop, commit. Stage order is the request path of Table II.
-func (h *Hierarchy) buildPipelines() error {
+// hop, commit. Stage order is the request path of Table II. The backend's
+// metadata is carved from a, like the caches'.
+func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 	cfg := h.cfg
 	h.topo = memsys.Topology{
 		PUStop:    [memsys.NumPUs]int{cfg.cpuStop(), cfg.gpuStop()},
@@ -471,7 +472,7 @@ func (h *Hierarchy) buildPipelines() error {
 		Tiles: h.l3, Lat: cfg.L3Lat,
 		Topo: h.topo, Coherence: coh, Env: &h.env,
 	}
-	if err := h.buildBackend(); err != nil {
+	if err := h.buildBackend(a); err != nil {
 		return err
 	}
 	h.l3Stage.Mem = h.backend
@@ -500,8 +501,9 @@ func (h *Hierarchy) buildPipelines() error {
 	return nil
 }
 
-// buildBackend constructs the terminal memory stage cfg.Tech selects.
-func (h *Hierarchy) buildBackend() error {
+// buildBackend constructs the terminal memory stage cfg.Tech selects,
+// carving the DRAM cache's tag directory from a.
+func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 	cfg := h.cfg
 	switch cfg.Tech.Kind {
 	case memtech.DRAM:
@@ -534,7 +536,7 @@ func (h *Hierarchy) buildBackend() error {
 		}
 	case memtech.DRAMCache:
 		p := cfg.Tech.ResolvedDRAMCache()
-		dir, err := cache.New(cache.Config{
+		dir, err := cache.NewIn(a, cache.Config{
 			Name:      "dram_cache",
 			SizeBytes: int(p.SizeBytes),
 			LineBytes: cfg.L3Tile.LineBytes,

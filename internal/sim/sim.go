@@ -103,8 +103,8 @@ type Options struct {
 	// with bump-allocated slabs instead of individual heap allocations.
 	// The simulator keeps no reference to the arena; the caller owns its
 	// lifecycle and must not Reset it while simulators built from it are
-	// still in use. Sweep workers build their pooled simulators out of
-	// one arena each (see internal/harness).
+	// still in use. Each sweep worker builds its simulators out of one
+	// arena, rewound between systems (see internal/harness).
 	Arena *arena.Arena
 
 	// Metrics attaches an observability registry: every component
