@@ -13,7 +13,9 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"heteromem/internal/clock"
 	"heteromem/internal/obs"
@@ -156,22 +158,11 @@ type Controller struct {
 
 	// Scratch buffers reused across SubmitBatch/TransferTime calls so
 	// batch scheduling allocates nothing in steady state: doneBuf backs
-	// the returned completion times, pendBuf holds the not-yet-scheduled
-	// request indices, chBuf/bkBuf/
-	// rowBuf the per-request address decomposition (computed once per
-	// request instead of once per scheduling step), reqBuf the synthetic
-	// request list of a block transfer. The decomposition deliberately
-	// lives in parallel arrays (struct-of-arrays, like the cache line
-	// metadata and the MSHR file) rather than a []struct: the FR-FCFS
-	// inner loop scans only the channel/bank columns when hunting for a
-	// row hit, so the packed int32 columns keep that scan inside a couple
-	// of cache lines per 16 pending requests.
+	// the returned completion times, reqBuf the synthetic request list
+	// of a block transfer, and sched the FR-FCFS scheduler's index.
 	doneBuf []clock.Time
-	pendBuf []int
-	chBuf   []int32
-	bkBuf   []int32
-	rowBuf  []uint64
 	reqBuf  []Request
+	sched   batchIndex
 }
 
 // ctrlObs holds the controller's observability instruments under the
@@ -270,7 +261,11 @@ func (c *Controller) Submit(addr uint64, now clock.Time) clock.Time {
 
 func (c *Controller) service(addr uint64, at clock.Time) clock.Time {
 	chIdx, bkIdx, row := c.mapAddr(addr)
-	ch := &c.channels[chIdx]
+	return c.serviceAt(&c.channels[chIdx], bkIdx, row, at)
+}
+
+// serviceAt is service on an already decomposed address.
+func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time) clock.Time {
 	bk := &ch.banks[bkIdx]
 	c.stats.Requests++
 	c.obs.requests.Inc()
@@ -314,8 +309,9 @@ func (c *Controller) service(addr uint64, at clock.Time) clock.Time {
 // visible to the controller (e.g. a coalesced GPU burst or a DMA block
 // transfer) and returns each request's completion time, in the order the
 // requests were given. Under FRFCFS the controller reorders within the
-// batch: at each step it picks, among requests that have arrived, one
-// whose target row is open in its bank; if none, the oldest request.
+// batch: at each step it picks the lowest-indexed request whose target
+// row is open in its bank; if none, the oldest request (lowest index on
+// equal arrivals).
 // The returned slice is the controller's scratch buffer: it is valid
 // until the next SubmitBatch or TransferTime call.
 func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
@@ -332,47 +328,203 @@ func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
 		}
 		return done
 	}
-	n := len(reqs)
-	if cap(c.pendBuf) < n {
-		c.pendBuf = make([]int, n)
-		c.chBuf = make([]int32, n)
-		c.bkBuf = make([]int32, n)
-		c.rowBuf = make([]uint64, n)
-	}
-	pending := c.pendBuf[:n]
-	chs, bks, rows := c.chBuf[:n], c.bkBuf[:n], c.rowBuf[:n]
-	// The address decomposition is static, so computing it once per
-	// request (instead of once per scheduling step) cannot change which
-	// request each step picks — only bank open-row state evolves.
-	for i := range reqs {
-		pending[i] = i
-		ch, bk, row := c.mapAddr(reqs[i].Addr)
-		chs[i], bks[i], rows[i] = int32(ch), int32(bk), row
-	}
-	for len(pending) > 0 {
-		pick := -1
-		// First ready: a pending request whose row is open in its bank.
-		for pi, idx := range pending {
-			bk := &c.channels[chs[idx]].banks[bks[idx]]
-			if bk.rowValid && bk.openRow == rows[idx] {
-				pick = pi
-				break
-			}
-		}
-		if pick < 0 {
-			// First come: oldest arrival (stable on submission order).
-			pick = 0
-			for pi := 1; pi < len(pending); pi++ {
-				if reqs[pending[pi]].Arrival < reqs[pending[pick]].Arrival {
-					pick = pi
-				}
-			}
-		}
-		idx := pending[pick]
-		pending = append(pending[:pick], pending[pick+1:]...)
-		done[idx] = c.service(reqs[idx].Addr, reqs[idx].Arrival)
+	x := &c.sched
+	x.build(c, reqs)
+	for range reqs {
+		i := x.next()
+		done[i] = c.serviceAt(&c.channels[x.ch[i]], int(x.bk[i]), x.row[i], reqs[i].Arrival)
+		x.serviced(i)
 	}
 	return done
+}
+
+// batchIndex makes each FR-FCFS pick in O(log banks) instead of
+// rescanning the pending requests. Servicing a request changes the open
+// row of its own bank only, so each bank has at most one candidate, its
+// lowest-indexed pending request to the row it has open, and a min-heap
+// of the candidates yields the first-ready pick. To find a bank's next
+// candidate, its requests are sorted by (row, index) into runs of one
+// row, and a cursor per run skips requests already serviced. A cursor
+// over all requests sorted by (arrival, index) yields the first-come
+// pick when no bank has a candidate. The address decomposition is
+// static, so it is computed once per request. Every slice is scratch,
+// grown to the largest batch seen and reused.
+type batchIndex struct {
+	ch, bk []int32  // request -> channel, bank within the channel
+	row    []uint64 // request -> row
+	done   []bool   // request -> serviced
+	run    []int32  // request -> end of its run in order
+
+	order []int32 // requests grouped by bank, each bank sorted by (row, index)
+	// cursor, at a run's last position, is the run's first position
+	// that may still be pending.
+	cursor    []int32
+	bankStart []int32 // flat bank -> first position in order; len banks+1
+
+	heap []int32 // candidates, a min-heap of request indices
+	fcfs []int32 // requests sorted by (arrival, index); empty if in index order
+	fc   int     // first-come cursor, into fcfs or the request indices
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (x *batchIndex) build(c *Controller, reqs []Request) {
+	n, perCh := len(reqs), c.cfg.BanksPerChannel
+	banks := c.cfg.Channels * perCh
+	x.ch, x.bk, x.row, x.done = grow(x.ch, n), grow(x.bk, n), grow(x.row, n), grow(x.done, n)
+	x.run, x.order = grow(x.run, n), grow(x.order, n)
+	// cursor doubles as the counting sort's per-bank fill pointers.
+	x.cursor = grow(x.cursor, max(n, banks))
+	x.bankStart = grow(x.bankStart, banks+1)
+	clear(x.bankStart)
+	x.heap, x.fcfs, x.fc = x.heap[:0], x.fcfs[:0], 0
+
+	arrivalOrder := true
+	for i, r := range reqs {
+		ch, bk, row := c.mapAddr(r.Addr)
+		x.ch[i], x.bk[i], x.row[i], x.done[i] = int32(ch), int32(bk), row, false
+		x.bankStart[ch*perCh+bk+1]++
+		if i > 0 && r.Arrival < reqs[i-1].Arrival {
+			arrivalOrder = false
+		}
+	}
+	if !arrivalOrder {
+		x.fcfs = grow(x.fcfs, n)
+		for i := range x.fcfs {
+			x.fcfs[i] = int32(i)
+		}
+		slices.SortFunc(x.fcfs, func(a, b int32) int {
+			if c := cmp.Compare(reqs[a].Arrival, reqs[b].Arrival); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	// Counting sort by bank, stable, so each bank's requests are in
+	// index order.
+	for b := 1; b <= banks; b++ {
+		x.bankStart[b] += x.bankStart[b-1]
+	}
+	fill := x.cursor[:banks]
+	copy(fill, x.bankStart)
+	for i := range reqs {
+		b := x.ch[i]*int32(perCh) + x.bk[i]
+		x.order[fill[b]] = int32(i)
+		fill[b]++
+	}
+	for ch := range c.channels {
+		for bk := range c.channels[ch].banks {
+			b := ch*perCh + bk
+			if lo, hi := x.bankStart[b], x.bankStart[b+1]; lo < hi {
+				x.indexBank(x.order[lo:hi], lo, &c.channels[ch].banks[bk])
+			}
+		}
+	}
+}
+
+// indexBank sorts one bank's requests sec (at position lo of order) by
+// (row, index), splits them into runs and offers the run of the bank's
+// open row as the bank's candidate.
+func (x *batchIndex) indexBank(sec []int32, lo int32, bk *bank) {
+	for k := 1; k < len(sec); k++ {
+		if x.row[sec[k]] < x.row[sec[k-1]] {
+			slices.SortStableFunc(sec, func(a, b int32) int { return cmp.Compare(x.row[a], x.row[b]) })
+			break
+		}
+	}
+	end := lo + int32(len(sec))
+	for k := len(sec) - 1; k >= 0; k-- {
+		i, p := sec[k], lo+int32(k)
+		if k < len(sec)-1 && x.row[i] != x.row[sec[k+1]] {
+			end = p + 1
+		}
+		x.run[i] = end
+		x.cursor[end-1] = p
+		if (k == 0 || x.row[i] != x.row[sec[k-1]]) && bk.rowValid && bk.openRow == x.row[i] {
+			x.push(i)
+		}
+	}
+}
+
+// next returns the request FR-FCFS services next.
+func (x *batchIndex) next() int32 {
+	if len(x.heap) > 0 {
+		return x.heap[0]
+	}
+	for ; ; x.fc++ {
+		i := int32(x.fc)
+		if len(x.fcfs) > 0 {
+			i = x.fcfs[x.fc]
+		}
+		if !x.done[i] {
+			return i
+		}
+	}
+}
+
+// serviced retires request i. Its bank now has i's row open, so the
+// bank's candidate becomes the first pending request of i's run. With
+// candidates pending, i was the heap's minimum, its bank's candidate;
+// otherwise i was a first-come pick and its bank had none.
+func (x *batchIndex) serviced(i int32) {
+	x.done[i] = true
+	end := x.run[i]
+	p := x.cursor[end-1]
+	for p < end && x.done[x.order[p]] {
+		p++
+	}
+	x.cursor[end-1] = p
+	switch {
+	case len(x.heap) == 0:
+		if p < end {
+			x.push(x.order[p])
+		}
+	case p < end:
+		x.heap[0] = x.order[p]
+		x.down()
+	default:
+		last := len(x.heap) - 1
+		x.heap[0] = x.heap[last]
+		x.heap = x.heap[:last]
+		x.down()
+	}
+}
+
+func (x *batchIndex) push(i int32) {
+	x.heap = append(x.heap, i)
+	h := x.heap
+	for k := len(h) - 1; k > 0; {
+		parent := (k - 1) / 2
+		if h[parent] <= h[k] {
+			return
+		}
+		h[k], h[parent] = h[parent], h[k]
+		k = parent
+	}
+}
+
+// down restores the heap after its root changed.
+func (x *batchIndex) down() {
+	h, k := x.heap, 0
+	for {
+		m := 2*k + 1
+		if m >= len(h) {
+			return
+		}
+		if m+1 < len(h) && h[m+1] < h[m] {
+			m++
+		}
+		if h[k] <= h[m] {
+			return
+		}
+		h[k], h[m] = h[m], h[k]
+		k = m
+	}
 }
 
 // TransferTime returns how long a size-byte block transfer takes through

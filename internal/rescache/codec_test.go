@@ -1,0 +1,286 @@
+package rescache
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"heteromem/internal/sim"
+)
+
+// fillLeaves sets every leaf under v to a value distinct from every
+// other leaf's (n counts leaves) and from the zero value. Unsigned
+// leaves get values wide enough for multi-byte varints, signed leaves
+// alternate sign. It fails the test on any kind the blob codec cannot
+// encode, so a new sim.Result field of such a kind is caught here, not
+// dropped from the blob.
+func fillLeaves(t *testing.T, v reflect.Value, path string, n *uint64) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, n)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillLeaves(t, v.Index(i), path+"[]", n)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*n++
+		x := *n << (*n % 57)
+		if v.OverflowUint(x) {
+			x = *n
+		}
+		v.SetUint(x)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*n++
+		x := int64(*n) << (*n % 50)
+		if *n%2 == 1 {
+			x = -x
+		}
+		if v.OverflowInt(x) {
+			x = int64(*n)
+		}
+		v.SetInt(x)
+	case reflect.String:
+		*n++
+		v.SetString(strings.Repeat("é", int(*n%5)) + path)
+	default:
+		t.Fatalf("sim.Result%s is a %s: the result blob codec cannot encode it", path, v.Kind())
+	}
+}
+
+// TestCodecCoversEveryResultField sets every leaf of sim.Result to a
+// distinct value and requires the blob round trip to reproduce it
+// exactly. A field of a kind the codec cannot encode (map, slice,
+// float, pointer, bool, unexported) fails here and in layoutErr.
+func TestCodecCoversEveryResultField(t *testing.T) {
+	if layoutErr != nil {
+		t.Fatal(layoutErr)
+	}
+	env := envelope{Schema: SchemaVersion, Key: Key{Spec: "s", Kernel: "k", Workload: "w", Options: "o"}}
+	var leaves uint64
+	fillLeaves(t, reflect.ValueOf(&env.Result).Elem(), "", &leaves)
+	if leaves < 60 {
+		t.Fatalf("walked only %d leaves of sim.Result", leaves)
+	}
+	blob := appendEnvelope(nil, &env)
+	got, err := decodeEnvelope(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, env)
+	}
+	if again := appendEnvelope(nil, &got); !bytes.Equal(again, blob) {
+		t.Fatal("re-encoding is not byte-identical")
+	}
+}
+
+// TestLayoutDigest pins what the layout digest reacts to: any change
+// to a leaf's path or kind changes it, and a kind the codec cannot
+// encode is an error naming the field.
+func TestLayoutDigest(t *testing.T) {
+	type inner struct{ A [2]uint64 }
+	type base struct {
+		N uint64
+		S string
+		I inner
+	}
+	want, err := layoutDigest(reflect.TypeFor[base]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type renamed struct {
+		M uint64
+		S string
+		I inner
+	}
+	type retyped struct {
+		N int64
+		S string
+		I inner
+	}
+	type reordered struct {
+		S string
+		N uint64
+		I inner
+	}
+	type resized struct {
+		N uint64
+		S string
+		I struct{ A [3]uint64 }
+	}
+	type grown struct {
+		N, X uint64
+		S    string
+		I    inner
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[renamed](), reflect.TypeFor[retyped](), reflect.TypeFor[reordered](),
+		reflect.TypeFor[resized](), reflect.TypeFor[grown](),
+	} {
+		got, err := layoutDigest(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == want {
+			t.Errorf("%v has the same layout digest as %v", typ, reflect.TypeFor[base]())
+		}
+	}
+
+	type withMap struct{ M map[string]int }
+	type withSlice struct{ S []uint64 }
+	type withFloat struct{ F float64 }
+	type withPointer struct{ P *uint64 }
+	type withBool struct{ B bool }
+	type withUnexported struct{ n uint64 }
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[withMap](), reflect.TypeFor[withSlice](), reflect.TypeFor[withFloat](),
+		reflect.TypeFor[withPointer](), reflect.TypeFor[withBool](), reflect.TypeFor[withUnexported](),
+	} {
+		_, err := layoutDigest(typ)
+		if err == nil {
+			t.Errorf("%v: no error for a field the codec cannot encode", typ)
+			continue
+		}
+		if name := typ.Field(0).Name; !strings.Contains(err.Error(), "."+name) {
+			t.Errorf("%v: error %q does not name field %s", typ, err, name)
+		}
+	}
+}
+
+// TestDecodeRejectsMalformedBlobs feeds the decoder every truncation
+// of a real blob, trailing bytes, an overlong varint, an oversized
+// string length and a blob of the JSON-envelope format: each must be
+// an error, never a panic and never a result.
+func TestDecodeRejectsMalformedBlobs(t *testing.T) {
+	blob := appendEnvelope(nil, &envelope{Schema: SchemaVersion, Key: testKey("m"), Result: testResult(1 << 40)})
+	for n := 0; n < len(blob); n++ {
+		if _, err := decodeEnvelope(blob[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decoded", n, len(blob))
+		}
+	}
+	if _, err := decodeEnvelope(append(bytes.Clone(blob), 0)); !errors.Is(err, errExtra) {
+		t.Fatalf("trailing byte: err = %v, want %v", err, errExtra)
+	}
+
+	header := len(magic) + layoutLen
+	overlong := append(bytes.Clone(blob[:header]), 0x82, 0x00) // schema 2 in two bytes
+	overlong = append(overlong, blob[header+1:]...)
+	if _, err := decodeEnvelope(overlong); !errors.Is(err, errShort) {
+		t.Fatalf("overlong varint: err = %v, want %v", err, errShort)
+	}
+	huge := binary.AppendUvarint(bytes.Clone(blob[:header+1]), 1<<62) // Key.Spec length
+	if _, err := decodeEnvelope(huge); !errors.Is(err, errShort) {
+		t.Fatalf("oversized string length: err = %v, want %v", err, errShort)
+	}
+	if _, err := decodeEnvelope(v1Blob(t, testKey("m"), testResult(1))); !errors.Is(err, errMagic) {
+		t.Fatalf("JSON envelope: err = %v, want %v", err, errMagic)
+	}
+}
+
+// v1Blob is a blob in the JSON-envelope format of schema version 1.
+func v1Blob(t *testing.T, key Key, res sim.Result) []byte {
+	t.Helper()
+	data, err := json.Marshal(map[string]any{"schema": 1, "key": key, "result": res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// TestStaleLayoutMissesAndIsRewritten stands in for a change to
+// sim.Result's fields: a blob written under another layout digest is a
+// counted miss, neither corrupt nor a hit, and the next Put rewrites it
+// so the following probe hits.
+func TestStaleLayoutMissesAndIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	k, res := testKey("layout"), testResult(5)
+	s1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Put(k, res); err != nil {
+		t.Fatal(err)
+	}
+	path := s1.blobPath(k.Digest())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(magic)] ^= 0xff // another layout digest
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get(k); ok {
+		t.Fatal("blob of another layout served as a hit")
+	}
+	if st := s2.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want 1 clean miss", st)
+	}
+	if err := s2.Put(k, res); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s3.Get(k); !ok || got != res {
+		t.Fatalf("after rewrite: Get = %+v, %v", got, ok)
+	}
+	if st := s3.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("after rewrite: stats = %+v", st)
+	}
+}
+
+// TestJSONStoreRefillsOnce opens a directory holding a store of the
+// JSON-envelope format (v1/<dd>/<digest>.json): its entries are plain
+// misses — not corrupt — and refill once under the current version.
+func TestJSONStoreRefillsOnce(t *testing.T) {
+	dir := t.TempDir()
+	k, res := testKey("v1"), testResult(13)
+	digest := k.Digest()
+	old := filepath.Join(dir, "v1", digest[:2], digest+".json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, v1Blob(t, k, res), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("JSON-envelope entry served as a hit")
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want one plain miss", st)
+	}
+	if err := s.Put(k, res); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := fresh.Get(k); !ok || got != res {
+		t.Fatalf("after refill: Get = %+v, %v", got, ok)
+	}
+	if filepath.Ext(fresh.blobPath(digest)) != ".bin" || !strings.Contains(fresh.blobPath(digest), "v2") {
+		t.Fatalf("blob path %s, want v2/<dd>/<digest>.bin", fresh.blobPath(digest))
+	}
+}

@@ -1,0 +1,45 @@
+package rescache_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"heteromem/internal/harness"
+	"heteromem/internal/rescache"
+)
+
+// FuzzDecodeEnvelope feeds the blob decoder arbitrary bytes. It must
+// never panic, and any input it accepts must re-encode to the same
+// bytes: the encoding is canonical, so an accepted blob is exactly the
+// one Put would have written. The corpus is seeded with blobs of the
+// case-study results, their truncations and a blob of the JSON-envelope
+// format.
+func FuzzDecodeEnvelope(f *testing.F) {
+	cells, err := harness.RunCaseStudies([]string{"reduction"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range cells {
+		key := rescache.Key{Spec: c.System, Kernel: c.Kernel, Workload: "fuzz"}
+		blob := rescache.EncodeBlob(rescache.SchemaVersion, key, c.Result)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-1])
+	}
+	v1, err := json.Marshal(map[string]any{"schema": 1, "key": rescache.Key{Spec: "s"}, "result": cells[0].Result})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		schema, key, res, err := rescache.DecodeBlob(data)
+		if err != nil {
+			return
+		}
+		if again := rescache.EncodeBlob(schema, key, res); !bytes.Equal(again, data) {
+			t.Fatalf("accepted blob re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+	})
+}

@@ -1,6 +1,6 @@
 // Package rescache is a persistent, content-addressed cache of
-// simulation results. The simulator is deterministic — PR 2's Reset()
-// bit-identity proof means the same design point, kernel and options
+// simulation results. The simulator is deterministic — its Reset()
+// bit-identity guarantee means the same design point, kernel and options
 // always produce the same sim.Result — so memoizing results is *exact*:
 // a cache hit returns the very bytes a fresh simulation would compute,
 // and repeated design-space traffic (search drivers revisiting points,
@@ -11,21 +11,26 @@
 //
 //   - an in-process sharded map, keyed by the point digest, serving
 //     repeat probes within one process without touching the disk;
-//   - an optional on-disk content-addressed directory of canonical-JSON
-//     result blobs under <dir>/v<schema>/<dd>/<digest>.json, written
-//     atomically (temp file + rename) so concurrent writers racing on
-//     the same key converge to one well-formed blob.
+//   - an optional on-disk content-addressed directory of binary result
+//     blobs under <dir>/v<schema>/<dd>/<digest>.bin, written atomically
+//     (temp file + rename) so concurrent writers racing on the same key
+//     converge to one well-formed blob.
 //
-// Every blob is wrapped in a versioned envelope carrying the schema
-// version and the full key. A schema bump, a truncated or corrupt blob,
-// or a digest collision all read back as a clean miss — never as a
-// wrong result — and the next Put rewrites the entry.
+// A blob is a compact binary envelope (see codec.go): a magic number, a
+// digest of sim.Result's field layout, the schema version and the full
+// key, then the result's fields in order as varints and length-prefixed
+// strings. A changed sim.Result layout, a schema bump, a truncated or
+// corrupt blob, or a digest collision all read back as a clean miss —
+// never as a wrong result — and the next Put rewrites the entry. Stores
+// written by the JSON-envelope format (v1/<dd>/<digest>.json) are not
+// read at all: every cell misses once and refills under v2.
 package rescache
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,11 +41,13 @@ import (
 	"heteromem/internal/sim"
 )
 
-// SchemaVersion is the result-blob schema. Bump it whenever sim.Result
-// gains or changes fields, or whenever simulator semantics change in a
-// way that alters results without changing the design-point spec: stale
-// entries then miss cleanly instead of serving pre-change results.
-const SchemaVersion = 1
+// SchemaVersion is the result-blob schema. Bump it whenever simulator
+// semantics change in a way that alters results without changing the
+// design-point spec: stale entries then miss cleanly instead of serving
+// pre-change results. A change to sim.Result's fields needs no bump:
+// the layout digest in every blob retires the old entries. Version 1
+// was the JSON envelope; version 2 is the binary one.
+const SchemaVersion = 2
 
 // Key identifies one simulation exactly: two cells collide iff they are
 // bit-identically the same simulation. Spec is the canonical design-point
@@ -70,13 +77,13 @@ func (k Key) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// envelope is the on-disk blob format: the schema version and the full
-// key ride with the result, so a read verifies it is decoding exactly
-// what the prober asked for before trusting the payload.
+// envelope is what a blob carries: the schema version and the full key
+// ride with the result, so a read verifies it is decoding exactly what
+// the prober asked for before trusting the payload.
 type envelope struct {
-	Schema int        `json:"schema"`
-	Key    Key        `json:"key"`
-	Result sim.Result `json:"result"`
+	Schema int
+	Key    Key
+	Result sim.Result
 }
 
 // Stats is a point-in-time copy of the store's counters.
@@ -127,13 +134,17 @@ type Store struct {
 
 // Open returns a store backed by the content-addressed directory dir,
 // creating it (and the current schema-version subdirectory) as needed.
-// An empty dir opens a memory-only store.
+// An empty dir opens a memory-only store. A sim.Result field the blob
+// codec cannot encode makes every disk store fail to open.
 func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, schema: SchemaVersion}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]sim.Result)
 	}
 	if dir != "" {
+		if layoutErr != nil {
+			return nil, layoutErr
+		}
 		if err := os.MkdirAll(s.versionDir(), 0o755); err != nil {
 			return nil, fmt.Errorf("rescache: %w", err)
 		}
@@ -156,7 +167,7 @@ func (s *Store) versionDir() string {
 // blobPath fans the CAS out on the digest's first byte so no single
 // directory accumulates the whole design space.
 func (s *Store) blobPath(digest string) string {
-	return filepath.Join(s.versionDir(), digest[:2], digest+".json")
+	return filepath.Join(s.versionDir(), digest[:2], digest+".bin")
 }
 
 func (s *Store) shardFor(digest string) *shard {
@@ -173,9 +184,10 @@ func hexVal(c byte) int {
 }
 
 // Get probes both tiers for the key's result. A disk hit is promoted
-// into the memory tier. Any undecodable, truncated, schema-stale or
-// key-mismatched blob counts as a miss (and as Corrupt when the file
-// existed but failed verification).
+// into the memory tier. An undecodable, truncated, schema-stale or
+// key-mismatched blob is a miss counted as Corrupt; a blob of another
+// sim.Result layout, retired by a code change like a schema bump, is a
+// plain miss.
 func (s *Store) Get(key Key) (sim.Result, bool) {
 	if s == nil {
 		return sim.Result{}, false
@@ -203,10 +215,11 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	s.bytesRead.Add(uint64(len(data)))
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil ||
-		env.Schema != s.schema || env.Key != key {
-		s.corrupt.Add(1)
+	env, err := decodeEnvelope(data)
+	if err != nil || env.Schema != s.schema || env.Key != key {
+		if !errors.Is(err, errLayout) {
+			s.corrupt.Add(1)
+		}
 		s.misses.Add(1)
 		return sim.Result{}, false
 	}
@@ -237,11 +250,7 @@ func (s *Store) Put(key Key, res sim.Result) error {
 	if s.dir == "" {
 		return nil
 	}
-	data, err := json.Marshal(envelope{Schema: s.schema, Key: key, Result: res})
-	if err != nil {
-		return s.latch(fmt.Errorf("rescache: encoding %s: %w", digest, err))
-	}
-	data = append(data, '\n')
+	data := appendEnvelope(nil, &envelope{Schema: s.schema, Key: key, Result: res})
 	path := s.blobPath(digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return s.latch(fmt.Errorf("rescache: %w", err))

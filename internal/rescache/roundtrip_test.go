@@ -10,13 +10,13 @@ import (
 	"heteromem/internal/sim"
 )
 
-// TestResultJSONRoundTrip is the canonical-JSON contract the on-disk
-// cache rests on: for fully populated results (a real case-study run,
-// not zero values), encode → decode → encode is byte-identical and the
-// decoded struct compares equal. sim.Result holds only scalars, fixed
-// arrays and strings, so Go's deterministic struct-order marshaling is
-// a canonical encoding; this test fails if a future field (a map, or a
-// float that doesn't survive JSON) breaks that.
+// TestResultJSONRoundTrip pins that the JSON form of a result (what
+// `hetsim -json` prints, and the blob format of schema version 1) is
+// canonical: for fully populated results (a real case-study run, not
+// zero values), encode → decode → encode is byte-identical and the
+// decoded struct compares equal. The binary blob format has the same
+// property, checked by TestCodecCoversEveryResultField and
+// FuzzDecodeEnvelope.
 func TestResultJSONRoundTrip(t *testing.T) {
 	cells, err := harness.RunCaseStudies([]string{"reduction"})
 	if err != nil {
