@@ -128,90 +128,6 @@ func TestDomainRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func(Time) { order = append(order, 3) })
-	e.Schedule(10, func(Time) { order = append(order, 1) })
-	e.Schedule(20, func(Time) { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Fatalf("final time %v, want 30ps", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("execution order %v, want [1 2 3]", order)
-	}
-}
-
-func TestEngineFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func(Time) { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events ran out of order: %v", order)
-		}
-	}
-}
-
-func TestEngineScheduleFromHandler(t *testing.T) {
-	e := NewEngine()
-	var hits []Time
-	e.Schedule(10, func(now Time) {
-		hits = append(hits, now)
-		e.ScheduleAfter(5, func(now Time) { hits = append(hits, now) })
-	})
-	e.Run()
-	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
-		t.Fatalf("hits = %v, want [10 15]", hits)
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func(Time) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(50, func(Time) {})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var ran []Time
-	e.Schedule(10, func(now Time) { ran = append(ran, now) })
-	e.Schedule(20, func(now Time) { ran = append(ran, now) })
-	e.Schedule(30, func(now Time) { ran = append(ran, now) })
-	e.RunUntil(25)
-	if len(ran) != 2 {
-		t.Fatalf("ran %d events, want 2", len(ran))
-	}
-	if e.Now() != 25 {
-		t.Fatalf("now = %v, want 25ps", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Processed() != 3 {
-		t.Fatalf("processed = %d, want 3", e.Processed())
-	}
-}
-
-func TestEngineStepEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
-
 func TestResourceSerialisation(t *testing.T) {
 	r := NewResource("bus")
 	s1, f1 := r.Acquire(0, 100)
@@ -268,151 +184,5 @@ func TestResourceMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// runEngineScript drives e through a fixed scheduling scenario (including
-// rescheduling from handlers and a partial RunUntil) and returns an
-// execution transcript plus the engine's final observable state.
-func runEngineScript(e *Engine) (transcript []Time, now Time, processed uint64, pending int) {
-	record := func(t Time) { transcript = append(transcript, t) }
-	e.Schedule(30, record)
-	e.Schedule(10, func(t Time) {
-		record(t)
-		e.ScheduleAfter(5, record)
-		e.Schedule(e.Now(), record) // same-time append runs this pass, in FIFO order
-	})
-	e.Schedule(10, record)
-	e.Schedule(20, record)
-	e.RunUntil(12)
-	e.Schedule(40, record)
-	e.Run()
-	return transcript, e.Now(), e.Processed(), e.Pending()
-}
-
-func TestEngineResetVsFresh(t *testing.T) {
-	pooled := NewEngine()
-	pooled.Schedule(7, func(Time) {})
-	pooled.Schedule(7, func(Time) {})
-	pooled.Schedule(99, func(Time) {})
-	pooled.Step() // leave events pending, time advanced
-	pooled.Reset()
-
-	if pooled.Now() != 0 || pooled.Pending() != 0 || pooled.Processed() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d processed=%d",
-			pooled.Now(), pooled.Pending(), pooled.Processed())
-	}
-
-	gotT, gotNow, gotProc, gotPend := runEngineScript(pooled)
-	wantT, wantNow, wantProc, wantPend := runEngineScript(NewEngine())
-	if len(gotT) != len(wantT) {
-		t.Fatalf("transcript length %d vs fresh %d", len(gotT), len(wantT))
-	}
-	for i := range gotT {
-		if gotT[i] != wantT[i] {
-			t.Fatalf("transcript[%d] = %v, fresh %v (got %v want %v)", i, gotT[i], wantT[i], gotT, wantT)
-		}
-	}
-	if gotNow != wantNow || gotProc != wantProc || gotPend != wantPend {
-		t.Fatalf("final state now=%v/%v processed=%d/%d pending=%d/%d",
-			gotNow, wantNow, gotProc, wantProc, gotPend, wantPend)
-	}
-}
-
-func TestEngineZeroValueUsable(t *testing.T) {
-	var e Engine
-	ran := false
-	e.Schedule(5, func(Time) { ran = true })
-	e.Run()
-	if !ran {
-		t.Fatal("zero-value engine did not run its event")
-	}
-}
-
-func TestEngineSameTimeBatching(t *testing.T) {
-	// Many events on one timestamp share a single heap node: scheduling
-	// and draining them must preserve FIFO order and the pending count.
-	e := NewEngine()
-	const n = 1000
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		e.Schedule(42, func(Time) { order = append(order, i) })
-	}
-	if e.Pending() != n {
-		t.Fatalf("pending = %d, want %d", e.Pending(), n)
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order[%d] = %d", i, v)
-		}
-	}
-	if e.Pending() != 0 || e.Processed() != n {
-		t.Fatalf("after run: pending=%d processed=%d", e.Pending(), e.Processed())
-	}
-}
-
-func TestEngineSteadyStateScheduleAllocFree(t *testing.T) {
-	// After a warm-up pass populates the bucket pool, a schedule/run cycle
-	// over recurring timestamps must not allocate per event.
-	e := NewEngine()
-	fn := func(Time) {}
-	cycle := func() {
-		for j := 0; j < 64; j++ {
-			e.Schedule(e.Now().Add(Duration(j%7)), fn)
-		}
-		e.Run()
-	}
-	cycle() // warm the pool and bucket capacities
-	if allocs := testing.AllocsPerRun(20, cycle); allocs > 2 {
-		t.Fatalf("steady-state schedule/run allocates %.1f times per cycle", allocs)
-	}
-}
-
-func TestEngineFreePoolBounded(t *testing.T) {
-	// A spike that fans events out over many distinct timestamps must not
-	// pin its high-water mark of buckets in the free pool: the pool is
-	// capped so the garbage collector reclaims the excess, and the engine
-	// keeps working normally afterwards.
-	e := NewEngine()
-	const spike = 10 * maxFreeBuckets
-	for j := 0; j < spike; j++ {
-		e.Schedule(Time(j), func(Time) {})
-	}
-	e.Run() // drains (and recycles) one bucket per distinct timestamp
-	if n := len(e.free); n > maxFreeBuckets {
-		t.Fatalf("free pool holds %d buckets after spike, cap is %d", n, maxFreeBuckets)
-	}
-	// Reset of a populated queue recycles through the same cap.
-	for j := 0; j < spike; j++ {
-		e.Schedule(e.Now().Add(Duration(j)), func(Time) {})
-	}
-	e.Reset()
-	if n := len(e.free); n > maxFreeBuckets {
-		t.Fatalf("free pool holds %d buckets after reset, cap is %d", n, maxFreeBuckets)
-	}
-	// Steady state after the spike: recurring timestamps still recycle
-	// allocation-free out of the bounded pool.
-	fn := func(Time) {}
-	cycle := func() {
-		for j := 0; j < 64; j++ {
-			e.Schedule(e.Now().Add(Duration(j%7)), fn)
-		}
-		e.Run()
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs > 2 {
-		t.Fatalf("post-spike steady state allocates %.1f times per cycle", allocs)
-	}
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j%97), func(Time) {})
-		}
-		e.Run()
 	}
 }

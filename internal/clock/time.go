@@ -1,7 +1,7 @@
 // Package clock provides the simulated-time substrate for the
 // heterogeneous-computing simulator: a picosecond-resolution timeline,
-// frequency domains that convert between cycles and absolute time, and a
-// deterministic discrete-event engine.
+// frequency domains that convert between cycles and absolute time, and
+// contended resources that serialise requests.
 //
 // The paper's baseline (Table II) clocks the CPU at 3.5 GHz and the GPU at
 // 1.5 GHz. Because the two processing units run in different frequency

@@ -19,16 +19,17 @@ type Writebacker interface {
 // shared by every PU's Chain, so cross-PU contention on the device is
 // modelled exactly as with the single DRAM controller.
 //
-// Beyond the Stage contract (Process advances r.Now past the device
-// access and installs the line into the home L3 tile; an L3 hit passes
-// through untouched), a backend absorbs L3 victim writebacks, resets
-// its device state between runs, and mirrors its batched memtech.*
-// counters into an observability registry on the hierarchy's FlushObs
-// cadence. Reset covers only backend-private state: substrates owned by
-// the hierarchy (the DDR3 controller behind DRAMStage) are reset by
-// their owner.
+// A backend absorbs L3 victim writebacks, resets its device state
+// between runs, and mirrors its batched memtech.* counters into an
+// observability registry on the hierarchy's FlushObs cadence. Reset
+// covers only backend-private state: substrates owned by the hierarchy
+// (the DDR3 controller behind DRAMStage) are reset by their owner.
 type Backend interface {
-	Stage
+	// Process advances r.Now past the device access and installs the
+	// line into the home L3 tile; an L3 hit passes through untouched.
+	// Chain stamps the result as StageDRAM whatever the technology, so
+	// request breakdowns stay comparable across backends.
+	Process(r *Request) Verdict
 	Writebacker
 	// Reset returns backend-private device state and counters to
 	// just-constructed; registered instruments stay wired.

@@ -7,16 +7,11 @@ import (
 	"heteromem/internal/obs"
 )
 
-// Chain is the devirtualized form of the built-in pipeline: the same
-// stages in the same order as mem.Hierarchy's Pipeline composition, but
-// held as concrete types and invoked directly, so the per-access
-// interface dispatch of Pipeline.Run disappears from the hot path. The
-// Stage interface and Pipeline remain the extension surface for tests
-// and alternative hierarchies; Chain is the monomorphic production
-// path.
-//
-// Stamping matches Pipeline.Run exactly: every executed stage records
-// its completion time, and a Done verdict skips the rest.
+// Chain is the memory pipeline: the stages of one PU's request path,
+// held as concrete types and invoked directly in Table II order, so no
+// per-access interface dispatch sits on the hot path. Every executed
+// stage stamps its completion time into the request, and a Done
+// verdict skips the rest.
 type Chain struct {
 	// Xlat, when non-nil, is the address-translation front-end (the
 	// translation axis): every access is translated before it touches
@@ -36,10 +31,10 @@ type Chain struct {
 	Commit  *CommitStage
 
 	// Prof, when non-nil, attributes sampled HOST wall-clock time to the
-	// chain's stages: one in every Prof.Every() runs takes the timed path
-	// below, so a sweep can see which simulation stage burns real time
-	// without paying two clock reads per stage on every access. ProfBase
-	// is the profiler section id of the private stage; the remaining
+	// chain's stages: one in every Prof.Every() runs is timed stage by
+	// stage, so a sweep can see which simulation stage burns real time
+	// without paying a clock read per stage on every access. ProfBase
+	// is the profiler section id of the translation stage; the remaining
 	// stages follow contiguously in chain order (see ProfSections).
 	Prof     *obs.HostProf
 	ProfBase int
@@ -68,22 +63,10 @@ const (
 	profCommit
 )
 
-// Run processes r through the full chain; it is equivalent to
-// Pipeline.Run over the same stages.
+// Run processes r through the full chain and returns its completion
+// time.
 func (c *Chain) Run(r *Request) clock.Time {
-	if c.Prof.Sample() {
-		return c.runProfiled(r, false)
-	}
-	if c.Xlat != nil {
-		c.Xlat.Process(r)
-		r.Stamp[StageXlat] = r.Now
-	}
-	v := c.Private.Process(r)
-	r.Stamp[StagePrivate] = r.Now
-	if v == Done {
-		return r.Now
-	}
-	return c.runShared(r)
+	return c.run(r, false, c.Prof.Sample())
 }
 
 // RunMissedL1 continues a request whose first-level lookup was already
@@ -92,50 +75,25 @@ func (c *Chain) Run(r *Request) clock.Time {
 // translation axis is on the caller has already translated the address
 // (the hierarchy charges Xlat before its L1 probe).
 func (c *Chain) RunMissedL1(r *Request) clock.Time {
-	if c.Prof.Sample() {
-		return c.runProfiled(r, true)
-	}
-	v := c.Private.ProcessMissedL1(r)
-	r.Stamp[StagePrivate] = r.Now
-	if v == Done {
-		return r.Now
-	}
-	return c.runShared(r)
+	return c.run(r, true, c.Prof.Sample())
 }
 
-// runShared is the shared-path tail: MSHR merge, ring hop out, L3 (with
-// coherence), the terminal backend, ring hop back, commit.
-func (c *Chain) runShared(r *Request) clock.Time {
-	v := c.MSHR.Process(r)
-	r.Stamp[StageMSHR] = r.Now
-	if v == Done {
-		return r.Now
+// run is the one chain path: translation (unless the caller already
+// did it), private levels, MSHR merge, ring hop out, L3 (with
+// coherence), the terminal backend, ring hop back, commit. With prof
+// set, each stage's host time is charged to its profiler section;
+// simulated timing and cache mutations do not depend on prof, so a
+// profiled run stays bit-identical to an unprofiled one.
+func (c *Chain) run(r *Request, missedL1, prof bool) clock.Time {
+	var t time.Time
+	if prof {
+		t = time.Now()
 	}
-	c.ReqHop.Process(r)
-	r.Stamp[StageRingReq] = r.Now
-	c.L3.Process(r)
-	r.Stamp[StageL3] = r.Now
-	c.Backend.Process(r)
-	r.Stamp[StageDRAM] = r.Now
-	c.RespHop.Process(r)
-	r.Stamp[StageRingResp] = r.Now
-	c.Commit.Process(r)
-	r.Stamp[StageCommit] = r.Now
-	return r.Now
-}
-
-// runProfiled is Run/RunMissedL1 with host-time stamps around every
-// stage. Simulated timing and cache mutations are identical to the
-// unprofiled path — only real time is measured, so a profiled run stays
-// bit-identical to an unprofiled one.
-func (c *Chain) runProfiled(r *Request, missedL1 bool) clock.Time {
 	if !missedL1 && c.Xlat != nil {
-		t := time.Now()
 		c.Xlat.Process(r)
 		r.Stamp[StageXlat] = r.Now
-		c.Prof.Add(c.ProfBase+profXlat, time.Since(t))
+		c.lap(prof, &t, profXlat)
 	}
-	t := time.Now()
 	var v Verdict
 	if missedL1 {
 		v = c.Private.ProcessMissedL1(r)
@@ -143,37 +101,45 @@ func (c *Chain) runProfiled(r *Request, missedL1 bool) clock.Time {
 		v = c.Private.Process(r)
 	}
 	r.Stamp[StagePrivate] = r.Now
-	c.Prof.Add(c.ProfBase+profPrivate, time.Since(t))
+	c.lap(prof, &t, profPrivate)
 	if v == Done {
 		return r.Now
 	}
-
-	t = time.Now()
 	v = c.MSHR.Process(r)
 	r.Stamp[StageMSHR] = r.Now
-	c.Prof.Add(c.ProfBase+profMSHR, time.Since(t))
+	c.lap(prof, &t, profMSHR)
 	if v == Done {
 		return r.Now
 	}
-	t = time.Now()
 	c.ReqHop.Process(r)
 	r.Stamp[StageRingReq] = r.Now
-	c.Prof.Add(c.ProfBase+profRingReq, time.Since(t))
-	t = time.Now()
+	c.lap(prof, &t, profRingReq)
 	c.L3.Process(r)
 	r.Stamp[StageL3] = r.Now
-	c.Prof.Add(c.ProfBase+profL3, time.Since(t))
-	t = time.Now()
+	c.lap(prof, &t, profL3)
 	c.Backend.Process(r)
 	r.Stamp[StageDRAM] = r.Now
-	c.Prof.Add(c.ProfBase+profDRAM, time.Since(t))
-	t = time.Now()
+	c.lap(prof, &t, profDRAM)
 	c.RespHop.Process(r)
 	r.Stamp[StageRingResp] = r.Now
-	c.Prof.Add(c.ProfBase+profRingResp, time.Since(t))
-	t = time.Now()
+	c.lap(prof, &t, profRingResp)
 	c.Commit.Process(r)
 	r.Stamp[StageCommit] = r.Now
-	c.Prof.Add(c.ProfBase+profCommit, time.Since(t))
+	c.lap(prof, &t, profCommit)
 	return r.Now
+}
+
+// lap charges the host time since *t to the stage at offset off from
+// ProfBase and restarts *t; it does nothing unless prof is set. The
+// check stays inlinable so an unprofiled run pays one branch per stage.
+func (c *Chain) lap(prof bool, t *time.Time, off int) {
+	if prof {
+		c.charge(t, off)
+	}
+}
+
+func (c *Chain) charge(t *time.Time, off int) {
+	now := time.Now()
+	c.Prof.Add(c.ProfBase+off, now.Sub(*t))
+	*t = now
 }

@@ -41,10 +41,6 @@ type DRAMCacheStage struct {
 	writebacks backendCounter
 }
 
-// ID implements Stage; the terminal slot keeps the StageDRAM stamp so
-// request breakdowns stay comparable across backends.
-func (s *DRAMCacheStage) ID() StageID { return StageDRAM }
-
 // Process serves the L3 miss from near memory when the line is cached
 // there, and otherwise from far memory, installing the line near on the
 // way back.

@@ -27,11 +27,6 @@ type HBMStage struct {
 	accesses backendCounter
 }
 
-// ID implements Stage; the terminal slot keeps the StageDRAM stamp so
-// request breakdowns and host-profiling sections stay comparable across
-// backends.
-func (s *HBMStage) ID() StageID { return StageDRAM }
-
 // Process fetches the line from the HBM stack unless the L3 already
 // served it: hop to the memory-controller stop, the fixed stacked-path
 // latency, the banked access, and the line's return and install.

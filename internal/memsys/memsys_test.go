@@ -1,11 +1,14 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 
 	"heteromem/internal/cache"
 	"heteromem/internal/clock"
 	"heteromem/internal/dram"
+	"heteromem/internal/obs"
+	"heteromem/internal/xlat"
 )
 
 // fakeNet records every Send and charges a fixed latency per hop.
@@ -56,39 +59,153 @@ func TestTopologyMapping(t *testing.T) {
 	}
 }
 
-// stubStage charges a fixed latency and returns a fixed verdict.
-type stubStage struct {
-	id  StageID
-	lat clock.Duration
-	v   Verdict
+// testChain is a GPU request path over real stages: a private L1, a
+// four-entry MSHR file, fakeNet ring hops, four L3 tiles and a DDR3
+// DRAMStage.
+type testChain struct {
+	Chain
+	env  *Env
+	l1   *cache.Cache
+	file *cache.MSHR
 }
 
-func (s stubStage) ID() StageID { return s.id }
-func (s stubStage) Process(r *Request) Verdict {
-	r.Now = r.Now.Add(s.lat)
-	return s.v
+func newTestChain(t *testing.T, prof *obs.HostProf) *testChain {
+	t.Helper()
+	ctrl, err := dram.New(dram.DDR3_1333())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{}
+	net := &fakeNet{lat: 3}
+	topo := testTopo()
+	l3 := newTestL3(t, env)
+	backend := &DRAMStage{Ctrl: ctrl, Net: net, Topo: topo, L3: l3, Env: env}
+	l3.Mem = backend
+	private := &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), L1Lat: 2, Env: env}
+	file := cache.NewMSHR(4)
+	tc := &testChain{env: env, l1: private.L1, file: file}
+	tc.Chain = Chain{
+		Private: private,
+		MSHR:    &MSHRStage{File: file},
+		ReqHop:  &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo},
+		L3:      l3,
+		Backend: backend,
+		RespHop: &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo},
+		Commit:  &CommitStage{Private: private, File: file, Env: env},
+		Prof:    prof,
+	}
+	for i, name := range ProfSections() {
+		if id := prof.Section(name); i == 0 {
+			tc.ProfBase = id
+		}
+	}
+	return tc
 }
 
-func TestPipelineStampsAndShortCircuits(t *testing.T) {
-	p := NewPipeline(
-		stubStage{id: StagePrivate, lat: 10, v: Next},
-		stubStage{id: StageL3, lat: 20, v: Done},
-		stubStage{id: StageDRAM, lat: 1000, v: Next},
-	)
+func (tc *testChain) run(addr uint64, write bool, now clock.Time) Request {
 	var r Request
-	r.Start(CPU, 0x40, 0x40, false, 5)
-	done := p.Run(&r)
-	if done != 35 {
-		t.Fatalf("completion = %d, want 35 (Done must skip later stages)", done)
+	r.Start(GPU, addr, addr&^63, write, now)
+	tc.Run(&r)
+	return r
+}
+
+func TestChainStampsAndShortCircuits(t *testing.T) {
+	const line = 0x40
+	tc := newTestChain(t, nil)
+	miss := tc.run(line, false, 0)
+	if miss.Flags&FlagDRAM == 0 || miss.L1Way < 0 {
+		t.Fatalf("cold access must reach DRAM and fill L1: flags=%v l1way=%d", miss.Flags, miss.L1Way)
 	}
-	if r.Stamp[StagePrivate] != 15 || r.Stamp[StageL3] != 35 {
-		t.Errorf("stamps = %v, want private=15 l3=35", r.Stamp)
+	for s := StagePrivate + 1; s <= StageCommit; s++ {
+		if s == StageCoherence {
+			continue // sub-stage, stamped only when the directory acts
+		}
+		if miss.Stamp[s] < miss.Stamp[s-1] || miss.Stamp[s] == 0 {
+			t.Errorf("full miss: stamp[%v]=%d after stamp[%v]=%d", s, miss.Stamp[s], s-1, miss.Stamp[s-1])
+		}
 	}
-	if r.Stamp[StageDRAM] != 0 {
-		t.Errorf("skipped stage stamped %d, want 0", r.Stamp[StageDRAM])
+	if miss.Stamp[StageCommit] != miss.Now || miss.Stamp[StageXlat] != 0 {
+		t.Errorf("full miss: stamps %v, completion %d", miss.Stamp, miss.Now)
 	}
-	if r.Latency() != 30 {
-		t.Errorf("latency = %v, want 30", r.Latency())
+
+	// A second miss to the line while the first is in flight merges at
+	// the MSHR and completes with the outstanding fill.
+	tc.l1.Invalidate(line)
+	merged := tc.run(line, false, miss.Stamp[StageMSHR]+1)
+	if merged.Flags&FlagMerged == 0 || merged.Now != miss.Now || merged.L1Way != -1 {
+		t.Fatalf("in-flight miss: flags=%v now=%d l1way=%d, want merged at %d",
+			merged.Flags, merged.Now, merged.L1Way, miss.Now)
+	}
+	if merged.Stamp[StageMSHR] != miss.Now {
+		t.Errorf("merge stamped at %d, want %d", merged.Stamp[StageMSHR], miss.Now)
+	}
+	for s := StageMSHR + 1; s < NumStages; s++ {
+		if merged.Stamp[s] != 0 {
+			t.Errorf("merge stamped skipped stage %v at %d", s, merged.Stamp[s])
+		}
+	}
+
+	// The commit allocates at the MSHR stamp, not at completion: with a
+	// one-entry file held by another line until between the two, the
+	// allocation stalls until that entry retires.
+	blocked := newTestChain(t, nil)
+	blocked.file = cache.NewMSHR(1)
+	blocked.MSHR.File, blocked.Commit.File = blocked.file, blocked.file
+	retire := miss.Stamp[StageMSHR] + 50
+	blocked.file.Allocate(0x1000, 0, retire)
+	stalled := blocked.run(line, false, 0)
+	if stalled.Stamp[StageMSHR] != miss.Stamp[StageMSHR] || retire >= stalled.Stamp[StageRingResp] {
+		t.Fatalf("blocked run diverged before commit: stamps %v", stalled.Stamp)
+	}
+	if want := miss.Now.Add(retire.Sub(miss.Stamp[StageMSHR])); stalled.Now != want || blocked.file.Stalls() != 1 {
+		t.Errorf("commit with a full file: now=%d stalls=%d, want %d and 1 (allocated at the MSHR stamp)",
+			stalled.Now, blocked.file.Stalls(), want)
+	}
+}
+
+func TestChainProfiledMatchesUnprofiled(t *testing.T) {
+	prof := obs.NewHostProf(1)
+	plain, timed := newTestChain(t, nil), newTestChain(t, prof)
+	plain.Xlat = mustStage(t, noWalkCache(xlat.Private))
+	timed.Xlat = mustStage(t, noWalkCache(xlat.Private))
+	steps := []struct {
+		addr  uint64
+		write bool
+		at    clock.Time
+		drop  bool  // invalidate the line in L1 first
+		flag  Flags // the path the step must take
+	}{
+		{0x40, false, 0, false, FlagDRAM},
+		{0x80, true, 5, false, FlagDRAM},
+		{0x40, false, 10, true, FlagMerged},
+		{0x80, false, 1_000_000, false, FlagL1Hit},
+		{0x40, false, 2_000_000, true, FlagL3Hit},
+	}
+	for i, st := range steps {
+		if st.drop {
+			plain.l1.Invalidate(st.addr)
+			timed.l1.Invalidate(st.addr)
+		}
+		want := plain.run(st.addr, st.write, st.at)
+		got := timed.run(st.addr, st.write, st.at)
+		if want.Flags&st.flag == 0 {
+			t.Errorf("step %d: flags %v, want %v set", i, want.Flags, st.flag)
+		}
+		if got.Now != want.Now || got.Flags != want.Flags || got.Stamp != want.Stamp || got.L1Way != want.L1Way {
+			t.Errorf("step %d: profiled %+v, unprofiled %+v", i, got, want)
+		}
+	}
+	if !reflect.DeepEqual(timed.l1, plain.l1) || !reflect.DeepEqual(timed.L3.Tiles, plain.L3.Tiles) ||
+		!reflect.DeepEqual(timed.file, plain.file) || !reflect.DeepEqual(timed.Xlat, plain.Xlat) ||
+		timed.env.Counts != plain.env.Counts {
+		t.Error("profiling changed cache, MSHR, TLB or counter state")
+	}
+	reg := obs.NewRegistry()
+	prof.FlushTo(reg)
+	for name, want := range map[string]uint64{"xlat": 5, "private": 5, "mshr": 4, "commit": 3} {
+		if got := reg.CounterValue("host.memsys." + name + ".samples"); got != want {
+			t.Errorf("host.memsys.%s.samples = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -39,10 +39,6 @@ type NVMStage struct {
 	writeStalls backendCounter
 }
 
-// ID implements Stage; the terminal slot keeps the StageDRAM stamp so
-// request breakdowns stay comparable across backends.
-func (s *NVMStage) ID() StageID { return StageDRAM }
-
 // Process fetches the line from the device unless the L3 already served
 // it: hop to the memory-controller stop, admission past the write
 // queue, the channel transfer plus the media read, and the line's

@@ -17,18 +17,6 @@ const (
 	Done
 )
 
-// Stage is one step of the request pipeline. Process advances r.Now by
-// whatever latency the stage charges, updates the stage's own state
-// (cache contents, MSHR entries, statistics) and decides whether the
-// request continues.
-type Stage interface {
-	// ID names the stage; the pipeline stamps r.Stamp[ID()] after
-	// Process returns.
-	ID() StageID
-	// Process applies the stage to the request.
-	Process(r *Request) Verdict
-}
-
 // Interconnect carries pipeline messages between stops. noc.Ring
 // satisfies it; a mesh (or any other topology) can be swapped in by
 // implementing the same contract.
@@ -97,28 +85,4 @@ func (t Topology) TileStop(tile int) int { return t.L3Base + tile }
 // Line returns addr rounded down to its cache-line base.
 func (t Topology) Line(addr uint64) uint64 {
 	return addr &^ uint64(t.LineBytes-1)
-}
-
-// Pipeline runs a request through an ordered stage list, stamping each
-// stage's completion time, until a stage reports Done or the stages are
-// exhausted.
-type Pipeline struct {
-	stages []Stage
-}
-
-// NewPipeline builds a pipeline over the given stages, in order.
-func NewPipeline(stages ...Stage) *Pipeline {
-	return &Pipeline{stages: stages}
-}
-
-// Run processes r through the pipeline and returns its completion time.
-func (p *Pipeline) Run(r *Request) clock.Time {
-	for _, s := range p.stages {
-		v := s.Process(r)
-		r.Stamp[s.ID()] = r.Now
-		if v == Done {
-			break
-		}
-	}
-	return r.Now
 }

@@ -1,12 +1,12 @@
 // Package memsys models a memory access as an explicit transaction — a
-// Request — flowing through an ordered pipeline of stages (private
-// caches, MSHR, ring hops, L3 tile, coherence, DRAM, commit). Each stage
-// charges its latency onto the request and stamps its completion time,
-// so every picosecond of an access is attributable to one stage, each
-// stage is unit-testable in isolation, and alternatives (a mesh instead
-// of the ring, flush-based instead of directory coherence) slot in by
-// swapping one stage. Package mem composes these stages into the
-// Table II hierarchy.
+// Request — flowing through an ordered chain of stages (translation,
+// private caches, MSHR, ring hops, L3 tile, coherence, the memory
+// backend, commit). Each stage charges its latency onto the request and
+// Chain stamps its completion time, so every picosecond of an access is
+// attributable to one stage and each stage is unit-testable in
+// isolation. Alternatives slot in at fixed seams: a mesh instead of the
+// ring through Interconnect, another memory technology through Backend.
+// Package mem composes these stages into the Table II hierarchy.
 package memsys
 
 import (
@@ -121,7 +121,7 @@ const (
 
 // Request is one memory transaction in flight. A request is issued at
 // Issue and carries its running completion time in Now; each stage
-// advances Now by the latency it charges and the pipeline stamps the
+// advances Now by the latency it charges and the chain stamps the
 // post-stage time into Stamp, so Stamp[s]-Stamp[previous] is the latency
 // attributable to stage s.
 type Request struct {

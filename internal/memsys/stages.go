@@ -93,9 +93,6 @@ type PrivateStage struct {
 	Env       *Env
 }
 
-// ID implements Stage.
-func (s *PrivateStage) ID() StageID { return StagePrivate }
-
 // Process looks the address up in the private levels, charging each
 // level's latency on the way down.
 func (s *PrivateStage) Process(r *Request) Verdict {
@@ -182,9 +179,6 @@ type MSHRStage struct {
 	File *cache.MSHR
 }
 
-// ID implements Stage.
-func (s *MSHRStage) ID() StageID { return StageMSHR }
-
 // Process checks the MSHR file; a merged request completes when the
 // outstanding fill returns (or immediately, if it already has).
 func (s *MSHRStage) Process(r *Request) Verdict {
@@ -204,9 +198,6 @@ type RingHopStage struct {
 	Net   Interconnect
 	Topo  Topology
 }
-
-// ID implements Stage.
-func (s *RingHopStage) ID() StageID { return s.Stage }
 
 // Process sends the hop's message and advances the request to the
 // arrival time.
@@ -234,9 +225,6 @@ type L3Stage struct {
 	Coherence *CoherenceStage
 	Env       *Env
 }
-
-// ID implements Stage.
-func (s *L3Stage) ID() StageID { return StageL3 }
 
 // Process performs the home-tile lookup.
 func (s *L3Stage) Process(r *Request) Verdict {
@@ -276,9 +264,6 @@ type DRAMStage struct {
 
 	accesses backendCounter
 }
-
-// ID implements Stage.
-func (s *DRAMStage) ID() StageID { return StageDRAM }
 
 // Process fetches the line from DRAM unless the L3 already served it.
 func (s *DRAMStage) Process(r *Request) Verdict {
@@ -325,9 +310,6 @@ type CommitStage struct {
 	Env     *Env
 }
 
-// ID implements Stage.
-func (s *CommitStage) ID() StageID { return StageCommit }
-
 // Process fills the private levels and allocates the MSHR entry. The
 // allocation is keyed to the time the request entered the shared path
 // (the MSHR stamp), not its completion time, so merges observe the
@@ -364,9 +346,6 @@ type CoherenceStage struct {
 	// memo is untouched by a remote recall.
 	Gen *[NumPUs]uint64
 }
-
-// ID implements Stage.
-func (s *CoherenceStage) ID() StageID { return StageCoherence }
 
 // Directory returns the directory, or nil when coherence is off (or
 // the stage itself is absent).

@@ -129,11 +129,8 @@ func (s *TranslationStage) Flush(pu PU) {
 	}
 }
 
-// ID implements Stage.
-func (s *TranslationStage) ID() StageID { return StageXlat }
-
-// Process implements Stage for pipeline composition: it translates the
-// request's address and advances r.Now past any walk.
+// Process translates the request's address and advances r.Now past any
+// walk; Chain runs it ahead of the private levels.
 func (s *TranslationStage) Process(r *Request) Verdict {
 	r.Now = s.Translate(r.PU, r.Addr, r.Now)
 	return Next

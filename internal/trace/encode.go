@@ -123,10 +123,13 @@ func Read(r io.Reader) (Stream, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	out := make(Stream, 0, count)
-	// Decode in chunks: exact consumption with few large reads.
+	// Decode in chunks: exact consumption with few large reads. The
+	// header's count is not trusted for the allocation: the stream grows
+	// as records arrive, so a forged count fails at the first missing
+	// record instead of reserving memory for records that never come.
 	const chunkRecords = 4096
-	buf := make([]byte, chunkRecords*recordBytes)
+	out := make(Stream, 0, min(count, chunkRecords))
+	buf := make([]byte, min(count, chunkRecords)*recordBytes)
 	var rec [recordBytes]byte
 	for done := uint64(0); done < count; {
 		n := count - done
@@ -135,6 +138,9 @@ func Read(r io.Reader) (Stream, error) {
 		}
 		chunk := buf[:n*recordBytes]
 		if _, err := io.ReadFull(r, chunk); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more records
+			}
 			return nil, fmt.Errorf("trace: record %d: %w", done, err)
 		}
 		for i := uint64(0); i < n; i++ {

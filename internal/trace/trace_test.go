@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,6 +165,26 @@ func TestReadRejectsTruncated(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(raw[:8])); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+}
+
+// A header's record count must not size an allocation before the
+// records arrive: a bare 14-byte header claiming 1<<32 records, or a
+// real trace whose count exceeds its records, fails with an error.
+func TestReadRejectsForgedCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		t.Fatal(err)
+	}
+	inflated := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(inflated[6:14], uint64(len(sample())+10000))
+	bare := bytes.Clone(buf.Bytes()[:14])
+	binary.LittleEndian.PutUint64(bare[6:14], 1<<32)
+	for name, raw := range map[string][]byte{"bare-header": bare, "inflated-count": inflated} {
+		_, err := Read(bytes.NewReader(raw))
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want unexpected EOF", name, err)
+		}
 	}
 }
 

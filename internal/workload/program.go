@@ -13,7 +13,6 @@ package workload
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"heteromem/internal/addrspace"
 	"heteromem/internal/locality"
@@ -87,50 +86,6 @@ type Phase struct {
 	// Generator parameters for streaming programs; nil once materialized.
 	cpuGen *genParams
 	gpuGen *genParams
-
-	// local caches the per-half core-locality classification (bit 0:
-	// computed, bit 1: CPU half core-local, bit 2: GPU half core-local),
-	// maintained with atomics because opened programs are shared across
-	// concurrent simulators. Phases are only copied while a program is
-	// being built, before anything classifies them.
-	local uint32
-}
-
-// CPUCoreLocal reports whether the phase's CPU half is certified to touch
-// only the CPU core's private state — every instruction is isa.CoreLocal
-// (no hierarchy, software-cache, communication or push traffic). The
-// simulator uses this to overlap interaction-free halves of a parallel
-// phase. Generator-backed halves classify conservatively false: bodies
-// emit conditionally, so no sample of the stream can certify all of it.
-func (ph *Phase) CPUCoreLocal() bool { return ph.coreLocal()&2 != 0 }
-
-// GPUCoreLocal is CPUCoreLocal for the phase's GPU half.
-func (ph *Phase) GPUCoreLocal() bool { return ph.coreLocal()&4 != 0 }
-
-func (ph *Phase) coreLocal() uint32 {
-	if v := atomic.LoadUint32(&ph.local); v&1 != 0 {
-		return v
-	}
-	v := uint32(1)
-	if ph.cpuGen == nil && streamCoreLocal(ph.CPU) {
-		v |= 2
-	}
-	if ph.gpuGen == nil && streamCoreLocal(ph.GPU) {
-		v |= 4
-	}
-	// Racing classifiers compute identical bits from immutable inputs, so
-	// last-store-wins is benign.
-	atomic.StoreUint32(&ph.local, v)
-	return v
-}
-
-func streamCoreLocal(s trace.Stream) bool {
-	for i := range s {
-		if !s[i].Kind.CoreLocal() {
-			return false
-		}
-	}
-	return true
 }
 
 // CPUSource returns a fresh cursor over the phase's CPU trace, whichever
@@ -178,9 +133,6 @@ func (ph *Phase) materialize() {
 		ph.GPU = trace.Materialize(ph.gpuGen.source())
 		ph.gpuGen = nil
 	}
-	// The conservative generator-backed classification no longer applies
-	// to the now-inspectable streams.
-	atomic.StoreUint32(&ph.local, 0)
 }
 
 // Program is a complete kernel: its phases, the data objects it
