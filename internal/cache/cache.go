@@ -119,6 +119,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// chunkSets is the number of sets per metadata chunk: the largest
+// Table II geometry (one L3 tile), so every baseline cache is exactly
+// one chunk and only larger directories (the DRAM cache's) span more.
+const (
+	chunkShift = 10
+	chunkSets  = 1 << chunkShift
+)
+
 // Cache is a set-associative cache. It models tags and replacement state
 // only — the simulator never stores data, it only times accesses.
 //
@@ -129,16 +137,21 @@ func (s Stats) HitRate() float64 {
 // branch-free via bits.TrailingZeros64, and the recency array is touched
 // only on the hit it refreshes — a lookup no longer drags every block's
 // cold metadata through the host cache.
+//
+// The arrays are split into chunks of chunkSets sets. The first chunk is
+// built with the cache; every later one is materialized on the first
+// fill into it. A set in an unmaterialized chunk holds no valid block,
+// so lookups, probes and invalidations there answer without allocating,
+// and the host memory of a large directory follows the lines a workload
+// touches rather than the capacity it models.
 type Cache struct {
 	cfg  Config
 	ways int
-	// tags and lastUse are indexed [set*ways+way].
-	tags    []uint64
-	lastUse []uint64
-	// valid, dirty and explicit hold one bit per way, one word per set.
-	valid    []uint64
-	dirty    []uint64
-	explicit []uint64
+	// chunks[s>>chunkShift] holds set s; nil until its first fill.
+	chunks []*chunk
+	// live lists the materialized chunks, so whole-cache walks (Reset,
+	// FlushAll, the block counts) cost what was touched.
+	live []*chunk
 	// waysMask has the low `ways` bits set.
 	waysMask  uint64
 	setMask   uint64
@@ -150,6 +163,36 @@ type Cache struct {
 	// instruments are advanced by the delta, not bumped per event.
 	flushed Stats
 	maxExpl int
+}
+
+// chunk holds the metadata of up to chunkSets consecutive sets.
+type chunk struct {
+	// tags and lastUse are indexed [set*ways+way], set local to the chunk.
+	tags    []uint64
+	lastUse []uint64
+	// valid, dirty and explicit hold one bit per way, one word per set.
+	valid    []uint64
+	dirty    []uint64
+	explicit []uint64
+}
+
+func newChunk(a *arena.Arena, sets, ways int) *chunk {
+	return &chunk{
+		tags:     arena.Make[uint64](a, sets*ways),
+		lastUse:  arena.Make[uint64](a, sets*ways),
+		valid:    arena.Make[uint64](a, sets),
+		dirty:    arena.Make[uint64](a, sets),
+		explicit: arena.Make[uint64](a, sets),
+	}
+}
+
+// clear invalidates every block of the chunk.
+func (ch *chunk) clear() {
+	clear(ch.tags)
+	clear(ch.lastUse)
+	clear(ch.valid)
+	clear(ch.dirty)
+	clear(ch.explicit)
 }
 
 // cacheObs holds the cache's observability instruments; nil (the
@@ -190,22 +233,25 @@ func New(cfg Config) (*Cache, error) {
 	return NewIn(nil, cfg)
 }
 
-// NewIn is New with the metadata arrays carved from the arena (nil falls
-// back to the ordinary heap). Sweep workers build their simulators out
-// of one arena so construction batches into a few slab allocations.
+// NewIn is New with the first metadata chunk carved from the arena (nil
+// falls back to the ordinary heap). Sweep workers build their simulators
+// out of one arena so construction batches into a few slab allocations.
+// Later chunks come from the heap when first filled.
 func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	// Sizes and ways are powers of two, so a cache larger than one chunk
+	// is a whole number of chunks.
+	first := newChunk(a, min(numSets, chunkSets), cfg.Ways)
+	chunks := make([]*chunk, max(1, numSets/chunkSets))
+	chunks[0] = first
 	c := &Cache{
 		cfg:       cfg,
 		ways:      cfg.Ways,
-		tags:      arena.Make[uint64](a, numSets*cfg.Ways),
-		lastUse:   arena.Make[uint64](a, numSets*cfg.Ways),
-		valid:     arena.Make[uint64](a, numSets),
-		dirty:     arena.Make[uint64](a, numSets),
-		explicit:  arena.Make[uint64](a, numSets),
+		chunks:    chunks,
+		live:      []*chunk{first},
 		waysMask:  uint64(1)<<uint(cfg.Ways) - 1, // Ways == 64 wraps the shift to 0, so this is all-ones there too
 		setMask:   uint64(numSets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -236,7 +282,11 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.valid) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
+
+// Chunks reports how many of the cache's metadata chunks are
+// materialized, out of how many in all.
+func (c *Cache) Chunks() (materialized, total int) { return len(c.live), len(c.chunks) }
 
 // LineFor returns the base address of the line containing addr.
 func (c *Cache) LineFor(addr uint64) uint64 {
@@ -245,6 +295,13 @@ func (c *Cache) LineFor(addr uint64) uint64 {
 
 func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
 func (c *Cache) tagOf(addr uint64) uint64    { return addr >> c.lineShift }
+
+// locate returns the chunk holding addr's set, nil if it was never
+// filled, and the set's index within that chunk.
+func (c *Cache) locate(addr uint64) (*chunk, uint64) {
+	s := c.setIndex(addr)
+	return c.chunks[s>>chunkShift], s & (chunkSets - 1)
+}
 
 // Lookup accesses the line containing addr, reporting a hit. On a hit the
 // block's recency is refreshed and, for writes, the dirty bit set. On a
@@ -260,22 +317,22 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 func (c *Cache) LookupWay(addr uint64, write bool) int {
 	c.tick++
 	c.stats.Accesses++
-	s := c.setIndex(addr)
-	tag := c.tagOf(addr)
-	base := int(s) * c.ways
-	// Linear tag scan: invalid ways hold tag 0 (zeroed at reset, fill
-	// overwrite and invalidation), so a tag match is almost always a
-	// hit and the valid bit only breaks the tag-0 tie. The straight
-	// walk beats iterating the valid mask bit by bit on warm sets.
-	tags := c.tags[base : base+c.ways]
-	for w, t := range tags {
-		if t == tag && c.valid[s]&(1<<uint(w)) != 0 {
-			c.lastUse[base+w] = c.tick
-			if write {
-				c.dirty[s] |= 1 << uint(w)
+	if ch, s := c.locate(addr); ch != nil {
+		tag := c.tagOf(addr)
+		base := int(s) * c.ways
+		// Linear tag scan: invalid ways hold tag 0 (zeroed at reset, fill
+		// overwrite and invalidation), so a tag match is almost always a
+		// hit and the valid bit only breaks the tag-0 tie. The straight
+		// walk beats iterating the valid mask bit by bit on warm sets.
+		for w, t := range ch.tags[base : base+c.ways] {
+			if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
+				ch.lastUse[base+w] = c.tick
+				if write {
+					ch.dirty[s] |= 1 << uint(w)
+				}
+				c.stats.Hits++
+				return w
 			}
-			c.stats.Hits++
-			return w
 		}
 	}
 	c.stats.Misses++
@@ -292,17 +349,20 @@ func (c *Cache) HitWay(addr uint64, way int, write bool) bool {
 	if uint(way) >= uint(c.ways) {
 		return false
 	}
-	s := c.setIndex(addr)
+	ch, s := c.locate(addr)
+	if ch == nil {
+		return false
+	}
 	idx := int(s)*c.ways + way
 	bit := uint64(1) << uint(way)
-	if c.valid[s]&bit == 0 || c.tags[idx] != c.tagOf(addr) {
+	if ch.valid[s]&bit == 0 || ch.tags[idx] != c.tagOf(addr) {
 		return false
 	}
 	c.tick++
 	c.stats.Accesses++
-	c.lastUse[idx] = c.tick
+	ch.lastUse[idx] = c.tick
 	if write {
-		c.dirty[s] |= bit
+		ch.dirty[s] |= bit
 	}
 	c.stats.Hits++
 	return true
@@ -311,11 +371,14 @@ func (c *Cache) HitWay(addr uint64, way int, write bool) bool {
 // Probe reports whether the line containing addr is present without
 // disturbing replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	s := c.setIndex(addr)
+	ch, s := c.locate(addr)
+	if ch == nil {
+		return false
+	}
 	tag := c.tagOf(addr)
 	base := int(s) * c.ways
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == tag && c.valid[s]&(1<<uint(w)) != 0 {
+	for w, t := range ch.tags[base : base+c.ways] {
+		if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
 			return true
 		}
 	}
@@ -336,27 +399,30 @@ func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
 // instead of paying a set scan on the next access.
 func (c *Cache) FillWay(addr uint64, explicit, dirty bool) (Eviction, int) {
 	c.tick++
-	s := c.setIndex(addr)
+	ch, s := c.locate(addr)
+	if ch == nil {
+		ch = c.materialize(addr)
+	}
 	tag := c.tagOf(addr)
 	base := int(s) * c.ways
 
 	// Upgrade in place if already present (fill after racing lookups,
 	// or a push of resident data).
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == tag && c.valid[s]&(1<<uint(w)) != 0 {
-			c.lastUse[base+w] = c.tick
+	for w, t := range ch.tags[base : base+c.ways] {
+		if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
+			ch.lastUse[base+w] = c.tick
 			bit := uint64(1) << uint(w)
 			if explicit {
-				c.explicit[s] |= bit
+				ch.explicit[s] |= bit
 			}
 			if dirty {
-				c.dirty[s] |= bit
+				ch.dirty[s] |= bit
 			}
 			return Eviction{}, w
 		}
 	}
 
-	victim := c.chooseVictim(s, explicit)
+	victim := c.chooseVictim(ch, s, explicit)
 	if victim < 0 {
 		c.stats.Bypasses++
 		return Eviction{Bypassed: true}, -1
@@ -364,83 +430,96 @@ func (c *Cache) FillWay(addr uint64, explicit, dirty bool) (Eviction, int) {
 	bit := uint64(1) << uint(victim)
 	idx := base + victim
 	ev := Eviction{}
-	if c.valid[s]&bit != 0 {
+	if ch.valid[s]&bit != 0 {
 		ev = Eviction{
 			Valid:    true,
-			Addr:     c.tags[idx] << c.lineShift,
-			Dirty:    c.dirty[s]&bit != 0,
-			Explicit: c.explicit[s]&bit != 0,
+			Addr:     ch.tags[idx] << c.lineShift,
+			Dirty:    ch.dirty[s]&bit != 0,
+			Explicit: ch.explicit[s]&bit != 0,
 		}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	c.tags[idx] = tag
-	c.lastUse[idx] = c.tick
-	c.valid[s] |= bit
+	ch.tags[idx] = tag
+	ch.lastUse[idx] = c.tick
+	ch.valid[s] |= bit
 	if dirty {
-		c.dirty[s] |= bit
+		ch.dirty[s] |= bit
 	} else {
-		c.dirty[s] &^= bit
+		ch.dirty[s] &^= bit
 	}
 	if explicit {
-		c.explicit[s] |= bit
+		ch.explicit[s] |= bit
 	} else {
-		c.explicit[s] &^= bit
+		ch.explicit[s] &^= bit
 	}
 	c.stats.Fills++
 	return ev, victim
 }
 
-// chooseVictim returns the way to replace in set s, or -1 to bypass.
-// Preference order: the lowest invalid way, then LRU among the ways this
-// fill is allowed to replace under the policy. Eligibility is a bitmask,
-// so the policy cases reduce to mask algebra over the packed state.
-func (c *Cache) chooseVictim(s uint64, explicitFill bool) int {
-	if free := ^c.valid[s] & c.waysMask; free != 0 {
+// materialize builds the chunk holding addr's set on its first fill.
+func (c *Cache) materialize(addr uint64) *chunk {
+	ch := newChunk(nil, chunkSets, c.ways)
+	c.chunks[c.setIndex(addr)>>chunkShift] = ch
+	c.live = append(c.live, ch)
+	return ch
+}
+
+// chooseVictim returns the way to replace in set s of ch, or -1 to
+// bypass. Preference order: the lowest invalid way, then LRU among the
+// ways this fill is allowed to replace under the policy. Eligibility is
+// a bitmask, so the policy cases reduce to mask algebra over the packed
+// state.
+func (c *Cache) chooseVictim(ch *chunk, s uint64, explicitFill bool) int {
+	if free := ^ch.valid[s] & c.waysMask; free != 0 {
 		return bits.TrailingZeros64(free)
 	}
 	if c.cfg.Policy == LRU {
-		return c.lruAmong(s, c.waysMask)
+		return c.lruAmong(ch, s, c.waysMask)
 	}
 	if !explicitFill {
 		// Implicit fills may not displace explicit blocks (II-B5).
-		return c.lruAmong(s, ^c.explicit[s]&c.waysMask)
+		return c.lruAmong(ch, s, ^ch.explicit[s]&c.waysMask)
 	}
 	// Explicit fill: if the set already holds the maximum explicit
 	// footprint, replace the LRU explicit block so the cap is preserved;
 	// otherwise replace the global LRU.
-	if bits.OnesCount64(c.valid[s]&c.explicit[s]) >= c.maxExpl {
-		return c.lruAmong(s, c.explicit[s]&c.waysMask)
+	if bits.OnesCount64(ch.valid[s]&ch.explicit[s]) >= c.maxExpl {
+		return c.lruAmong(ch, s, ch.explicit[s]&c.waysMask)
 	}
-	return c.lruAmong(s, c.waysMask)
+	return c.lruAmong(ch, s, c.waysMask)
 }
 
 // lruAmong returns the eligible way with the smallest lastUse (earliest
-// eligible way wins ties), or -1 when the mask is empty.
-func (c *Cache) lruAmong(s uint64, eligible uint64) int {
+// eligible way wins ties), or -1 when the mask is empty. The scan has a
+// fixed trip count and no data-dependent branch: an ineligible way reads
+// as the largest stamp, and the running minimum and its way update by
+// conditional moves. A valid block's stamp is a tick, never ^0.
+func (c *Cache) lruAmong(ch *chunk, s uint64, eligible uint64) int {
 	base := int(s) * c.ways
-	best := -1
-	var bestUse uint64
-	for m := eligible; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if u := c.lastUse[base+w]; best < 0 || u < bestUse {
-			best, bestUse = w, u
+	best, bestUse := -1, ^uint64(0)
+	for w, u := range ch.lastUse[base : base+c.ways] {
+		if eligible>>(uint(w)&63)&1 == 0 {
+			u = ^uint64(0)
 		}
+		if u < bestUse {
+			best = w
+		}
+		bestUse = min(bestUse, u)
 	}
 	return best
 }
 
 // Reset returns the cache to its just-constructed state: every block
 // invalid, replacement state and statistics cleared. Instruments stay
-// wired. Used when a simulator is recycled between runs.
+// wired. Used when a simulator is recycled between runs. Materialized
+// chunks are cleared in place and kept for the next run.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lastUse)
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.explicit)
+	for _, ch := range c.live {
+		ch.clear()
+	}
 	c.tick = 0
 	c.stats = Stats{}
 	c.flushed = Stats{}
@@ -449,19 +528,22 @@ func (c *Cache) Reset() {
 // Invalidate removes the line containing addr if present, reporting
 // whether it was present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	s := c.setIndex(addr)
+	ch, s := c.locate(addr)
+	if ch == nil {
+		return false, false
+	}
 	tag := c.tagOf(addr)
 	base := int(s) * c.ways
-	for m := c.valid[s]; m != 0; m &= m - 1 {
+	for m := ch.valid[s]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if c.tags[base+w] == tag {
+		if ch.tags[base+w] == tag {
 			bit := uint64(1) << uint(w)
-			d := c.dirty[s]&bit != 0
-			c.valid[s] &^= bit
-			c.dirty[s] &^= bit
-			c.explicit[s] &^= bit
-			c.tags[base+w] = 0
-			c.lastUse[base+w] = 0
+			d := ch.dirty[s]&bit != 0
+			ch.valid[s] &^= bit
+			ch.dirty[s] &^= bit
+			ch.explicit[s] &^= bit
+			ch.tags[base+w] = 0
+			ch.lastUse[base+w] = 0
 			return true, d
 		}
 	}
@@ -471,14 +553,12 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // FlushAll invalidates every block and returns the number of dirty lines
 // that would be written back.
 func (c *Cache) FlushAll() (writebacks int) {
-	for s := range c.valid {
-		writebacks += bits.OnesCount64(c.valid[s] & c.dirty[s])
+	for _, ch := range c.live {
+		for s, v := range ch.valid {
+			writebacks += bits.OnesCount64(v & ch.dirty[s])
+		}
+		ch.clear()
 	}
-	clear(c.tags)
-	clear(c.lastUse)
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.explicit)
 	c.stats.Writebacks += uint64(writebacks)
 	return writebacks
 }
@@ -486,8 +566,10 @@ func (c *Cache) FlushAll() (writebacks int) {
 // ExplicitBlocks returns how many valid blocks are explicitly managed.
 func (c *Cache) ExplicitBlocks() int {
 	n := 0
-	for s := range c.valid {
-		n += bits.OnesCount64(c.valid[s] & c.explicit[s])
+	for _, ch := range c.live {
+		for s, v := range ch.valid {
+			n += bits.OnesCount64(v & ch.explicit[s])
+		}
 	}
 	return n
 }
@@ -495,8 +577,10 @@ func (c *Cache) ExplicitBlocks() int {
 // ValidBlocks returns how many blocks are valid.
 func (c *Cache) ValidBlocks() int {
 	n := 0
-	for _, v := range c.valid {
-		n += bits.OnesCount64(v)
+	for _, ch := range c.live {
+		for _, v := range ch.valid {
+			n += bits.OnesCount64(v)
+		}
 	}
 	return n
 }

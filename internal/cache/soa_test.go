@@ -247,7 +247,10 @@ func (c *aosCache) ValidBlocks() int {
 // fills (implicit/explicit, clean/dirty), probes, invalidates, flushes
 // and resets — over a small cache (so sets conflict constantly) and
 // checks every return value, every Eviction field and the full Stats
-// after each step, for both policies and several explicit-way caps.
+// after each step, for both policies and several explicit-way caps. The
+// multi-chunk geometry spans four metadata chunks and concentrates its
+// traffic in two of them, so every operation, flushes and resets
+// included, also meets chunks that were never materialized.
 func TestSoAMatchesAoSOracle(t *testing.T) {
 	configs := []Config{
 		{Name: "lru", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, Policy: LRU},
@@ -256,6 +259,7 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 		{Name: "la-cap7", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8, Policy: LocalityAware, MaxExplicitWays: 7},
 		{Name: "one-way", SizeBytes: 1 << 10, LineBytes: 64, Ways: 1, Policy: LRU},
 		{Name: "wide", SizeBytes: 64 << 10, LineBytes: 64, Ways: 32, Policy: LocalityAware},
+		{Name: "multi-chunk", SizeBytes: 4 << 20, LineBytes: 64, Ways: 16, Policy: LocalityAware},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -268,9 +272,41 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 			addr := func() uint64 {
 				return uint64(rng.Intn(lines))*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
 			}
+			fillAddr := addr
+			sparse := soa.Sets() > chunkSets
+			if sparse {
+				// Eight hot sets at the start of chunks 0 and 2, and an
+				// occasional far set anywhere. Far fills are rarer still
+				// and land only in chunk 1, which so materializes part
+				// way through the run; chunk 3 is never filled.
+				sets := uint64(soa.Sets())
+				line := func(set uint64) uint64 {
+					tag := uint64(rng.Intn(4 * cfg.Ways))
+					return (tag*sets+set)*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
+				}
+				hot := func() uint64 {
+					return uint64(rng.Intn(2)*2*chunkSets + rng.Intn(8))
+				}
+				addr = func() uint64 {
+					if rng.Intn(64) == 0 {
+						return line(uint64(rng.Int63n(int64(sets))))
+					}
+					return line(hot())
+				}
+				fillAddr = func() uint64 {
+					if rng.Intn(1024) == 0 {
+						return line(uint64(chunkSets + rng.Intn(chunkSets)))
+					}
+					return line(hot())
+				}
+			}
 			lastWay := -1
 			lastAddr := uint64(0)
-			for step := 0; step < 200_000; step++ {
+			steps := 200_000
+			if sparse {
+				steps = 50_000 // the oracle's flushes and resets walk all 4096 sets
+			}
+			for step := 0; step < steps; step++ {
 				op := rng.Intn(100)
 				switch {
 				case op < 45: // lookup
@@ -299,7 +335,7 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 						t.Fatalf("step %d: HitWay(%#x,%d,%v) = %v, oracle %v", step, a, way, w, g, o)
 					}
 				case op < 85: // fill
-					a, ex, dr := addr(), rng.Intn(3) == 0, rng.Intn(3) == 0
+					a, ex, dr := fillAddr(), rng.Intn(3) == 0, rng.Intn(3) == 0
 					gev, gw := soa.FillWay(a, ex, dr)
 					oev := aos.Fill(a, ex, dr)
 					if gev != oev {
@@ -346,6 +382,9 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 						t.Fatalf("step %d: ExplicitBlocks %d vs %d", step, g, o)
 					}
 				}
+			}
+			if m, n := soa.Chunks(); sparse && (m != 3 || n != 4) {
+				t.Errorf("%d of %d chunks materialized, want 3 of 4 (chunk 3 is never filled)", m, n)
 			}
 		})
 	}

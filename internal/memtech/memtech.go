@@ -179,12 +179,21 @@ func DefaultHBM() HBMParams {
 	}
 }
 
+// maxUnits bounds every channel and bank count a mem_tech block may
+// ask for: each is allocated when the backend is built, so an absurd
+// count in a system file must fail validation, not exhaust memory.
+const maxUnits = 1024
+
 func (p *HBMParams) validate() error {
 	switch {
 	case p.Channels < 0:
 		return fmt.Errorf("mem_tech.hbm.channels: must be positive, got %d", p.Channels)
+	case p.Channels > maxUnits:
+		return fmt.Errorf("mem_tech.hbm.channels: must be at most %d, got %d", maxUnits, p.Channels)
 	case p.BanksPerChannel < 0:
 		return fmt.Errorf("mem_tech.hbm.banks_per_channel: must be positive, got %d", p.BanksPerChannel)
+	case p.BanksPerChannel > maxUnits:
+		return fmt.Errorf("mem_tech.hbm.banks_per_channel: must be at most %d, got %d", maxUnits, p.BanksPerChannel)
 	case p.RowBytes < 0:
 		return fmt.Errorf("mem_tech.hbm.row_bytes: must be positive, got %d", p.RowBytes)
 	case p.RowBytes != 0 && p.RowBytes < 64:
@@ -284,6 +293,8 @@ func (p *NVMParams) validate() error {
 	switch {
 	case p.Channels < 0:
 		return fmt.Errorf("mem_tech.nvm.channels: must be positive, got %d", p.Channels)
+	case p.Channels > maxUnits:
+		return fmt.Errorf("mem_tech.nvm.channels: must be at most %d, got %d", maxUnits, p.Channels)
 	case p.WriteQueueDepth < 0:
 		return fmt.Errorf("mem_tech.nvm.write_queue_depth: must be positive, got %d", p.WriteQueueDepth)
 	}
@@ -348,16 +359,28 @@ func DefaultDRAMCache() DRAMCacheParams {
 	}
 }
 
+// maxDRAMCacheBytes bounds mem_tech.dram_cache.size_bytes. The
+// directory's metadata is materialized as lines arrive, but its table of
+// 1024-set chunks is sized up front: 64 GiB of 64-byte lines at one way
+// is a million chunks, an 8 MB table.
+const maxDRAMCacheBytes = 64 << 30
+
 func (p *DRAMCacheParams) validate() error {
 	switch {
 	case p.Ways < 0:
 		return fmt.Errorf("mem_tech.dram_cache.ways: must be positive, got %d", p.Ways)
 	case p.NearChannels < 0:
 		return fmt.Errorf("mem_tech.dram_cache.near_channels: must be positive, got %d", p.NearChannels)
+	case p.NearChannels > maxUnits:
+		return fmt.Errorf("mem_tech.dram_cache.near_channels: must be at most %d, got %d", maxUnits, p.NearChannels)
 	case p.FarChannels < 0:
 		return fmt.Errorf("mem_tech.dram_cache.far_channels: must be positive, got %d", p.FarChannels)
+	case p.FarChannels > maxUnits:
+		return fmt.Errorf("mem_tech.dram_cache.far_channels: must be at most %d, got %d", maxUnits, p.FarChannels)
 	case p.SizeBytes != 0 && p.SizeBytes < 4096:
 		return fmt.Errorf("mem_tech.dram_cache.size_bytes: must be at least 4096, got %d", p.SizeBytes)
+	case p.SizeBytes > maxDRAMCacheBytes:
+		return fmt.Errorf("mem_tech.dram_cache.size_bytes: must be at most %d (64 GiB), got %d", uint64(maxDRAMCacheBytes), p.SizeBytes)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // HostProf attributes HOST wall-clock time to labeled code sections —
 // simulator phases, memory-pipeline stages — so a slow sweep can answer
@@ -16,6 +19,11 @@ import "time"
 // counter says how many events were timed). Coarse callers (one timing
 // per simulator phase) skip the gate and call Add directly.
 //
+// Every timed interval also spans one clock read: its end stamp is taken
+// inside it, and the next interval starts from that stamp. Against a
+// stage of a few tens of nanoseconds that read is no small share, so
+// each profiler measures the cost once, when made, and Add deducts it.
+//
 // A HostProf belongs to one simulator goroutine, like the Registry.
 // Methods on a nil *HostProf are no-ops and Sample returns false, so
 // disabled profiling costs one predictable nil-check branch.
@@ -29,6 +37,9 @@ type HostProf struct {
 	// flushed mirrors ns/count at the last FlushTo, so flushes add deltas.
 	flushedNS    []uint64
 	flushedCount []uint64
+	// clockNS is the host cost of one clock read, deducted from every
+	// Add.
+	clockNS time.Duration
 }
 
 // NewHostProf returns a profiler that samples one in every `every`
@@ -37,7 +48,23 @@ func NewHostProf(every int) *HostProf {
 	if every < 1 {
 		every = 1
 	}
-	return &HostProf{every: uint32(every), index: map[string]int{}}
+	return &HostProf{every: uint32(every), index: map[string]int{}, clockNS: clockReadCost()}
+}
+
+// clockReadCost returns the median gap between the clock reads of
+// back-to-back laps that time nothing and charge it through Add: what an
+// interval timing an empty body measures.
+func clockReadCost() time.Duration {
+	var gaps [255]time.Duration
+	scratch := &HostProf{ns: make([]uint64, 1), count: make([]uint64, 1)}
+	prev := time.Now()
+	for i := range gaps {
+		now := time.Now()
+		gaps[i], prev = now.Sub(prev), now
+		scratch.Add(0, gaps[i])
+	}
+	slices.Sort(gaps[:])
+	return gaps[len(gaps)/2]
 }
 
 // Every returns the sampling period; 0 on nil.
@@ -83,13 +110,13 @@ func (p *HostProf) Sample() bool {
 	return false
 }
 
-// Add attributes d of host time to section id. No-op on nil or an
-// invalid id.
+// Add attributes d of host time, less the cost of one clock read and at
+// least zero, to section id. No-op on nil or an invalid id.
 func (p *HostProf) Add(id int, d time.Duration) {
 	if p == nil || id < 0 || id >= len(p.ns) {
 		return
 	}
-	p.ns[id] += uint64(d)
+	p.ns[id] += uint64(max(d-p.clockNS, 0))
 	p.count[id]++
 }
 

@@ -23,6 +23,7 @@ func TestHostProfSampleCadence(t *testing.T) {
 
 func TestHostProfSectionsAndFlush(t *testing.T) {
 	p := NewHostProf(1)
+	p.clockNS = 0 // exact sums: no clock-read deduction
 	a := p.Section("memsys.private")
 	b := p.Section("memsys.l3")
 	if again := p.Section("memsys.private"); again != a {
@@ -66,6 +67,43 @@ func TestHostProfSectionsAndFlush(t *testing.T) {
 	p.FlushTo(reg)
 	if v := reg.CounterValue("host.memsys.private.ns"); v != 5 {
 		t.Errorf("post-reset flush ns = %d, want 5", v)
+	}
+}
+
+// An interval timing an empty body measures only the clock read that
+// ends it, and Add deducts that, so such a section reads close to 0 ns
+// per sample. A run preempted by the host is retried.
+func TestHostProfEmptySectionNearZero(t *testing.T) {
+	const n = 10_000
+	var raw, perSample time.Duration
+	for attempt := 0; attempt < 5; attempt++ {
+		p := NewHostProf(1)
+		id := p.Section("empty")
+		var sum time.Duration
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			now := time.Now()
+			sum += now.Sub(t0)
+			p.Add(id, now.Sub(t0))
+			t0 = now
+		}
+		raw, perSample = sum/n, time.Duration(p.SectionNS("empty")/n)
+		if perSample <= max(2*time.Nanosecond, raw/4) {
+			t.Logf("empty section: %v per sample after deduction, %v before", perSample, raw)
+			return
+		}
+	}
+	t.Errorf("empty section: %v per sample after deduction, %v before", perSample, raw)
+}
+
+func TestHostProfAddClampsAtZero(t *testing.T) {
+	p := NewHostProf(1)
+	p.clockNS = 50 * time.Nanosecond
+	id := p.Section("x")
+	p.Add(id, 20*time.Nanosecond)
+	p.Add(id, 80*time.Nanosecond)
+	if got := p.SectionNS("x"); got != 30 {
+		t.Errorf("ns = %d, want 30 (20 clamps to 0, 80 less 50)", got)
 	}
 }
 

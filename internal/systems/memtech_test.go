@@ -64,6 +64,9 @@ func TestLoadRejectsMemTechErrors(t *testing.T) {
 		{"tiny rows", `{"kind": "hbm", "hbm": {"row_bytes": 16}}`, "mem_tech.hbm.row_bytes"},
 		{"params for the wrong kind", `{"kind": "hbm", "nvm": {"channels": 2}}`, "mem_tech.nvm"},
 		{"undersized dram cache", `{"kind": "dram-cache", "dram_cache": {"size_bytes": 512}}`, "mem_tech.dram_cache.size_bytes"},
+		{"1 PiB dram cache", `{"kind": "dram-cache", "dram_cache": {"size_bytes": 1125899906842624}}`, "mem_tech.dram_cache.size_bytes: must be at most"},
+		{"channel count past the bound", `{"kind": "nvm", "nvm": {"channels": 100000000}}`, "mem_tech.nvm.channels: must be at most"},
+		{"bank count past the bound", `{"kind": "hbm", "hbm": {"banks_per_channel": 100000}}`, "mem_tech.hbm.banks_per_channel: must be at most"},
 	}
 	for _, c := range cases {
 		_, err := Load([]byte(strings.Replace(base, "%s", c.block, 1)))

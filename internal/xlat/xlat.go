@@ -331,10 +331,18 @@ func DefaultTLB() TLBParams {
 	return TLBParams{Entries: 64, Ways: 4, PageBytes: 4096}
 }
 
+// maxEntries bounds the TLB and walk-cache sizes a translation block
+// may ask for: their arrays are allocated when the simulator is built,
+// so an absurd size in a system file must fail validation, not exhaust
+// memory.
+const maxEntries = 1 << 16
+
 func (p *TLBParams) validate(path string) error {
 	switch {
 	case p.Entries < 0 || (p.Entries != 0 && bits.OnesCount(uint(p.Entries)) != 1):
 		return fmt.Errorf("%s.entries: %d not a positive power of two", path, p.Entries)
+	case p.Entries > maxEntries:
+		return fmt.Errorf("%s.entries: must be at most %d, got %d", path, maxEntries, p.Entries)
 	case p.Ways < 0:
 		return fmt.Errorf("%s.ways: must be positive, got %d", path, p.Ways)
 	case p.PageBytes != 0 && (p.PageBytes < 512 || p.PageBytes&(p.PageBytes-1) != 0):
@@ -402,6 +410,8 @@ func (p *WalkParams) validate() error {
 		return fmt.Errorf("translation.walk.cache_entries: must be positive, zero (default) or -1 (off), got %d", p.CacheEntries)
 	case p.CacheEntries > 0 && bits.OnesCount(uint(p.CacheEntries)) != 1:
 		return fmt.Errorf("translation.walk.cache_entries: %d not a power of two", p.CacheEntries)
+	case p.CacheEntries > maxEntries:
+		return fmt.Errorf("translation.walk.cache_entries: must be at most %d, got %d", maxEntries, p.CacheEntries)
 	}
 	return nil
 }

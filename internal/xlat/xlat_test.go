@@ -34,6 +34,8 @@ func TestSpecValidatePaths(t *testing.T) {
 		{"bad-page", Spec{MMU: Private, GPU: &TLBParams{PageBytes: 1000}}, "translation.gpu.page_bytes"},
 		{"bad-levels", Spec{MMU: Shared, Walk: &WalkParams{Levels: 9}}, "translation.walk.levels"},
 		{"bad-walk-cache", Spec{MMU: Shared, Walk: &WalkParams{CacheEntries: 7}}, "translation.walk.cache_entries"},
+		{"huge-tlb", Spec{MMU: Private, GPU: &TLBParams{Entries: 1 << 30}}, "translation.gpu.entries: must be at most"},
+		{"huge-walk-cache", Spec{MMU: Shared, Walk: &WalkParams{CacheEntries: 1 << 30}}, "translation.walk.cache_entries: must be at most"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
