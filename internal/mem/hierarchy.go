@@ -5,15 +5,17 @@
 // accesses and explicit push placements, and exposes the GPU's
 // software-managed cache.
 //
-// Each access runs as a memsys.Request through an explicit stage
-// pipeline (private levels, MSHR, ring hops, L3, coherence, DRAM,
-// commit); this package owns the composition, internal/memsys owns the
-// stages.
+// Access translates (when the translation axis is on), serves L1 hits
+// itself, and runs each L1 miss as a memsys.Request through one stage
+// chain (private L2, MSHR, ring hops, L3 with coherence, the memory
+// technology, commit); this package owns the composition,
+// internal/memsys owns the stages.
 package mem
 
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
 	"heteromem/internal/arena"
 	"heteromem/internal/cache"
@@ -251,25 +253,27 @@ type Hierarchy struct {
 	// env carries the counters the stages bump.
 	topo    memsys.Topology
 	env     memsys.Env
-	private [NumPUs]*memsys.PrivateStage
 	coh     *memsys.CoherenceStage
 	l3Stage *memsys.L3Stage
-	// backend is the terminal stage selected by cfg.Tech, shared by both
-	// chains and by the L3's victim-writeback path.
+	// backend is the memory technology selected by cfg.Tech: the L3
+	// stage's Mem, serving both chains' L3 misses and its victim
+	// writebacks.
 	backend memsys.Backend
 	// xlat is the translation front-end selected by cfg.Xlat; nil when
-	// the axis is off. Access charges it directly (before its L1 fast
-	// path), and it is also installed as the chains' Xlat slot so the
-	// staged Run path translates identically.
+	// the axis is off. Access charges it before its L1 probe.
 	xlat  *memsys.TranslationStage
 	chain [NumPUs]memsys.Chain
+	// prof, when non-nil, samples the host time of translation into
+	// section profXlat (memsys.xlat), as the chains sample their stages.
+	prof     *obs.HostProf
+	profXlat int
 	// req is the reusable transaction: accesses are sequential per
 	// hierarchy (one simulator, one goroutine), so a single request
 	// keeps the miss path allocation-free.
 	req memsys.Request
 
-	// Fast-path state. l1/l1Lat mirror the private stages' first level
-	// so an L1 hit is served without touching the stage chain; memo is
+	// Fast-path state. l1/l1Lat are each PU's first level, which Access
+	// probes itself, so an L1 hit never enters the stage chain; memo is
 	// the per-PU direct-mapped filter of recently-hit lines; gen holds
 	// one generation per PU, bumped whenever that PU's private caches
 	// mutate (its own miss or flush, or a coherence recall of its
@@ -355,11 +359,12 @@ func (h *Hierarchy) Instrument(reg *obs.Registry) {
 }
 
 // InstrumentHost attaches sampled host wall-clock attribution to the
-// per-PU stage chains: one in every p.Every() chain runs times each
-// stage it executes, accumulating into p's memsys.* sections (flushed to
-// the registry as host.memsys.*.ns counters by the simulator's batched
-// flush). Section registration is idempotent, so pooled simulators
-// sharing one profiler agree on ids. A nil profiler detaches profiling.
+// memory path: one in every p.Every() translations and chain runs is
+// timed, stage by stage for a chain run, accumulating into p's memsys.*
+// sections (flushed to the registry as host.memsys.*.ns counters by the
+// simulator's batched flush). Section registration is idempotent, so
+// pooled simulators sharing one profiler agree on ids. A nil profiler
+// detaches profiling.
 func (h *Hierarchy) InstrumentHost(p *obs.HostProf) {
 	base := -1
 	for i, name := range memsys.ProfSections() {
@@ -368,6 +373,7 @@ func (h *Hierarchy) InstrumentHost(p *obs.HostProf) {
 			base = id
 		}
 	}
+	h.prof, h.profXlat = p, base // memsys.xlat is the first section
 	for pu := range h.chain {
 		h.chain[pu].Prof = p
 		h.chain[pu].ProfBase = base
@@ -433,11 +439,11 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// buildPipelines composes the per-PU stage pipelines over the
-// substrates New assembled: private levels, MSHR merge, request hop,
-// L3 (with coherence), the terminal backend cfg.Tech selects, response
-// hop, commit. Stage order is the request path of Table II. The backend's
-// metadata is carved from a, like the caches'.
+// buildPipelines composes the per-PU stage chains over the substrates
+// New assembled: private L2, MSHR merge, request hop, L3 (with
+// coherence, and the memory technology cfg.Tech selects behind it),
+// response hop, commit. Stage order is the request path of Table II.
+// The backend's metadata is carved from a, like the caches'.
 func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 	cfg := h.cfg
 	h.topo = memsys.Topology{
@@ -460,22 +466,17 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 		Gen: &h.gen,
 	}
 	h.coh = coh
-	h.private[CPU] = &memsys.PrivateStage{
-		PU: memsys.CPU, L1: h.cpuL1d, L1Lat: cfg.CPUL1DLat,
-		L2: h.cpuL2, L2Lat: cfg.CPUL2Lat, Coherence: coh, Env: &h.env,
-	}
-	h.private[GPU] = &memsys.PrivateStage{
-		PU: memsys.GPU, L1: h.gpuL1d, L1Lat: cfg.GPUL1DLat,
-		Coherence: coh, Env: &h.env,
-	}
-	h.l3Stage = &memsys.L3Stage{
-		Tiles: h.l3, Lat: cfg.L3Lat,
-		Topo: h.topo, Coherence: coh, Env: &h.env,
+	private := [NumPUs]*memsys.PrivateStage{
+		CPU: {PU: memsys.CPU, L1: h.cpuL1d, L2: h.cpuL2, L2Lat: cfg.CPUL2Lat, Coherence: coh, Env: &h.env},
+		GPU: {PU: memsys.GPU, L1: h.gpuL1d, Coherence: coh, Env: &h.env},
 	}
 	if err := h.buildBackend(a); err != nil {
 		return err
 	}
-	h.l3Stage.Mem = h.backend
+	h.l3Stage = &memsys.L3Stage{
+		Tiles: h.l3, Lat: cfg.L3Lat, Mem: h.backend,
+		Net: h.ring, Topo: h.topo, Coherence: coh, Env: &h.env,
+	}
 	x, err := memsys.NewTranslationStage(cfg.Xlat)
 	if err != nil {
 		return fmt.Errorf("mem: %w", err)
@@ -483,43 +484,36 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 	h.xlat = x
 	for p := PU(0); p < NumPUs; p++ {
 		h.chain[p] = memsys.Chain{
-			Xlat:    h.xlat,
-			Private: h.private[p],
+			Private: private[p],
 			MSHR:    &memsys.MSHRStage{File: h.mshr[p]},
-			ReqHop:  &memsys.RingHopStage{Stage: memsys.StageRingReq, Net: h.ring, Topo: h.topo},
+			ReqHop:  &memsys.RingHopStage{Net: h.ring, Topo: h.topo},
 			L3:      h.l3Stage,
-			Backend: h.backend,
-			RespHop: &memsys.RingHopStage{Stage: memsys.StageRingResp, Net: h.ring, Topo: h.topo},
-			Commit:  &memsys.CommitStage{Private: h.private[p], File: h.mshr[p], Env: &h.env},
+			RespHop: &memsys.RingHopStage{Resp: true, Net: h.ring, Topo: h.topo},
+			Commit:  &memsys.CommitStage{Private: private[p], File: h.mshr[p], Env: &h.env},
 		}
 	}
 
-	// Fast-path mirrors of the private stages' first level.
+	// The fast path's first level, which the chain never probes.
 	h.l1[CPU], h.l1Lat[CPU] = h.cpuL1d, cfg.CPUL1DLat
 	h.l1[GPU], h.l1Lat[GPU] = h.gpuL1d, cfg.GPUL1DLat
 	h.lineShift = uint(bits.TrailingZeros64(uint64(cfg.L3Tile.LineBytes)))
 	return nil
 }
 
-// buildBackend constructs the terminal memory stage cfg.Tech selects,
+// buildBackend constructs the memory technology cfg.Tech selects,
 // carving the DRAM cache's tag directory from a.
 func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 	cfg := h.cfg
 	switch cfg.Tech.Kind {
 	case memtech.DRAM:
-		h.backend = &memsys.DRAMStage{
-			Ctrl: h.dram, Net: h.ring, Topo: h.topo, L3: h.l3Stage, Env: &h.env,
-		}
+		h.backend = &memsys.DRAMStage{Ctrl: h.dram}
 	case memtech.HBM:
 		p := cfg.Tech.ResolvedHBM()
 		ctrl, err := dram.New(p.DRAMConfig(cfg.L3Tile.LineBytes))
 		if err != nil {
 			return fmt.Errorf("mem: mem_tech.hbm: %w", err)
 		}
-		h.backend = &memsys.HBMStage{
-			Ctrl: ctrl, ExtraLat: p.ExtraLat(),
-			Net: h.ring, Topo: h.topo, L3: h.l3Stage, Env: &h.env,
-		}
+		h.backend = &memsys.HBMStage{Ctrl: ctrl, ExtraLat: p.ExtraLat()}
 	case memtech.NVM:
 		p := cfg.Tech.ResolvedNVM()
 		chans := make([]*clock.Resource, p.Channels)
@@ -532,7 +526,7 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 			WriteLat:   clock.Duration(p.WritePS),
 			Bus:        clock.Duration(p.BusPS),
 			QueueDepth: p.WriteQueueDepth,
-			Net:        h.ring, Topo: h.topo, L3: h.l3Stage, Env: &h.env,
+			LineBytes:  cfg.L3Tile.LineBytes,
 		}
 	case memtech.DRAMCache:
 		p := cfg.Tech.ResolvedDRAMCache()
@@ -558,8 +552,7 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 			NearChans: near, FarChans: far,
 			NearLat: clock.Duration(p.NearPS), NearBus: clock.Duration(p.NearBusPS),
 			FarRead: clock.Duration(p.FarReadPS), FarWrite: clock.Duration(p.FarWritePS),
-			FarBus: clock.Duration(p.FarBusPS),
-			Net:    h.ring, Topo: h.topo, L3: h.l3Stage, Env: &h.env,
+			FarBus: clock.Duration(p.FarBusPS), LineBytes: cfg.L3Tile.LineBytes,
 		}
 	default:
 		return fmt.Errorf("mem: mem_tech.kind: invalid memory technology %d", uint8(cfg.Tech.Kind))
@@ -661,7 +654,7 @@ func (h *Hierarchy) Scratchpad() *cache.Scratchpad { return h.scratch }
 // DRAM returns the memory controller, for direct DMA-style transfers.
 func (h *Hierarchy) DRAM() *dram.Controller { return h.dram }
 
-// Backend returns the terminal memory stage serving L3 misses.
+// Backend returns the memory technology serving L3 misses.
 func (h *Hierarchy) Backend() memsys.Backend { return h.backend }
 
 // TechKind returns the configured memory technology.
@@ -681,12 +674,11 @@ func (h *Hierarchy) Directory() *coherence.Directory { return h.dir }
 // Access times a single load or store by pu to addr, starting at now, and
 // returns its completion time. Write-allocate, write-back at every level.
 //
-// An access that hits the PU's first-level cache is served on a fast
-// path — memo probe, then direct L1 lookup — without constructing a
-// request or entering the stage chain; only a first-level miss pays for
-// the full pipeline. Both fast-path arms charge the same L1 latency and
-// perform the same cache mutations as PrivateStage, so timing and
-// statistics are identical to the staged path.
+// An access that hits the PU's first-level cache is served here — memo
+// probe, then direct L1 lookup — without constructing a request; only a
+// first-level miss enters the stage chain. The memo arm charges the same
+// L1 latency and performs the same cache mutations as the probe arm, so
+// timing and statistics do not depend on which one serves a hit.
 func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock.Time {
 	if pu >= NumPUs {
 		panic(fmt.Sprintf("mem: access from unknown PU %d", pu))
@@ -696,7 +688,7 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 		// Translation runs before any cache can be indexed by the
 		// physical address: a TLB hit is free (probe overlaps the L1 tag
 		// check), a miss stalls the access for the page walk.
-		now = h.xlat.Translate(memsys.PU(pu), addr, now)
+		now = h.translate(pu, addr, now)
 	}
 	line := h.topo.Line(addr)
 	slot := &h.memo[pu].slots[(line>>h.lineShift)&(memoSlots-1)]
@@ -723,7 +715,7 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 	// only disturbed through the coherence stage's targeted bump.
 	h.gen[pu]++
 	h.req.Start(memsys.PU(pu), addr, line, write, now.Add(h.l1Lat[pu]))
-	end := h.chain[pu].RunMissedL1(&h.req)
+	end := h.chain[pu].Run(&h.req)
 	// Memo-on-fill: the commit stage reports which L1 way it installed
 	// the line into, so streaming lines touched exactly twice (common at
 	// sub-line strides) ride the fast path on their second access instead
@@ -736,6 +728,18 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 		*slot = memoSlot{line: line, gen: h.gen[pu], way: int32(w)}
 	}
 	return end
+}
+
+// translate charges addr's translation for pu, timing it into
+// memsys.xlat when the host profiler samples it.
+func (h *Hierarchy) translate(pu PU, addr uint64, now clock.Time) clock.Time {
+	if !h.prof.Sample() {
+		return h.xlat.Translate(memsys.PU(pu), addr, now)
+	}
+	t := time.Now()
+	now = h.xlat.Translate(memsys.PU(pu), addr, now)
+	h.prof.Add(h.profXlat, time.Since(t))
+	return now
 }
 
 // Push explicitly places the size-byte object at addr into the target

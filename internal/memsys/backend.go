@@ -5,19 +5,14 @@ import (
 	"heteromem/internal/obs"
 )
 
-// Writebacker absorbs dirty victim lines evicted from the shared L3:
-// the line moves to the terminal memory off the requesting access's
-// critical path, occupying backend resources but delaying nobody.
-type Writebacker interface {
-	Writeback(addr uint64, now clock.Time)
-}
-
-// Backend is the terminal stage of the memory pipeline — the memory
-// technology that serves L3 misses. The built-in DRAMStage is the
-// paper's DDR3 baseline; HBMStage, NVMStage and DRAMCacheStage model
-// the 2020s alternatives (the mem_tech design axis). A backend is
-// shared by every PU's Chain, so cross-PU contention on the device is
-// modelled exactly as with the single DRAM controller.
+// Backend is the memory technology that serves L3 misses (the
+// mem_tech design axis). The built-in DRAMStage is the paper's DDR3
+// baseline; HBMStage, NVMStage and DRAMCacheStage model the 2020s
+// alternatives. L3Stage.Fetch owns everything around the device access
+// — the hops between the home tile and the memory-controller stop, the
+// fill count and the L3 install — so a backend prices only the device.
+// A backend is shared by every PU's Chain, so cross-PU contention on
+// the device is modelled exactly as with the single DRAM controller.
 //
 // A backend absorbs L3 victim writebacks, resets its device state
 // between runs, and mirrors its batched memtech.* counters into an
@@ -25,12 +20,14 @@ type Writebacker interface {
 // covers only backend-private state: substrates owned by the hierarchy
 // (the DDR3 controller behind DRAMStage) are reset by their owner.
 type Backend interface {
-	// Process advances r.Now past the device access and installs the
-	// line into the home L3 tile; an L3 hit passes through untouched.
-	// Chain stamps the result as StageDRAM whatever the technology, so
-	// request breakdowns stay comparable across backends.
-	Process(r *Request) Verdict
-	Writebacker
+	// Read serves the line at addr for a request arriving at the
+	// memory-controller stop at now and returns the time its data
+	// leaves the device.
+	Read(addr uint64, now clock.Time) clock.Time
+	// Writeback absorbs a dirty victim evicted from the shared L3: the
+	// line moves to the device off the requesting access's critical
+	// path, occupying its resources but delaying nobody.
+	Writeback(addr uint64, now clock.Time)
 	// Reset returns backend-private device state and counters to
 	// just-constructed; registered instruments stay wired.
 	Reset()

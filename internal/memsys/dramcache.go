@@ -30,10 +30,8 @@ type DRAMCacheStage struct {
 	FarRead   clock.Duration
 	FarWrite  clock.Duration
 	FarBus    clock.Duration
-	Net       Interconnect
-	Topo      Topology
-	L3        *L3Stage
-	Env       *Env
+	// LineBytes is the line size both channel sets interleave on.
+	LineBytes int
 
 	hits       backendCounter
 	misses     backendCounter
@@ -41,38 +39,20 @@ type DRAMCacheStage struct {
 	writebacks backendCounter
 }
 
-// Process serves the L3 miss from near memory when the line is cached
-// there, and otherwise from far memory, installing the line near on the
-// way back.
-func (s *DRAMCacheStage) Process(r *Request) Verdict {
-	if r.Flags&FlagL3Hit != 0 {
-		return Next
-	}
-	r.Flags |= FlagDRAM
-	tile := s.Topo.TileFor(r.Addr)
-	ts := s.Topo.TileStop(tile)
-	r.Now = s.Net.Send(ts, s.Topo.MCStop, s.Topo.ReqBytes, r.Now)
-	r.Now = s.access(r.Addr, false, r.Now)
-	s.Env.DRAMFills[r.PU]++
-	r.Now = s.Net.Send(s.Topo.MCStop, ts, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
-	s.L3.Fill(tile, r.Addr, false, r.Write, r.Now)
-	return Next
-}
-
-// access performs one near-probe-then-maybe-far access and returns the
-// completion time. The near probe (tag check + data access) is always
-// paid; a miss adds the far read and the near fill.
-func (s *DRAMCacheStage) access(addr uint64, write bool, now clock.Time) clock.Time {
-	start, _ := s.NearChans[chanFor(addr, s.Topo.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
+// Read implements Backend: the near probe (tag check + data access) is
+// always paid; a near miss adds the far read and installs the line near
+// on the way back.
+func (s *DRAMCacheStage) Read(addr uint64, now clock.Time) clock.Time {
+	start, _ := s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	now = start.Add(s.NearLat)
-	if s.Dir.Lookup(addr, write) {
+	if s.Dir.Lookup(addr, false) {
 		s.hits.n++
 		return now
 	}
 	s.misses.n++
-	start, _ = s.FarChans[chanFor(addr, s.Topo.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
+	start, _ = s.FarChans[chanFor(addr, s.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
 	now = start.Add(s.FarRead)
-	s.fill(addr, write, now)
+	s.fill(addr, false, now)
 	return now
 }
 
@@ -81,11 +61,11 @@ func (s *DRAMCacheStage) access(addr uint64, write bool, now clock.Time) clock.T
 // far memory.
 func (s *DRAMCacheStage) fill(addr uint64, dirty bool, now clock.Time) {
 	s.fills.n++
-	s.NearChans[chanFor(addr, s.Topo.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
+	s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	ev := s.Dir.Fill(addr, false, dirty)
 	if ev.Valid && ev.Dirty {
 		s.writebacks.n++
-		start, _ := s.FarChans[chanFor(ev.Addr, s.Topo.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
+		start, _ := s.FarChans[chanFor(ev.Addr, s.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
 		_ = start.Add(s.FarWrite)
 	}
 }
@@ -93,7 +73,7 @@ func (s *DRAMCacheStage) fill(addr uint64, dirty bool, now clock.Time) {
 // Writeback implements Backend: a dirty L3 victim lands in near memory,
 // write-allocating on a near miss so the line's eventual re-read hits.
 func (s *DRAMCacheStage) Writeback(addr uint64, now clock.Time) {
-	start, _ := s.NearChans[chanFor(addr, s.Topo.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
+	start, _ := s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	if s.Dir.Lookup(addr, true) {
 		s.hits.n++
 		return

@@ -19,31 +19,15 @@ import (
 type HBMStage struct {
 	Ctrl     *dram.Controller
 	ExtraLat clock.Duration
-	Net      Interconnect
-	Topo     Topology
-	L3       *L3Stage
-	Env      *Env
 
 	accesses backendCounter
 }
 
-// Process fetches the line from the HBM stack unless the L3 already
-// served it: hop to the memory-controller stop, the fixed stacked-path
-// latency, the banked access, and the line's return and install.
-func (s *HBMStage) Process(r *Request) Verdict {
-	if r.Flags&FlagL3Hit != 0 {
-		return Next
-	}
-	r.Flags |= FlagDRAM
-	tile := s.Topo.TileFor(r.Addr)
-	ts := s.Topo.TileStop(tile)
-	r.Now = s.Net.Send(ts, s.Topo.MCStop, s.Topo.ReqBytes, r.Now)
-	r.Now = s.Ctrl.Submit(r.Addr, r.Now.Add(s.ExtraLat))
-	s.Env.DRAMFills[r.PU]++
+// Read implements Backend: the fixed stacked-path latency, then the
+// banked access.
+func (s *HBMStage) Read(addr uint64, now clock.Time) clock.Time {
 	s.accesses.n++
-	r.Now = s.Net.Send(s.Topo.MCStop, ts, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
-	s.L3.Fill(tile, r.Addr, false, r.Write, r.Now)
-	return Next
+	return s.Ctrl.Submit(addr, now.Add(s.ExtraLat))
 }
 
 // Writeback implements Backend: a dirty L3 victim occupies the stack's

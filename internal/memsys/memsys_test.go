@@ -8,7 +8,6 @@ import (
 	"heteromem/internal/clock"
 	"heteromem/internal/dram"
 	"heteromem/internal/obs"
-	"heteromem/internal/xlat"
 )
 
 // fakeNet records every Send and charges a fixed latency per hop.
@@ -59,38 +58,50 @@ func TestTopologyMapping(t *testing.T) {
 	}
 }
 
+// countingBackend is a fixed-latency Backend that counts its reads.
+type countingBackend struct {
+	lat   clock.Duration
+	reads int
+}
+
+func (b *countingBackend) Read(_ uint64, now clock.Time) clock.Time {
+	b.reads++
+	return now.Add(b.lat)
+}
+
+func (b *countingBackend) Writeback(uint64, clock.Time) {}
+func (b *countingBackend) Reset()                       {}
+func (b *countingBackend) Instrument(*obs.Registry)     {}
+func (b *countingBackend) FlushObs()                    {}
+
 // testChain is a GPU request path over real stages: a private L1, a
-// four-entry MSHR file, fakeNet ring hops, four L3 tiles and a DDR3
-// DRAMStage.
+// four-entry MSHR file, fakeNet ring hops (3 ps each), four L3 tiles
+// (20 ps) and a 100 ps counting backend.
 type testChain struct {
 	Chain
 	env  *Env
 	l1   *cache.Cache
 	file *cache.MSHR
+	mem  *countingBackend
 }
 
 func newTestChain(t *testing.T, prof *obs.HostProf) *testChain {
 	t.Helper()
-	ctrl, err := dram.New(dram.DDR3_1333())
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := &Env{}
 	net := &fakeNet{lat: 3}
 	topo := testTopo()
-	l3 := newTestL3(t, env)
-	backend := &DRAMStage{Ctrl: ctrl, Net: net, Topo: topo, L3: l3, Env: env}
-	l3.Mem = backend
-	private := &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), L1Lat: 2, Env: env}
+	mem := &countingBackend{lat: 100}
+	l3 := newTestL3(t, env, mem)
+	l3.Net = net
+	private := &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), Env: env}
 	file := cache.NewMSHR(4)
-	tc := &testChain{env: env, l1: private.L1, file: file}
+	tc := &testChain{env: env, l1: private.L1, file: file, mem: mem}
 	tc.Chain = Chain{
 		Private: private,
 		MSHR:    &MSHRStage{File: file},
-		ReqHop:  &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo},
+		ReqHop:  &RingHopStage{Net: net, Topo: topo},
 		L3:      l3,
-		Backend: backend,
-		RespHop: &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo},
+		RespHop: &RingHopStage{Resp: true, Net: net, Topo: topo},
 		Commit:  &CommitStage{Private: private, File: file, Env: env},
 		Prof:    prof,
 	}
@@ -102,107 +113,92 @@ func newTestChain(t *testing.T, prof *obs.HostProf) *testChain {
 	return tc
 }
 
-func (tc *testChain) run(addr uint64, write bool, now clock.Time) Request {
+// run sends an L1 miss for addr through the chain; drop first removes
+// the line from L1, as an eviction would.
+func (tc *testChain) run(addr uint64, write, drop bool, now clock.Time) Request {
+	if drop {
+		tc.l1.Invalidate(addr)
+	}
 	var r Request
 	r.Start(GPU, addr, addr&^63, write, now)
 	tc.Run(&r)
 	return r
 }
 
-func TestChainStampsAndShortCircuits(t *testing.T) {
+func TestChainShortCircuits(t *testing.T) {
 	const line = 0x40
 	tc := newTestChain(t, nil)
-	miss := tc.run(line, false, 0)
-	if miss.Flags&FlagDRAM == 0 || miss.L1Way < 0 {
-		t.Fatalf("cold access must reach DRAM and fill L1: flags=%v l1way=%d", miss.Flags, miss.L1Way)
+	// Cold: hop out (3), L3 (20), hop to the controller (3), the read
+	// (100), hop back (3), response hop (3).
+	miss := tc.run(line, false, false, 0)
+	if miss.Now != 132 || miss.L1Way < 0 || tc.mem.reads != 1 || tc.env.DRAMFills[GPU] != 1 {
+		t.Fatalf("cold miss: now=%d l1way=%d reads=%d fills=%v, want the backend at 132",
+			miss.Now, miss.L1Way, tc.mem.reads, tc.env.DRAMFills)
 	}
-	for s := StagePrivate + 1; s <= StageCommit; s++ {
-		if s == StageCoherence {
-			continue // sub-stage, stamped only when the directory acts
-		}
-		if miss.Stamp[s] < miss.Stamp[s-1] || miss.Stamp[s] == 0 {
-			t.Errorf("full miss: stamp[%v]=%d after stamp[%v]=%d", s, miss.Stamp[s], s-1, miss.Stamp[s-1])
-		}
-	}
-	if miss.Stamp[StageCommit] != miss.Now || miss.Stamp[StageXlat] != 0 {
-		t.Errorf("full miss: stamps %v, completion %d", miss.Stamp, miss.Now)
+	if !tc.L3.Tiles[1].Probe(line) || !tc.l1.Probe(line) {
+		t.Fatal("the fetch must install the line into its L3 tile and L1")
 	}
 
 	// A second miss to the line while the first is in flight merges at
 	// the MSHR and completes with the outstanding fill.
-	tc.l1.Invalidate(line)
-	merged := tc.run(line, false, miss.Stamp[StageMSHR]+1)
-	if merged.Flags&FlagMerged == 0 || merged.Now != miss.Now || merged.L1Way != -1 {
-		t.Fatalf("in-flight miss: flags=%v now=%d l1way=%d, want merged at %d",
-			merged.Flags, merged.Now, merged.L1Way, miss.Now)
-	}
-	if merged.Stamp[StageMSHR] != miss.Now {
-		t.Errorf("merge stamped at %d, want %d", merged.Stamp[StageMSHR], miss.Now)
-	}
-	for s := StageMSHR + 1; s < NumStages; s++ {
-		if merged.Stamp[s] != 0 {
-			t.Errorf("merge stamped skipped stage %v at %d", s, merged.Stamp[s])
-		}
+	merged := tc.run(line, false, true, 1)
+	if merged.Now != miss.Now || merged.L1Way != -1 || tc.mem.reads != 1 {
+		t.Fatalf("in-flight miss: now=%d l1way=%d reads=%d, want merged at %d",
+			merged.Now, merged.L1Way, tc.mem.reads, miss.Now)
 	}
 
-	// The commit allocates at the MSHR stamp, not at completion: with a
-	// one-entry file held by another line until between the two, the
-	// allocation stalls until that entry retires.
+	// Once the fill retired, the line is an L3 hit: two hops and the
+	// tile, never the backend.
+	hit := tc.run(line, false, true, 1_000_000)
+	if hit.Now != 1_000_026 || tc.env.L3Hits[GPU] != 1 || tc.mem.reads != 1 {
+		t.Fatalf("L3 hit: now=%d l3hits=%v reads=%d, want 1000026 without a read",
+			hit.Now, tc.env.L3Hits, tc.mem.reads)
+	}
+
+	// The commit allocates at the time the request entered the shared
+	// path, not at completion: with a one-entry file held by another
+	// line until t=50, the allocation stalls until that entry retires.
 	blocked := newTestChain(t, nil)
 	blocked.file = cache.NewMSHR(1)
 	blocked.MSHR.File, blocked.Commit.File = blocked.file, blocked.file
-	retire := miss.Stamp[StageMSHR] + 50
-	blocked.file.Allocate(0x1000, 0, retire)
-	stalled := blocked.run(line, false, 0)
-	if stalled.Stamp[StageMSHR] != miss.Stamp[StageMSHR] || retire >= stalled.Stamp[StageRingResp] {
-		t.Fatalf("blocked run diverged before commit: stamps %v", stalled.Stamp)
-	}
-	if want := miss.Now.Add(retire.Sub(miss.Stamp[StageMSHR])); stalled.Now != want || blocked.file.Stalls() != 1 {
-		t.Errorf("commit with a full file: now=%d stalls=%d, want %d and 1 (allocated at the MSHR stamp)",
-			stalled.Now, blocked.file.Stalls(), want)
+	blocked.file.Allocate(0x1000, 0, 50)
+	stalled := blocked.run(line, false, false, 0)
+	if stalled.Now != 132+50 || blocked.file.Stalls() != 1 {
+		t.Errorf("commit with a full file: now=%d stalls=%d, want 182 and 1 (allocated at entry)",
+			stalled.Now, blocked.file.Stalls())
 	}
 }
 
 func TestChainProfiledMatchesUnprofiled(t *testing.T) {
 	prof := obs.NewHostProf(1)
 	plain, timed := newTestChain(t, nil), newTestChain(t, prof)
-	plain.Xlat = mustStage(t, noWalkCache(xlat.Private))
-	timed.Xlat = mustStage(t, noWalkCache(xlat.Private))
 	steps := []struct {
 		addr  uint64
 		write bool
 		at    clock.Time
-		drop  bool  // invalidate the line in L1 first
-		flag  Flags // the path the step must take
+		drop  bool // invalidate the line in L1 first
 	}{
-		{0x40, false, 0, false, FlagDRAM},
-		{0x80, true, 5, false, FlagDRAM},
-		{0x40, false, 10, true, FlagMerged},
-		{0x80, false, 1_000_000, false, FlagL1Hit},
-		{0x40, false, 2_000_000, true, FlagL3Hit},
+		{0x40, false, 0, false},        // backend
+		{0x80, true, 5, false},         // backend
+		{0x40, false, 10, true},        // MSHR merge
+		{0x40, false, 2_000_000, true}, // L3 hit
+		{0xc0, true, 2_000_100, false}, // backend
 	}
 	for i, st := range steps {
-		if st.drop {
-			plain.l1.Invalidate(st.addr)
-			timed.l1.Invalidate(st.addr)
-		}
-		want := plain.run(st.addr, st.write, st.at)
-		got := timed.run(st.addr, st.write, st.at)
-		if want.Flags&st.flag == 0 {
-			t.Errorf("step %d: flags %v, want %v set", i, want.Flags, st.flag)
-		}
-		if got.Now != want.Now || got.Flags != want.Flags || got.Stamp != want.Stamp || got.L1Way != want.L1Way {
+		want := plain.run(st.addr, st.write, st.drop, st.at)
+		got := timed.run(st.addr, st.write, st.drop, st.at)
+		if got != want {
 			t.Errorf("step %d: profiled %+v, unprofiled %+v", i, got, want)
 		}
 	}
 	if !reflect.DeepEqual(timed.l1, plain.l1) || !reflect.DeepEqual(timed.L3.Tiles, plain.L3.Tiles) ||
-		!reflect.DeepEqual(timed.file, plain.file) || !reflect.DeepEqual(timed.Xlat, plain.Xlat) ||
+		!reflect.DeepEqual(timed.file, plain.file) || !reflect.DeepEqual(timed.mem, plain.mem) ||
 		timed.env.Counts != plain.env.Counts {
-		t.Error("profiling changed cache, MSHR, TLB or counter state")
+		t.Error("profiling changed cache, MSHR, backend or counter state")
 	}
 	reg := obs.NewRegistry()
 	prof.FlushTo(reg)
-	for name, want := range map[string]uint64{"xlat": 5, "private": 5, "mshr": 4, "commit": 3} {
+	for name, want := range map[string]uint64{"xlat": 0, "private": 5, "mshr": 5, "l3": 4, "dram": 4, "commit": 4} {
 		if got := reg.CounterValue("host.memsys." + name + ".samples"); got != want {
 			t.Errorf("host.memsys.%s.samples = %d, want %d", name, got, want)
 		}
@@ -210,15 +206,10 @@ func TestChainProfiledMatchesUnprofiled(t *testing.T) {
 }
 
 func TestRequestStartClearsState(t *testing.T) {
-	var r Request
-	r.Flags = FlagDRAM
-	r.Stamp[StageL3] = 99
+	r := Request{L1Way: 3, Now: 99}
 	r.Start(GPU, 0x80, 0x80, true, 7)
-	if r.Flags != 0 || r.Stamp[StageL3] != 0 {
-		t.Errorf("Start left stale state: flags=%v stamp=%v", r.Flags, r.Stamp)
-	}
-	if r.PU != GPU || !r.Write || r.Issue != 7 || r.Now != 7 {
-		t.Errorf("Start fields wrong: %+v", r)
+	if r != (Request{PU: GPU, Addr: 0x80, Line: 0x80, Write: true, Now: 7, L1Way: -1}) {
+		t.Errorf("Start left stale state: %+v", r)
 	}
 }
 
@@ -227,24 +218,24 @@ func TestMSHRStageMergesOutstanding(t *testing.T) {
 	s := &MSHRStage{File: file}
 	var r Request
 	r.Start(CPU, 0x40, 0x40, false, 10)
-	if v := s.Process(&r); v != Next {
+	if s.Process(&r) {
 		t.Fatal("empty MSHR file must not merge")
 	}
 	file.Allocate(0x40, 10, 500)
 	r.Start(CPU, 0x40, 0x40, false, 20)
-	if v := s.Process(&r); v != Done {
+	if !s.Process(&r) {
 		t.Fatal("in-flight line must merge")
 	}
-	if r.Now != 500 || r.Flags&FlagMerged == 0 {
-		t.Errorf("merged request: now=%d flags=%v, want now=500 merged", r.Now, r.Flags)
+	if r.Now != 500 {
+		t.Errorf("merged request: now=%d, want 500", r.Now)
 	}
 }
 
 func TestRingHopStageDirectionsAndSizes(t *testing.T) {
 	net := &fakeNet{lat: 3}
 	topo := testTopo()
-	req := &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo}
-	resp := &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo}
+	req := &RingHopStage{Net: net, Topo: topo}
+	resp := &RingHopStage{Resp: true, Net: net, Topo: topo}
 
 	var r Request
 	addr := uint64(64 * 2) // tile 2, stop 4
@@ -265,6 +256,9 @@ func TestRingHopStageDirectionsAndSizes(t *testing.T) {
 	}
 }
 
+// The DDR3 backend sits behind L3Stage: an L3 hit never reaches the
+// controller, and a miss hops tile -> controller -> tile and installs
+// the line in its home tile.
 func TestDRAMStageSkipsOnL3Hit(t *testing.T) {
 	ctrl, err := dram.New(dram.DDR3_1333())
 	if err != nil {
@@ -273,49 +267,45 @@ func TestDRAMStageSkipsOnL3Hit(t *testing.T) {
 	env := &Env{}
 	net := &fakeNet{lat: 3}
 	topo := testTopo()
-	l3 := &L3Stage{
-		Tiles: []*cache.Cache{
-			mustCache(t, "t0", 4096), mustCache(t, "t1", 4096),
-			mustCache(t, "t2", 4096), mustCache(t, "t3", 4096),
-		},
-		Lat: 20, Topo: topo, Env: env,
-	}
-	s := &DRAMStage{Ctrl: ctrl, Net: net, Topo: topo, L3: l3, Env: env}
-	l3.Mem = s
+	s := &DRAMStage{Ctrl: ctrl}
+	l3 := newTestL3(t, env, s)
+	l3.Net = net
 
+	l3.Tiles[1].Fill(0x40, false, false)
 	var r Request
 	r.Start(CPU, 0x40, 0x40, false, 0)
-	r.Flags |= FlagL3Hit
-	if s.Process(&r); r.Now != 0 || len(net.sends) != 0 {
-		t.Fatal("DRAM stage must be free on an L3 hit")
+	if !l3.Process(&r) || r.Now != 20 || len(net.sends) != 0 || ctrl.Stats().Requests != 0 {
+		t.Fatal("an L3 hit must cost the tile only and never reach the controller")
 	}
 
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	s.Process(&r)
-	if r.Flags&FlagDRAM == 0 || env.DRAMFills[CPU] != 1 {
-		t.Errorf("miss must reach DRAM: flags=%v fills=%v", r.Flags, env.DRAMFills)
+	r.Start(CPU, 0x80, 0x80, false, 0)
+	if l3.Process(&r) {
+		t.Fatal("cold line hit")
 	}
-	if len(net.sends) != 2 || net.sends[0].to != topo.MCStop {
+	l3.Fetch(&r)
+	if env.DRAMFills[CPU] != 1 || s.accesses.n != 1 || ctrl.Stats().Requests != 1 {
+		t.Errorf("miss must reach DRAM once: fills=%v accesses=%d", env.DRAMFills, s.accesses.n)
+	}
+	if len(net.sends) != 2 || net.sends[0] != (fakeSend{4, topo.MCStop, 16}) ||
+		net.sends[1] != (fakeSend{topo.MCStop, 4, 64 + 16}) {
 		t.Errorf("miss must hop tile->mc->tile, got %+v", net.sends)
 	}
-	if !l3.Tiles[1].Probe(0x40) {
+	if !l3.Tiles[2].Probe(0x80) {
 		t.Error("DRAM fill must install the line into its home L3 tile")
 	}
 }
 
 func TestCoherenceStageNilSafe(t *testing.T) {
 	var nilStage *CoherenceStage
-	var r Request
-	r.Start(CPU, 0x40, 0x40, true, 10)
-	if v := nilStage.Process(&r); v != Next || r.Now != 10 {
-		t.Error("nil coherence stage must be a free pass-through")
+	if got := nilStage.Apply(CPU, 0x40, 0x40, true, 10); got != 10 {
+		t.Error("nil coherence stage must be free")
 	}
 	if nilStage.Directory() != nil {
 		t.Error("nil stage has no directory")
 	}
 	off := &CoherenceStage{} // directory off
-	if v := off.Process(&r); v != Next || r.Now != 10 {
-		t.Error("directory-off stage must be a free pass-through")
+	if got := off.Apply(CPU, 0x40, 0x40, true, 10); got != 10 {
+		t.Error("directory-off stage must be free")
 	}
 }
 
@@ -323,31 +313,30 @@ func TestPrivateStageHitLevels(t *testing.T) {
 	env := &Env{}
 	l1 := mustCache(t, "l1", 4096)
 	l2 := mustCache(t, "l2", 8192)
-	s := &PrivateStage{PU: CPU, L1: l1, L1Lat: 2, L2: l2, L2Lat: 8, Env: env}
+	s := &PrivateStage{PU: CPU, L1: l1, L2: l2, L2Lat: 8, Env: env}
 
-	// Cold: both levels miss, both latencies charged.
+	// Cold: the L2 misses after charging its latency.
 	var r Request
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Next || r.Now != 10 {
-		t.Fatalf("cold access: verdict=%v now=%d, want Next at 10", v, r.Now)
+	r.Start(CPU, 0x40, 0x40, false, 2)
+	if s.Process(&r) || r.Now != 10 || r.L1Way != -1 {
+		t.Fatalf("cold access: now=%d l1way=%d, want a miss at 10", r.Now, r.L1Way)
 	}
-	// Fill as the commit stage would, then re-access: L1 hit at L1 latency.
+	// Fill as the commit stage would, then evict from L1 only: the next
+	// L1 miss is an L2 hit that refills L1.
 	s.Fill(0x40, false)
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Done || r.Now != 2 {
-		t.Fatalf("L1 hit: verdict=%v now=%d, want Done at 2", v, r.Now)
-	}
-	if env.L1Hits[CPU] != 1 || r.Flags&FlagL1Hit == 0 {
-		t.Error("L1 hit not recorded")
-	}
-	// Evict from L1 only: next access is an L2 hit at L1+L2 latency.
 	l1.Invalidate(0x40)
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Done || r.Now != 10 {
-		t.Fatalf("L2 hit: verdict=%v now=%d, want Done at 10", v, r.Now)
+	r.Start(CPU, 0x40, 0x40, false, 2)
+	if !s.Process(&r) || r.Now != 10 || r.L1Way < 0 || !l1.Probe(0x40) {
+		t.Fatalf("L2 hit: now=%d l1way=%d, want a hit at 10 refilling L1", r.Now, r.L1Way)
 	}
-	if env.L2Hits != 1 || r.Flags&FlagL2Hit == 0 {
+	if env.L2Hits != 1 {
 		t.Error("L2 hit not recorded")
+	}
+	// A PU without a second level passes every L1 miss on, free.
+	gpu := &PrivateStage{PU: GPU, L1: mustCache(t, "g1", 4096), Env: env}
+	r.Start(GPU, 0x40, 0x40, false, 2)
+	if gpu.Process(&r) || r.Now != 2 {
+		t.Fatal("a PU without L2 must pass the request on untouched")
 	}
 }
 
@@ -355,16 +344,15 @@ func TestCommitStageAllocatesAtIssueTime(t *testing.T) {
 	env := &Env{}
 	file := cache.NewMSHR(4)
 	s := &CommitStage{
-		Private: &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), L1Lat: 2, Env: env},
+		Private: &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), Env: env},
 		File:    file,
 		Env:     env,
 	}
 	var r Request
 	r.Start(GPU, 0x40, 0x40, false, 0)
-	r.Stamp[StageMSHR] = 10 // time the request entered the shared path
-	r.Now = 400             // completion after ring/L3/DRAM
-	if v := s.Process(&r); v != Done || r.Now != 400 {
-		t.Fatalf("commit: verdict=%v now=%d, want Done at 400", v, r.Now)
+	r.Now = 400 // completion after ring/L3/DRAM
+	if s.Process(&r, 10); r.Now != 400 || r.L1Way < 0 {
+		t.Fatalf("commit: now=%d l1way=%d, want 400 with an L1 fill", r.Now, r.L1Way)
 	}
 	// The entry must span [10, 400]: a later request merges with it.
 	if ready, ok := file.Outstanding(0x40, 200); !ok || ready != 400 {

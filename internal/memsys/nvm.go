@@ -25,10 +25,8 @@ type NVMStage struct {
 	// QueueDepth writes' worth of drain is pending stalls until the
 	// backlog shrinks below the bound.
 	QueueDepth int
-	Net        Interconnect
-	Topo       Topology
-	L3         *L3Stage
-	Env        *Env
+	// LineBytes is the line size the channels interleave on.
+	LineBytes int
 
 	// horizon is the time the serial write drain finishes everything
 	// queued so far; each write extends it by WriteLat.
@@ -39,27 +37,13 @@ type NVMStage struct {
 	writeStalls backendCounter
 }
 
-// Process fetches the line from the device unless the L3 already served
-// it: hop to the memory-controller stop, admission past the write
-// queue, the channel transfer plus the media read, and the line's
-// return and install.
-func (s *NVMStage) Process(r *Request) Verdict {
-	if r.Flags&FlagL3Hit != 0 {
-		return Next
-	}
-	r.Flags |= FlagDRAM
-	tile := s.Topo.TileFor(r.Addr)
-	ts := s.Topo.TileStop(tile)
-	r.Now = s.Net.Send(ts, s.Topo.MCStop, s.Topo.ReqBytes, r.Now)
-	at := s.admit(r.Now)
-	ch := chanFor(r.Addr, s.Topo.LineBytes, len(s.Chans))
-	start, _ := s.Chans[ch].Acquire(at, s.Bus)
-	r.Now = start.Add(s.ReadLat)
-	s.Env.DRAMFills[r.PU]++
+// Read implements Backend: admission past the write queue, then the
+// channel transfer plus the media read.
+func (s *NVMStage) Read(addr uint64, now clock.Time) clock.Time {
+	at := s.admit(now)
+	start, _ := s.Chans[chanFor(addr, s.LineBytes, len(s.Chans))].Acquire(at, s.Bus)
 	s.reads.n++
-	r.Now = s.Net.Send(s.Topo.MCStop, ts, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
-	s.L3.Fill(tile, r.Addr, false, r.Write, r.Now)
-	return Next
+	return start.Add(s.ReadLat)
 }
 
 // admit lets a read bypass queued writes unless the drain backlog
@@ -79,7 +63,7 @@ func (s *NVMStage) admit(at clock.Time) clock.Time {
 // requester's critical path; its cost surfaces as drain backlog that
 // later reads may stall on.
 func (s *NVMStage) Writeback(addr uint64, now clock.Time) {
-	ch := chanFor(addr, s.Topo.LineBytes, len(s.Chans))
+	ch := chanFor(addr, s.LineBytes, len(s.Chans))
 	start, _ := s.Chans[ch].Acquire(now, s.Bus)
 	s.horizon = clock.Max(s.horizon, start).Add(s.WriteLat)
 	s.writes.n++

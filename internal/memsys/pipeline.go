@@ -6,20 +6,9 @@ import (
 	"heteromem/internal/clock"
 )
 
-// Verdict is a stage's decision about what happens to the request next.
-type Verdict uint8
-
-const (
-	// Next passes the request to the following stage.
-	Next Verdict = iota
-	// Done completes the request at its current Now; later stages are
-	// skipped.
-	Done
-)
-
-// Interconnect carries pipeline messages between stops. noc.Ring
-// satisfies it; a mesh (or any other topology) can be swapped in by
-// implementing the same contract.
+// Interconnect carries the memory path's messages between stops.
+// noc.Ring satisfies it; a mesh (or any other topology) can be swapped
+// in by implementing the same contract.
 type Interconnect interface {
 	// Send moves bytes from stop `from` to stop `to` starting at now and
 	// returns the arrival time.

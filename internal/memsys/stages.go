@@ -79,51 +79,33 @@ func (e *Env) writeback() {
 	e.Writebacks++
 }
 
-// PrivateStage is a PU's private cache level(s): the first-level data
-// cache and, on the CPU, the private L2. A hit completes the request;
-// a write hit additionally pays the coherence fee for upgrading the
-// line. The stage also installs lines on behalf of CommitStage (Fill).
+// PrivateStage is a PU's private levels below the first: on the CPU the
+// private L2, whose hit completes the request. The hierarchy probes the
+// first level itself before entering the chain. The stage also
+// installs lines on behalf of CommitStage (Fill).
 type PrivateStage struct {
 	PU        PU
 	L1        *cache.Cache
-	L1Lat     clock.Duration
 	L2        *cache.Cache // nil when the PU has no private second level
 	L2Lat     clock.Duration
 	Coherence *CoherenceStage
 	Env       *Env
 }
 
-// Process looks the address up in the private levels, charging each
-// level's latency on the way down.
-func (s *PrivateStage) Process(r *Request) Verdict {
-	r.Now = r.Now.Add(s.L1Lat)
-	if s.L1.Lookup(r.Addr, r.Write) {
-		r.Flags |= FlagL1Hit
-		s.Env.L1Hits[s.PU]++
-		if r.Write {
-			s.Coherence.Process(r)
-		}
-		return Done
-	}
-	return s.ProcessMissedL1(r)
-}
-
-// ProcessMissedL1 continues a request whose first-level lookup already
-// missed (the hierarchy's fast path performs that lookup itself): the
-// CPU consults its private L2; PUs without a second level pass the
-// request on. r.Now must already include the L1 latency.
-func (s *PrivateStage) ProcessMissedL1(r *Request) Verdict {
+// Process continues a request whose first-level lookup missed: the CPU
+// consults its private L2 and reports whether it hit (filling the line
+// into L1); PUs without a second level pass the request on.
+func (s *PrivateStage) Process(r *Request) bool {
 	if s.L2 == nil {
-		return Next
+		return false
 	}
 	r.Now = r.Now.Add(s.L2Lat)
 	if s.L2.Lookup(r.Addr, r.Write) {
-		r.Flags |= FlagL2Hit
 		s.Env.L2Hits++
 		r.L1Way = int8(s.fillInto(s.L1, r.Addr, r.Write))
-		return Done
+		return true
 	}
-	return Next
+	return false
 }
 
 // Fill installs the line into the PU's private levels after a shared
@@ -179,107 +161,98 @@ type MSHRStage struct {
 	File *cache.MSHR
 }
 
-// Process checks the MSHR file; a merged request completes when the
-// outstanding fill returns (or immediately, if it already has).
-func (s *MSHRStage) Process(r *Request) Verdict {
+// Process checks the MSHR file and reports whether the request merged;
+// a merged request completes when the outstanding fill returns (or
+// immediately, if it already has).
+func (s *MSHRStage) Process(r *Request) bool {
 	if ready, ok := s.File.Outstanding(r.Line, r.Now); ok {
-		r.Flags |= FlagMerged
 		r.Now = clock.Max(ready, r.Now)
-		return Done
+		return true
 	}
-	return Next
+	return false
 }
 
 // RingHopStage moves the request over the interconnect: the request
-// message from the PU's stop to the home L3 tile (StageRingReq), or the
-// data response back (StageRingResp).
+// message from the PU's stop to the home L3 tile, or (Resp) the data
+// response back.
 type RingHopStage struct {
-	Stage StageID // StageRingReq or StageRingResp
-	Net   Interconnect
-	Topo  Topology
+	Resp bool
+	Net  Interconnect
+	Topo Topology
 }
 
 // Process sends the hop's message and advances the request to the
 // arrival time.
-func (s *RingHopStage) Process(r *Request) Verdict {
+func (s *RingHopStage) Process(r *Request) {
 	src := s.Topo.PUStop[r.PU]
 	ts := s.Topo.TileStop(s.Topo.TileFor(r.Addr))
-	if s.Stage == StageRingReq {
-		r.Now = s.Net.Send(src, ts, s.Topo.ReqBytes, r.Now)
-	} else {
+	if s.Resp {
 		r.Now = s.Net.Send(ts, src, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
+	} else {
+		r.Now = s.Net.Send(src, ts, s.Topo.ReqBytes, r.Now)
 	}
-	return Next
 }
 
 // L3Stage is the shared L3: the home tile charges its access latency,
-// consults the coherence directory, and looks the line up. The lookup
-// outcome is recorded in FlagL3Hit for the downstream DRAM stage.
+// consults the coherence directory and looks the line up; on a miss,
+// Fetch brings the line from Mem, the memory technology behind it.
 type L3Stage struct {
 	Tiles []*cache.Cache
 	Lat   clock.Duration
-	// Mem absorbs dirty victim writebacks; in production it is the
-	// hierarchy's terminal Backend.
-	Mem       Writebacker
+	// Mem serves L3 misses and absorbs dirty victim writebacks.
+	Mem       Backend
+	Net       Interconnect
 	Topo      Topology
 	Coherence *CoherenceStage
 	Env       *Env
 }
 
-// Process performs the home-tile lookup.
-func (s *L3Stage) Process(r *Request) Verdict {
-	r.Now = r.Now.Add(s.Lat)
-	s.Coherence.Process(r)
+// Process performs the home-tile lookup and reports whether it hit.
+func (s *L3Stage) Process(r *Request) bool {
+	r.Now = s.Coherence.Apply(r.PU, r.Addr, r.Line, r.Write, r.Now.Add(s.Lat))
 	if s.Tiles[s.Topo.TileFor(r.Addr)].Lookup(r.Addr, r.Write) {
-		r.Flags |= FlagL3Hit
 		s.Env.L3Hits[r.PU]++
+		return true
 	}
-	return Next
+	return false
+}
+
+// Fetch serves an L3 miss, the same way for every memory technology:
+// the request hops from the home tile to the memory-controller stop,
+// Mem reads the line, and the line returns to the home tile, where it
+// is installed.
+func (s *L3Stage) Fetch(r *Request) {
+	tile := s.Topo.TileFor(r.Addr)
+	ts := s.Topo.TileStop(tile)
+	r.Now = s.Net.Send(ts, s.Topo.MCStop, s.Topo.ReqBytes, r.Now)
+	r.Now = s.Mem.Read(r.Addr, r.Now)
+	s.Env.DRAMFills[r.PU]++
+	r.Now = s.Net.Send(s.Topo.MCStop, ts, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
+	s.Fill(tile, r.Addr, false, r.Write, r.Now)
 }
 
 // Fill installs a line into its L3 tile; a dirty victim is written back
-// to the terminal memory, occupying the backend but off the critical
-// path.
+// to Mem, occupying the device but off the critical path.
 func (s *L3Stage) Fill(tile int, addr uint64, explicit, dirty bool, now clock.Time) {
 	ev := s.Tiles[tile].Fill(addr, explicit, dirty)
 	if ev.Valid && ev.Dirty {
 		s.Env.writeback()
-		if s.Mem != nil {
-			s.Mem.Writeback(ev.Addr, now)
-		}
+		s.Mem.Writeback(ev.Addr, now)
 	}
 }
 
-// DRAMStage serves L3 misses: the request hops from the home tile to
-// the memory-controller stop, accesses DRAM, and the line returns to
-// the home tile, where it is installed. L3 hits pass through untouched.
-// It is the baseline Backend (mem_tech: dram) — the refactor's
-// bit-identical correctness anchor.
+// DRAMStage is the baseline Backend (mem_tech: dram): the paper's DDR3
+// controller — the refactor's bit-identical correctness anchor.
 type DRAMStage struct {
 	Ctrl *dram.Controller
-	Net  Interconnect
-	Topo Topology
-	L3   *L3Stage
-	Env  *Env
 
 	accesses backendCounter
 }
 
-// Process fetches the line from DRAM unless the L3 already served it.
-func (s *DRAMStage) Process(r *Request) Verdict {
-	if r.Flags&FlagL3Hit != 0 {
-		return Next
-	}
-	r.Flags |= FlagDRAM
-	tile := s.Topo.TileFor(r.Addr)
-	ts := s.Topo.TileStop(tile)
-	r.Now = s.Net.Send(ts, s.Topo.MCStop, s.Topo.ReqBytes, r.Now)
-	r.Now = s.Ctrl.Submit(r.Addr, r.Now)
-	s.Env.DRAMFills[r.PU]++
+// Read implements Backend: one controller access.
+func (s *DRAMStage) Read(addr uint64, now clock.Time) clock.Time {
 	s.accesses.n++
-	r.Now = s.Net.Send(s.Topo.MCStop, ts, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
-	s.L3.Fill(tile, r.Addr, false, r.Write, r.Now)
-	return Next
+	return s.Ctrl.Submit(addr, now)
 }
 
 // Writeback implements Backend: a dirty L3 victim occupies the
@@ -310,27 +283,23 @@ type CommitStage struct {
 	Env     *Env
 }
 
-// Process fills the private levels and allocates the MSHR entry. The
-// allocation is keyed to the time the request entered the shared path
-// (the MSHR stamp), not its completion time, so merges observe the
-// full in-flight window. The InFlight walk only runs with a live
-// gauge, so the uninstrumented path pays a single nil check.
-func (s *CommitStage) Process(r *Request) Verdict {
+// Process fills the private levels and allocates the MSHR entry over
+// [issued, r.Now], where issued is the time the request entered the
+// shared path. The InFlight walk only runs with a live gauge, so the
+// uninstrumented path pays a single nil check.
+func (s *CommitStage) Process(r *Request, issued clock.Time) {
 	r.L1Way = int8(s.Private.Fill(r.Addr, r.Write))
-	issued := r.Stamp[StageMSHR]
 	r.Now = s.File.Allocate(r.Line, issued, r.Now)
 	if g := s.Env.Obs.MSHROut[s.Private.PU]; g != nil {
 		g.Set(uint64(s.File.InFlight(issued)))
 	}
-	return Done
 }
 
 // CoherenceStage prices the directory work an access requires: remote
 // copies are invalidated (and dirty ones written back) over the
-// interconnect before the access may complete. It is invoked as a
-// sub-stage by PrivateStage (write hits) and L3Stage (every shared
-// access), and is free when the directory is off or the access needs
-// no remote work.
+// interconnect before the access may complete. The hierarchy's L1 fast
+// path applies it on write hits and L3Stage on every shared access; it
+// is free when the directory is off or the access needs no remote work.
 type CoherenceStage struct {
 	Dir  *coherence.Directory // nil = coherence off
 	Net  Interconnect
@@ -356,36 +325,18 @@ func (s *CoherenceStage) Directory() *coherence.Directory {
 	return s.Dir
 }
 
-// Process consults the directory and, when remote work is needed,
-// invalidates the other PU's copies and charges one interconnect round
-// trip from the home tile to the remote PU.
-func (s *CoherenceStage) Process(r *Request) Verdict {
-	if s == nil || s.Dir == nil {
-		return Next
-	}
-	if now, did := s.apply(r.PU, r.Addr, r.Line, r.Write, r.Now); did {
-		r.Now = now
-		r.Stamp[StageCoherence] = now
-	}
-	return Next
-}
-
-// Apply is the request-free core of the stage, invoked directly by the
-// hierarchy's L1-hit fast path: it consults the directory for an
-// access by pu and prices any remote invalidation, returning the
-// (possibly advanced) completion time. Free when coherence is off.
+// Apply consults the directory for an access by pu and, when remote
+// work is needed, invalidates the other PU's copies and charges one
+// interconnect round trip from the home tile to the remote PU,
+// returning the (possibly advanced) completion time. Free when
+// coherence is off.
 func (s *CoherenceStage) Apply(pu PU, addr, line uint64, write bool, now clock.Time) clock.Time {
 	if s == nil || s.Dir == nil {
 		return now
 	}
-	t, _ := s.apply(pu, addr, line, write, now)
-	return t
-}
-
-func (s *CoherenceStage) apply(pu PU, addr, line uint64, write bool, now clock.Time) (clock.Time, bool) {
 	act := s.Dir.Access(int(pu), addr, write)
 	if act.Messages == 0 {
-		return now, false
+		return now
 	}
 	s.Env.CoherenceOps++
 	other := CPU
@@ -406,5 +357,5 @@ func (s *CoherenceStage) apply(pu PU, addr, line uint64, write bool, now clock.T
 	if act.Writeback {
 		resp += s.Topo.LineBytes
 	}
-	return s.Net.Send(s.Topo.PUStop[other], ts, resp, t), true
+	return s.Net.Send(s.Topo.PUStop[other], ts, resp, t)
 }

@@ -18,11 +18,10 @@ import (
 // PCIe or the PCI aperture) pays a fixed interconnect round-trip extra
 // and walks without the core walk caches.
 //
-// The stage sits in front of the chain (StageXlat) but the production
-// hierarchy calls Translate directly before its L1 fast path, so the
-// translation-off configuration stays byte-identical: a nil
-// *TranslationStage is a valid "axis off" value and every method is
-// nil-receiver safe.
+// The hierarchy calls Translate before its L1 probe, ahead of the chain,
+// and charges its host time to memsys.xlat. A nil *TranslationStage is
+// the "axis off" value, so the translation-off configuration stays
+// byte-identical; every method but Translate is nil-receiver safe.
 type TranslationStage struct {
 	TLB [NumPUs]*xlat.TLB
 	// WalkCache holds upper-level page-table entries; nil disables it
@@ -127,13 +126,6 @@ func (s *TranslationStage) Flush(pu PU) {
 	if wc := s.WalkCache[pu]; wc != nil {
 		wc.Flush()
 	}
-}
-
-// Process translates the request's address and advances r.Now past any
-// walk; Chain runs it ahead of the private levels.
-func (s *TranslationStage) Process(r *Request) Verdict {
-	r.Now = s.Translate(r.PU, r.Addr, r.Now)
-	return Next
 }
 
 // Reset returns the stage to just-constructed: TLBs, walk caches,

@@ -189,18 +189,6 @@ func TestTranslationResetRestoresColdState(t *testing.T) {
 	}
 }
 
-func TestTranslationProcessStampsRequest(t *testing.T) {
-	s := mustStage(t, noWalkCache(xlat.Private))
-	var r Request
-	r.Start(GPU, 0x123456, 0x123440, false, clock.Time(0))
-	if v := s.Process(&r); v != Next {
-		t.Fatalf("verdict = %v", v)
-	}
-	if r.Now.Sub(r.Issue) != clock.Duration(s.Levels)*s.LevelLat {
-		t.Fatalf("Process charged %v", r.Now.Sub(r.Issue))
-	}
-}
-
 func TestTranslationObservability(t *testing.T) {
 	s := mustStage(t, xlat.Spec{MMU: xlat.Private})
 	reg := obs.NewRegistry()

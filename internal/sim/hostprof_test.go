@@ -13,9 +13,8 @@ import (
 // Host-time self-profiling measures real time only: a profiled run must
 // be bit-identical to an unprofiled one, and the host.* counters must
 // appear in the registry after flushes. The second system turns on
-// translation and a non-DRAM backend. (The hierarchy translates before
-// its L1 probe, outside the chain, so no system samples memsys.xlat;
-// memsys.TestChainProfiledMatchesUnprofiled covers that lap.)
+// translation and a non-DRAM backend, so it also samples memsys.xlat,
+// which the first (translation off) never does.
 func TestHostProfDoesNotPerturbResults(t *testing.T) {
 	p, err := workload.Open("reduction")
 	if err != nil {
@@ -62,6 +61,10 @@ func TestHostProfDoesNotPerturbResults(t *testing.T) {
 				if snap.Counters["host.memsys."+st+".samples"] == 0 {
 					t.Errorf("no host.memsys.%s samples recorded at every=1", st)
 				}
+			}
+			xlatOn := !sys.Translation.IsZero()
+			if got := snap.Counters["host.memsys.xlat.samples"]; (got > 0) != xlatOn {
+				t.Errorf("host.memsys.xlat.samples = %d with translation on = %v", got, xlatOn)
 			}
 		})
 	}

@@ -163,8 +163,9 @@ type Simulator struct {
 	tracer  *obs.Tracer
 
 	// Host-time self-profiling (Options.HostProf): phase sections are
-	// timed unconditionally (one clock pair per phase), pipeline stages
-	// by sampling inside memsys.Chain.
+	// timed unconditionally (one clock pair per phase), translation and
+	// the memory path's stages by sampling inside mem.Hierarchy.Access
+	// and memsys.Chain.
 	hostProf                *obs.HostProf
 	secSeq, secPar, secXfer int
 	// pub receives phase-boundary registry snapshots for concurrent

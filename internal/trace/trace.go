@@ -100,19 +100,6 @@ func (s Stream) Validate() error {
 	return nil
 }
 
-// Concat returns a new stream holding s followed by others.
-func Concat(streams ...Stream) Stream {
-	var n int
-	for _, s := range streams {
-		n += len(s)
-	}
-	out := make(Stream, 0, n)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // Stats summarises a trace.
 type Stats struct {
 	Total      int

@@ -66,20 +66,6 @@ func TestActiveLanes(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Stream{{Kind: isa.ALU}}
-	b := Stream{{Kind: isa.FP}, {Kind: isa.Mul}}
-	c := Concat(a, b, nil)
-	if len(c) != 3 || c[0].Kind != isa.ALU || c[2].Kind != isa.Mul {
-		t.Fatalf("Concat wrong: %v", c)
-	}
-	// Concat must copy: mutating the result must not touch inputs.
-	c[0].Kind = isa.Div
-	if a[0].Kind != isa.ALU {
-		t.Error("Concat aliases its inputs")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	st := Summarize(sample())
 	if st.Total != 8 {
