@@ -148,12 +148,16 @@ func printSummary(label string, src trace.Source) {
 }
 
 func dumpHead(src trace.Source, n int) {
-	for i := 0; i < n; i++ {
-		in, ok := src.Next()
-		if !ok {
+	buf := make([]trace.Inst, max(0, min(n, src.Len())))
+	for i := 0; i < len(buf); {
+		k := src.NextBatch(buf[i:])
+		if k == 0 {
 			return
 		}
-		fmt.Printf("%6d  pc=%#08x %-10s addr=%#x size=%d deps=%d,%d taken=%v lanes=%d\n",
-			i, in.PC, in.Kind, in.Addr, in.Size, in.Dep1, in.Dep2, in.Taken, in.ActiveLanes())
+		for _, in := range buf[i : i+k] {
+			fmt.Printf("%6d  pc=%#08x %-10s addr=%#x size=%d deps=%d,%d taken=%v lanes=%d\n",
+				i, in.PC, in.Kind, in.Addr, in.Size, in.Dep1, in.Dep2, in.Taken, in.ActiveLanes())
+			i++
+		}
 	}
 }

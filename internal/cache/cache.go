@@ -133,7 +133,7 @@ const (
 // Block metadata is stored structure-of-arrays: the tag and LRU arrays
 // are indexed [set*ways+way] and the single-bit states (valid, dirty,
 // explicit) are packed into one 64-bit mask per set. The set probe in
-// LookupWay walks only the tag array, way selection over the masks is
+// Lookup walks only the tag array, way selection over the masks is
 // branch-free via bits.TrailingZeros64, and the recency array is touched
 // only on the hit it refreshes — a lookup no longer drags every block's
 // cold metadata through the host cache.
@@ -308,13 +308,6 @@ func (c *Cache) locate(addr uint64) (*chunk, uint64) {
 // miss the caller is expected to fetch the line from the next level and
 // call Fill.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
-	return c.LookupWay(addr, write) >= 0
-}
-
-// LookupWay is Lookup, additionally reporting which way served the hit
-// (negative on a miss) so callers can memoize the block's location and
-// replay later hits through HitWay without the set scan.
-func (c *Cache) LookupWay(addr uint64, write bool) int {
 	c.tick++
 	c.stats.Accesses++
 	if ch, s := c.locate(addr); ch != nil {
@@ -331,41 +324,12 @@ func (c *Cache) LookupWay(addr uint64, write bool) int {
 					ch.dirty[s] |= 1 << uint(w)
 				}
 				c.stats.Hits++
-				return w
+				return true
 			}
 		}
 	}
 	c.stats.Misses++
-	return -1
-}
-
-// HitWay replays an access against a memoized way. If the way still
-// holds the line containing addr, the access is applied with exactly
-// Lookup's hit bookkeeping (tick, recency refresh, dirty bit, access
-// and hit counts) and HitWay reports true. Otherwise the cache is left
-// completely untouched and the caller falls back to Lookup. The tag
-// verification makes a stale memo safe, never wrong.
-func (c *Cache) HitWay(addr uint64, way int, write bool) bool {
-	if uint(way) >= uint(c.ways) {
-		return false
-	}
-	ch, s := c.locate(addr)
-	if ch == nil {
-		return false
-	}
-	idx := int(s)*c.ways + way
-	bit := uint64(1) << uint(way)
-	if ch.valid[s]&bit == 0 || ch.tags[idx] != c.tagOf(addr) {
-		return false
-	}
-	c.tick++
-	c.stats.Accesses++
-	ch.lastUse[idx] = c.tick
-	if write {
-		ch.dirty[s] |= bit
-	}
-	c.stats.Hits++
-	return true
+	return false
 }
 
 // Probe reports whether the line containing addr is present without
@@ -390,14 +354,6 @@ func (c *Cache) Probe(addr uint64) bool {
 // (e.g. a store miss under write-allocate). The returned Eviction
 // describes any displaced block or a bypass.
 func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
-	ev, _ := c.FillWay(addr, explicit, dirty)
-	return ev
-}
-
-// FillWay is Fill, additionally reporting which way now holds the line
-// (-1 on a bypass) so callers can seed way memoizations at install time
-// instead of paying a set scan on the next access.
-func (c *Cache) FillWay(addr uint64, explicit, dirty bool) (Eviction, int) {
 	c.tick++
 	ch, s := c.locate(addr)
 	if ch == nil {
@@ -418,14 +374,14 @@ func (c *Cache) FillWay(addr uint64, explicit, dirty bool) (Eviction, int) {
 			if dirty {
 				ch.dirty[s] |= bit
 			}
-			return Eviction{}, w
+			return Eviction{}
 		}
 	}
 
 	victim := c.chooseVictim(ch, s, explicit)
 	if victim < 0 {
 		c.stats.Bypasses++
-		return Eviction{Bypassed: true}, -1
+		return Eviction{Bypassed: true}
 	}
 	bit := uint64(1) << uint(victim)
 	idx := base + victim
@@ -456,7 +412,7 @@ func (c *Cache) FillWay(addr uint64, explicit, dirty bool) (Eviction, int) {
 		ch.explicit[s] &^= bit
 	}
 	c.stats.Fills++
-	return ev, victim
+	return ev
 }
 
 // materialize builds the chunk holding addr's set on its first fill.

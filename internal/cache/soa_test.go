@@ -61,7 +61,7 @@ func lineShiftOf(lineBytes int) uint {
 func (c *aosCache) setIndex(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
 func (c *aosCache) tagOf(addr uint64) uint64    { return addr >> c.lineShift }
 
-func (c *aosCache) LookupWay(addr uint64, write bool) int {
+func (c *aosCache) Lookup(addr uint64, write bool) bool {
 	c.tick++
 	c.stats.Accesses++
 	set := c.sets[c.setIndex(addr)]
@@ -73,30 +73,11 @@ func (c *aosCache) LookupWay(addr uint64, write bool) int {
 				set[i].dirty = true
 			}
 			c.stats.Hits++
-			return i
+			return true
 		}
 	}
 	c.stats.Misses++
-	return -1
-}
-
-func (c *aosCache) HitWay(addr uint64, way int, write bool) bool {
-	set := c.sets[c.setIndex(addr)]
-	if uint(way) >= uint(len(set)) {
-		return false
-	}
-	b := &set[way]
-	if !b.valid || b.tag != c.tagOf(addr) {
-		return false
-	}
-	c.tick++
-	c.stats.Accesses++
-	b.lastUse = c.tick
-	if write {
-		b.dirty = true
-	}
-	c.stats.Hits++
-	return true
+	return false
 }
 
 func (c *aosCache) Probe(addr uint64) bool {
@@ -243,8 +224,7 @@ func (c *aosCache) ValidBlocks() int {
 }
 
 // TestSoAMatchesAoSOracle drives the SoA cache and the AoS oracle
-// through long random operation sequences — lookups, memoized replays,
-// fills (implicit/explicit, clean/dirty), probes, invalidates, flushes
+// through long random operation sequences — lookups, fills (implicit/explicit, clean/dirty), probes, invalidates, flushes
 // and resets — over a small cache (so sets conflict constantly) and
 // checks every return value, every Eviction field and the full Stats
 // after each step, for both policies and several explicit-way caps. The
@@ -300,8 +280,6 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 					return line(hot())
 				}
 			}
-			lastWay := -1
-			lastAddr := uint64(0)
 			steps := 200_000
 			if sparse {
 				steps = 50_000 // the oracle's flushes and resets walk all 4096 sets
@@ -309,45 +287,15 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				op := rng.Intn(100)
 				switch {
-				case op < 45: // lookup
+				case op < 55: // lookup
 					a, w := addr(), rng.Intn(2) == 0
-					gw, ww := soa.LookupWay(a, w), aos.LookupWay(a, w)
-					if gw != ww {
-						t.Fatalf("step %d: LookupWay(%#x,%v) = %d, oracle %d", step, a, w, gw, ww)
-					}
-					if gw >= 0 {
-						lastWay, lastAddr = gw, a
-					}
-				case op < 55: // memoized replay, sometimes deliberately stale
-					if lastWay < 0 {
-						continue
-					}
-					a := lastAddr
-					if rng.Intn(4) == 0 {
-						a = addr()
-					}
-					w := rng.Intn(2) == 0
-					way := lastWay
-					if rng.Intn(8) == 0 {
-						way = rng.Intn(cfg.Ways + 2)
-					}
-					if g, o := soa.HitWay(a, way, w), aos.HitWay(a, way, w); g != o {
-						t.Fatalf("step %d: HitWay(%#x,%d,%v) = %v, oracle %v", step, a, way, w, g, o)
+					if g, o := soa.Lookup(a, w), aos.Lookup(a, w); g != o {
+						t.Fatalf("step %d: Lookup(%#x,%v) = %v, oracle %v", step, a, w, g, o)
 					}
 				case op < 85: // fill
 					a, ex, dr := fillAddr(), rng.Intn(3) == 0, rng.Intn(3) == 0
-					gev, gw := soa.FillWay(a, ex, dr)
-					oev := aos.Fill(a, ex, dr)
-					if gev != oev {
-						t.Fatalf("step %d: Fill(%#x,%v,%v) = %+v, oracle %+v", step, a, ex, dr, gev, oev)
-					}
-					// FillWay's way report: -1 exactly on bypass, and the
-					// reported way must actually hold the line.
-					if (gw < 0) != gev.Bypassed {
-						t.Fatalf("step %d: FillWay(%#x) way %d with eviction %+v", step, a, gw, gev)
-					}
-					if gw >= 0 && !soa.Probe(a) {
-						t.Fatalf("step %d: FillWay(%#x) reported way %d but line absent", step, a, gw)
+					if g, o := soa.Fill(a, ex, dr), aos.Fill(a, ex, dr); g != o {
+						t.Fatalf("step %d: Fill(%#x,%v,%v) = %+v, oracle %+v", step, a, ex, dr, g, o)
 					}
 				case op < 90: // probe
 					a := addr()
@@ -365,11 +313,9 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 					if g, o := soa.FlushAll(), aos.FlushAll(); g != o {
 						t.Fatalf("step %d: FlushAll = %d, oracle %d", step, g, o)
 					}
-					lastWay = -1
 				default: // reset
 					soa.Reset()
 					aos.Reset()
-					lastWay = -1
 				}
 				if soa.Stats() != aos.stats {
 					t.Fatalf("step %d: stats diverged: %+v vs oracle %+v", step, soa.Stats(), aos.stats)

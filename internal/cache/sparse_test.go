@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 // A directory larger than one chunk builds only its first chunk.
-// Lookups, replays, probes and invalidations of sets in other chunks
+// Lookups, probes and invalidations of sets in other chunks
 // answer "absent" without materializing them, the first fill into a
 // chunk materializes exactly that chunk, and Reset keeps it, so a
 // second run over the same footprint allocates nothing.
@@ -13,7 +13,7 @@ func TestChunksMaterializeOnFirstFill(t *testing.T) {
 		t.Fatalf("new 64 MB directory: %d of %d chunks materialized, want 1 of 64", m, n)
 	}
 	far := uint64(5*chunkSets) << 6 // set 5*1024: chunk 5
-	if c.Lookup(far, true) || c.HitWay(far, 0, false) || c.Probe(far) {
+	if c.Lookup(far, true) || c.Probe(far) {
 		t.Fatal("untouched chunk reported a resident line")
 	}
 	if present, _ := c.Invalidate(far); present {

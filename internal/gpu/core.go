@@ -171,7 +171,7 @@ type Execution struct {
 func (c *Core) Begin(src trace.Source, at clock.Time) *Execution {
 	e := &Execution{c: c, src: src, start: at, cur: at}
 	if src != nil {
-		e.bn = trace.FillBatch(src, c.srcBuf)
+		e.bn = src.NextBatch(c.srcBuf)
 	}
 	return e
 }
@@ -182,7 +182,7 @@ func (c *Core) Begin(src trace.Source, at clock.Time) *Execution {
 func (c *Core) Run(src trace.Source, start clock.Time) (clock.Time, Stats) {
 	e := Execution{c: c, src: src, start: start, cur: start}
 	if src != nil {
-		e.bn = trace.FillBatch(src, c.srcBuf)
+		e.bn = src.NextBatch(c.srcBuf)
 	}
 	e.StepUntil(clock.Time(^uint64(0)))
 	return e.End()
@@ -209,7 +209,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 		e.i++
 		e.bi++
 		if e.bi >= e.bn {
-			e.bn = trace.FillBatch(e.src, c.srcBuf)
+			e.bn = e.src.NextBatch(c.srcBuf)
 			e.bi = 0
 		}
 		// Dependencies pointing before the stream start are ignored: the

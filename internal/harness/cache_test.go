@@ -10,6 +10,7 @@ import (
 	"heteromem/internal/rescache"
 	"heteromem/internal/sim"
 	"heteromem/internal/systems"
+	"heteromem/internal/workload"
 )
 
 // TestExecutorCacheColdWarm is the heart of the PR: a cold sweep fills
@@ -285,5 +286,48 @@ func TestWorkloadFingerprintDistinguishes(t *testing.T) {
 	}
 	if WorkloadFingerprint(p1) == WorkloadFingerprint(p2) {
 		t.Fatal("different kernels share a fingerprint")
+	}
+}
+
+// TestExecutorKeysMatchPointKey: every key a cached sweep stores is the
+// PointKey of its cell, so a store filled by a sweep answers a
+// single-point lookup, and the reverse.
+func TestExecutorKeysMatchPointKey(t *testing.T) {
+	sysList := systems.CaseStudies()[:2]
+	kernels := QuickKernels()
+	cache, err := rescache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Executor{Par: 2, Cache: cache}.RunSystems(sysList, kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// n distinct PointKeys that all hit after exactly n stores: the
+	// stored keys are exactly these.
+	n := len(sysList) * len(kernels)
+	if st := cache.Stats(); st.Puts != uint64(n) {
+		t.Fatalf("sweep stored %d results, want %d", st.Puts, n)
+	}
+	seen := map[rescache.Key]bool{}
+	for ki, k := range kernels {
+		p, err := workload.Open(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, sys := range sysList {
+			key := PointKey(sys, p, sim.Options{})
+			seen[key] = true
+			res, ok := cache.Get(key)
+			if !ok {
+				t.Fatalf("%s/%s: PointKey %+v not in the store the sweep filled", sys.Name, k, key)
+			}
+			if want := cells[ki*len(sysList)+si].Result; res != want {
+				t.Fatalf("%s/%s: PointKey serves %+v, the sweep computed %+v", sys.Name, k, res, want)
+			}
+		}
+	}
+	if len(seen) != n {
+		t.Fatalf("%d distinct PointKeys for %d cells", len(seen), n)
 	}
 }

@@ -236,7 +236,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 		for ki, p := range programs {
 			for si := range sysList {
 				idx := ki*len(sysList) + si
-				keys[idx] = rescache.Key{Spec: specs[si], Kernel: p.Name, Workload: fps[ki]}
+				keys[idx] = cellKey(specs[si], p, fps[ki], sim.Options{})
 				at := time.Now()
 				res, ok := e.Cache.Get(keys[idx])
 				if !ok {

@@ -23,10 +23,19 @@ import (
 // memoization key: a deterministic simulator maps equal keys to equal
 // results.
 func PointKey(sys systems.System, p *workload.Program, opts sim.Options) rescache.Key {
+	return cellKey(systems.Hash(sys), p, WorkloadFingerprint(p), opts)
+}
+
+// cellKey assembles the key of simulating p with opts on the system
+// whose systems.Hash is spec, where fp is p's WorkloadFingerprint. The
+// hashes come in precomputed so a sweep hashes each system and kernel
+// once; PointKey and the executor both build their keys here, so the
+// two cannot drift apart.
+func cellKey(spec string, p *workload.Program, fp string, opts sim.Options) rescache.Key {
 	return rescache.Key{
-		Spec:     systems.Hash(sys),
+		Spec:     spec,
 		Kernel:   p.Name,
-		Workload: WorkloadFingerprint(p),
+		Workload: fp,
 		Options:  optionsFingerprint(opts),
 	}
 }

@@ -8,61 +8,24 @@ import (
 	"heteromem/internal/xlat"
 )
 
-// fastH returns a baseline hierarchy with one CPU line resident and
-// memoized: the first access misses and fills, the second hits through
-// the normal probe and installs the memo slot.
-func fastH(t *testing.T, addr uint64) (*Hierarchy, clock.Time) {
+// warmH returns a baseline hierarchy whose CPU L1 holds addr's line,
+// and the time the access that filled it completed.
+func warmH(t *testing.T, addr uint64) (*Hierarchy, clock.Time) {
 	t.Helper()
 	h := MustNew(TableII())
-	now := h.Access(CPU, addr, false, 0)
-	now = h.Access(CPU, addr, false, now)
-	return h, now
+	return h, h.Access(CPU, addr, false, 0)
 }
 
-func (h *Hierarchy) memoSlotFor(pu PU, addr uint64) *memoSlot {
-	line := h.topo.Line(addr)
-	return &h.memo[pu].slots[(line>>h.lineShift)&(memoSlots-1)]
-}
-
-func TestMemoHitMatchesL1Latency(t *testing.T) {
-	const addr = 0x4000
-	h, now := fastH(t, addr)
-	slot := h.memoSlotFor(CPU, addr)
-	if slot.gen != h.gen[CPU] || slot.line != h.topo.Line(addr) {
-		t.Fatalf("L1 hit did not install a live memo slot: slot %+v, gen %d", *slot, h.gen[CPU])
-	}
-	// The memoized access must cost exactly the L1 latency, like any
-	// other L1 hit.
-	before := h.Stats()
-	d := h.Access(CPU, addr, false, now)
-	if got, want := d.Sub(now), h.Config().CPUL1DLat; got != want {
-		t.Fatalf("memo hit took %v, want L1 latency %v", got, want)
-	}
-	after := h.Stats()
-	if after.L1Hits[CPU] != before.L1Hits[CPU]+1 || after.Accesses[CPU] != before.Accesses[CPU]+1 {
-		t.Fatalf("memo hit miscounted: before %+v after %+v", before, after)
-	}
-}
-
-func TestMemoInvalidatedOnEviction(t *testing.T) {
+// TestL1ConflictEvictionForcesMiss overruns the set of a resident line
+// with conflicting lines; the next access to it must miss its L1.
+func TestL1ConflictEvictionForcesMiss(t *testing.T) {
 	const addr = 0x0
-	h, now := fastH(t, addr)
-	gen := h.gen[CPU]
-	// Fill the line's set with conflicting lines (same set index every
-	// 4 KB in the 64-set, 8-way L1) until the memoized line is evicted.
+	h, now := warmH(t, addr)
+	// Same set index every 4 KB in the 64-set, 8-way L1.
 	cfg := h.Config().CPUL1D
 	setStride := uint64(cfg.SizeBytes) / uint64(cfg.Ways)
 	for k := 1; k <= cfg.Ways; k++ {
 		now = h.Access(CPU, addr+uint64(k)*setStride, false, now)
-	}
-	if h.gen[CPU] == gen {
-		t.Fatal("misses did not advance the generation")
-	}
-	// Memo-on-fill may have re-populated the slot with one of the
-	// conflicting lines; what must not survive is a live mapping for the
-	// evicted line itself.
-	if slot := h.memoSlotFor(CPU, addr); slot.gen == h.gen[CPU] && slot.line == h.topo.Line(addr) {
-		t.Fatal("memo slot still live for the evicted line after its set was overrun")
 	}
 	d := h.Access(CPU, addr, false, now)
 	if d.Sub(now) <= h.Config().CPUL1DLat {
@@ -70,101 +33,36 @@ func TestMemoInvalidatedOnEviction(t *testing.T) {
 	}
 }
 
-// TestMemoSurvivesSharedPush pins the per-PU generation refinement: an
-// explicit placement into the shared L3 never touches a private L1, so
-// it must NOT kill the pushing PU's memo — the next same-line access
-// still rides the fast path at exact L1-hit cost.
-func TestMemoSurvivesSharedPush(t *testing.T) {
+// TestSharedPushKeepsL1Line: an explicit placement into the shared L3
+// never touches a private L1, so a resident line still hits at exactly
+// the L1 latency afterwards.
+func TestSharedPushKeepsL1Line(t *testing.T) {
 	const addr = 0x8000
-	h, now := fastH(t, addr)
-	gen := h.gen[CPU]
+	h, now := warmH(t, addr)
 	now = h.Push(CPU, 0x100000, 4096, LevelShared, now)
-	if h.gen[CPU] != gen {
-		t.Fatal("shared push advanced the CPU generation despite leaving its L1 untouched")
-	}
-	if slot := h.memoSlotFor(CPU, addr); slot.gen != h.gen[CPU] {
-		t.Fatal("memo slot did not survive a shared-level placement")
-	}
 	d := h.Access(CPU, addr, false, now)
 	if got, want := d.Sub(now), h.Config().CPUL1DLat; got != want {
-		t.Fatalf("post-push memo hit took %v, want L1 latency %v", got, want)
+		t.Fatalf("access after a shared push took %v, want L1 latency %v", got, want)
 	}
 }
 
-// TestMemoCrossPUIsolation pins the other half of the refinement: one
-// PU's misses must not invalidate the other PU's memo.
-func TestMemoCrossPUIsolation(t *testing.T) {
+// TestOtherPUMissesKeepL1Line: one PU's misses mutate only its own
+// private caches, never the other PU's L1.
+func TestOtherPUMissesKeepL1Line(t *testing.T) {
 	const addr = 0x8000
-	h, now := fastH(t, addr)
-	gen := h.gen[CPU]
-	// A GPU miss storm mutates only GPU-side private state.
+	h, now := warmH(t, addr)
 	for k := 0; k < 64; k++ {
 		now = h.Access(GPU, 0x400000+uint64(k)*4096, false, now)
 	}
-	if h.gen[CPU] != gen {
-		t.Fatal("GPU misses advanced the CPU generation")
-	}
-	if slot := h.memoSlotFor(CPU, addr); slot.gen != h.gen[CPU] {
-		t.Fatal("CPU memo slot died under GPU-only traffic")
-	}
 	d := h.Access(CPU, addr, false, now)
 	if got, want := d.Sub(now), h.Config().CPUL1DLat; got != want {
-		t.Fatalf("memo hit after GPU traffic took %v, want L1 latency %v", got, want)
-	}
-}
-
-func TestMemoInvalidatedOnFlush(t *testing.T) {
-	const addr = 0xC000
-	h, now := fastH(t, addr)
-	h.FlushPrivate(CPU)
-	if slot := h.memoSlotFor(CPU, addr); slot.gen == h.gen[CPU] {
-		t.Fatal("memo slot survived a private-cache flush")
-	}
-	d := h.Access(CPU, addr, false, now)
-	if d.Sub(now) <= h.Config().CPUL1DLat {
-		t.Fatal("access hit a line FlushPrivate should have invalidated")
-	}
-}
-
-func TestMemoInvalidatedOnCoherenceInvalidation(t *testing.T) {
-	cfg := TableII()
-	cfg.Coherence = CoherenceDirectory
-	h := MustNew(cfg)
-	const addr = 0x1000
-	// CPU reads twice so the line is both resident and memoized.
-	now := h.Access(CPU, addr, false, 0)
-	now = h.Access(CPU, addr, false, now)
-	gen := h.gen[CPU]
-	// The GPU's write recalls the CPU's copy; the memo must go stale
-	// with it, and the CPU's next read must miss.
-	now = h.Access(GPU, addr, true, now)
-	if h.gen[CPU] == gen {
-		t.Fatal("remote invalidation did not advance the victim's generation")
-	}
-	if slot := h.memoSlotFor(CPU, addr); slot.gen == h.gen[CPU] {
-		t.Fatal("memo slot survived a cross-PU invalidation")
-	}
-	d := h.Access(CPU, addr, false, now)
-	if d.Sub(now) <= h.Config().CPUL1DLat {
-		t.Fatal("CPU read hit a copy the GPU's write should have invalidated")
-	}
-}
-
-func TestMemoResetClearsSlots(t *testing.T) {
-	const addr = 0x4000
-	h, _ := fastH(t, addr)
-	h.Reset()
-	if h.gen[CPU] != 1 || h.gen[GPU] != 1 {
-		t.Fatalf("reset generations = %v, want all 1", h.gen)
-	}
-	if slot := h.memoSlotFor(CPU, addr); *slot != (memoSlot{}) {
-		t.Fatalf("reset left memo slot %+v", *slot)
+		t.Fatalf("CPU access after GPU misses took %v, want L1 latency %v", got, want)
 	}
 }
 
 func TestL1HitPathDoesNotAllocate(t *testing.T) {
 	const addr = 0x4000
-	h, now := fastH(t, addr)
+	h, now := warmH(t, addr)
 	if n := testing.AllocsPerRun(100, func() {
 		h.Access(CPU, addr, false, now)
 	}); n != 0 {
@@ -173,7 +71,7 @@ func TestL1HitPathDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkHierarchyAccess exercises the three service tiers of a
-// single access: the L1-hit fast path, an L3 hit behind a working set
+// single access: an L1 hit, an L3 hit behind a working set
 // too large for the private levels, and an ever-cold DRAM stream.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	b.Run("l1-hit", func(b *testing.B) {
@@ -246,7 +144,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 			now = h.Access(CPU, uint64(i%lines)*64, false, now)
 		}
 	})
-	// The translation front-end on the L1-hit fast path: a warm TLB adds
+	// The translation front-end on the L1-hit path: a warm TLB adds
 	// only the probe, while an ever-cold stream of 4 KB pages walks the
 	// page table on every new page.
 	b.Run("tlb-hit", func(b *testing.B) {

@@ -14,7 +14,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"heteromem/internal/arena"
@@ -272,45 +271,13 @@ type Hierarchy struct {
 	// keeps the miss path allocation-free.
 	req memsys.Request
 
-	// Fast-path state. l1/l1Lat are each PU's first level, which Access
-	// probes itself, so an L1 hit never enters the stage chain; memo is
-	// the per-PU direct-mapped filter of recently-hit lines; gen holds
-	// one generation per PU, bumped whenever that PU's private caches
-	// mutate (its own miss or flush, or a coherence recall of its
-	// copy), so one PU's traffic no longer wipes the other PU's memo.
-	// The generation is purely a liveness filter: a live slot's way is
-	// still tag-verified (cache.HitWay) before it is trusted.
-	l1        [NumPUs]*cache.Cache
-	l1Lat     [NumPUs]clock.Duration
-	lineShift uint
-	memo      [NumPUs]lineMemo
-	gen       [memsys.NumPUs]uint64
+	// l1/l1Lat are each PU's first level, which Access probes itself,
+	// so an L1 hit never enters the stage chain.
+	l1    [NumPUs]*cache.Cache
+	l1Lat [NumPUs]clock.Duration
 
 	stats Stats // access/push counts; event counts live in env
 	obs   hierObs
-}
-
-// memoSlots is the number of direct-mapped entries in each PU's line
-// memo; a power of two so the slot index is a mask.
-const memoSlots = 256
-
-// memoSlot remembers that its line was resident in the PU's L1 at way
-// `way` while the hierarchy generation was `gen`. A slot whose
-// generation is stale is dead; a live slot's way is still verified
-// against the cache tag on use (cache.HitWay), so even a logically
-// stale slot can never corrupt timing — at worst it degenerates into
-// the ordinary L1 probe.
-type memoSlot struct {
-	line uint64
-	gen  uint64
-	way  int32
-}
-
-// lineMemo is a per-PU direct-mapped filter of recently-hit lines — a
-// way predictor for the simulated L1 that lets repeated same-line hits
-// in core replay skip even the L1 set scan.
-type lineMemo struct {
-	slots [memoSlots]memoSlot
 }
 
 // hierObs holds the hierarchy-owned observability instruments under the
@@ -430,9 +397,6 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 			return nil, err
 		}
 	}
-	for p := range h.gen {
-		h.gen[p] = 1 // zero-valued memo slots must never match
-	}
 	if err := h.buildPipelines(a); err != nil {
 		return nil, err
 	}
@@ -463,7 +427,6 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 			{h.gpuL1d},
 		},
 		Env: &h.env,
-		Gen: &h.gen,
 	}
 	h.coh = coh
 	private := [NumPUs]*memsys.PrivateStage{
@@ -493,10 +456,9 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 		}
 	}
 
-	// The fast path's first level, which the chain never probes.
+	// Each PU's first level, which Access probes before entering the chain.
 	h.l1[CPU], h.l1Lat[CPU] = h.cpuL1d, cfg.CPUL1DLat
 	h.l1[GPU], h.l1Lat[GPU] = h.gpuL1d, cfg.GPUL1DLat
-	h.lineShift = uint(bits.TrailingZeros64(uint64(cfg.L3Tile.LineBytes)))
 	return nil
 }
 
@@ -615,12 +577,6 @@ func (h *Hierarchy) Reset() {
 	h.env.Reset()
 	h.stats = Stats{}
 	h.obs.flushed = Stats{}
-	for p := range h.memo {
-		h.memo[p] = lineMemo{}
-	}
-	for p := range h.gen {
-		h.gen[p] = 1
-	}
 }
 
 // FlushObs pushes the counters accumulated since the last flush into the
@@ -674,11 +630,9 @@ func (h *Hierarchy) Directory() *coherence.Directory { return h.dir }
 // Access times a single load or store by pu to addr, starting at now, and
 // returns its completion time. Write-allocate, write-back at every level.
 //
-// An access that hits the PU's first-level cache is served here — memo
-// probe, then direct L1 lookup — without constructing a request; only a
-// first-level miss enters the stage chain. The memo arm charges the same
-// L1 latency and performs the same cache mutations as the probe arm, so
-// timing and statistics do not depend on which one serves a hit.
+// An access that hits the PU's first-level cache is served here, with
+// one Lookup and without constructing a request; only a first-level
+// miss enters the stage chain.
 func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock.Time {
 	if pu >= NumPUs {
 		panic(fmt.Sprintf("mem: access from unknown PU %d", pu))
@@ -691,43 +645,16 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 		now = h.translate(pu, addr, now)
 	}
 	line := h.topo.Line(addr)
-	slot := &h.memo[pu].slots[(line>>h.lineShift)&(memoSlots-1)]
-	if slot.gen == h.gen[pu] && slot.line == line && h.l1[pu].HitWay(addr, int(slot.way), write) {
-		h.env.L1Hits[pu]++
-		end := now.Add(h.l1Lat[pu])
-		if write {
-			end = h.coh.Apply(memsys.PU(pu), addr, line, write, end)
-			slot.gen = h.gen[pu] // re-key after a possible coherence bump
-		}
-		return end
-	}
-	if way := h.l1[pu].LookupWay(addr, write); way >= 0 {
+	if h.l1[pu].Lookup(addr, write) {
 		h.env.L1Hits[pu]++
 		end := now.Add(h.l1Lat[pu])
 		if write {
 			end = h.coh.Apply(memsys.PU(pu), addr, line, write, end)
 		}
-		*slot = memoSlot{line: line, gen: h.gen[pu], way: int32(way)}
 		return end
 	}
-	// Miss: the fill and any evictions below mutate this PU's private
-	// caches, so its memoized ways are suspect. The other PU's memo is
-	// only disturbed through the coherence stage's targeted bump.
-	h.gen[pu]++
 	h.req.Start(memsys.PU(pu), addr, line, write, now.Add(h.l1Lat[pu]))
-	end := h.chain[pu].Run(&h.req)
-	// Memo-on-fill: the commit stage reports which L1 way it installed
-	// the line into, so streaming lines touched exactly twice (common at
-	// sub-line strides) ride the fast path on their second access instead
-	// of paying a probe. The coherence stage only ever bumps the *other*
-	// PU's generation, so h.gen[pu] is still the value set above and the
-	// slot is keyed to the post-miss epoch. HitWay tag-verifies before
-	// trusting the slot, so a stale way is a wasted check, never a wrong
-	// answer.
-	if w := h.req.L1Way; w >= 0 {
-		*slot = memoSlot{line: line, gen: h.gen[pu], way: int32(w)}
-	}
-	return end
+	return h.chain[pu].Run(&h.req)
 }
 
 // translate charges addr's translation for pu, timing it into
@@ -750,11 +677,6 @@ func (h *Hierarchy) translate(pu PU, addr uint64, now clock.Time) clock.Time {
 func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock.Time) clock.Time {
 	h.stats.Pushes++
 	h.stats.PushBytes += uint64(size)
-	// No generation bump: explicit placement mutates the L3 tiles and
-	// the scratchpad, never a private L1 directly — the private-level
-	// traffic it does generate goes through Access, which maintains the
-	// generations itself. Any slot the placement happens to orphan is
-	// caught by HitWay's tag verification.
 	if size == 0 {
 		return now
 	}
@@ -804,7 +726,6 @@ func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock
 // ownership-transfer points) and returns the number of dirty lines
 // written back.
 func (h *Hierarchy) FlushPrivate(pu PU) int {
-	h.gen[pu]++ // flushed lines must drop out of the flushing PU's memo
 	// An ownership transfer remaps pages between the PUs' views, so the
 	// handover that flushes the caches also shoots down the TLB (nil-safe
 	// when the translation axis is off).

@@ -131,9 +131,9 @@ func TestChainShortCircuits(t *testing.T) {
 	// Cold: hop out (3), L3 (20), hop to the controller (3), the read
 	// (100), hop back (3), response hop (3).
 	miss := tc.run(line, false, false, 0)
-	if miss.Now != 132 || miss.L1Way < 0 || tc.mem.reads != 1 || tc.env.DRAMFills[GPU] != 1 {
-		t.Fatalf("cold miss: now=%d l1way=%d reads=%d fills=%v, want the backend at 132",
-			miss.Now, miss.L1Way, tc.mem.reads, tc.env.DRAMFills)
+	if miss.Now != 132 || tc.mem.reads != 1 || tc.env.DRAMFills[GPU] != 1 {
+		t.Fatalf("cold miss: now=%d reads=%d fills=%v, want the backend at 132",
+			miss.Now, tc.mem.reads, tc.env.DRAMFills)
 	}
 	if !tc.L3.Tiles[1].Probe(line) || !tc.l1.Probe(line) {
 		t.Fatal("the fetch must install the line into its L3 tile and L1")
@@ -142,9 +142,9 @@ func TestChainShortCircuits(t *testing.T) {
 	// A second miss to the line while the first is in flight merges at
 	// the MSHR and completes with the outstanding fill.
 	merged := tc.run(line, false, true, 1)
-	if merged.Now != miss.Now || merged.L1Way != -1 || tc.mem.reads != 1 {
-		t.Fatalf("in-flight miss: now=%d l1way=%d reads=%d, want merged at %d",
-			merged.Now, merged.L1Way, tc.mem.reads, miss.Now)
+	if merged.Now != miss.Now || tc.l1.Probe(line) || tc.mem.reads != 1 {
+		t.Fatalf("in-flight miss: now=%d l1 refilled=%v reads=%d, want merged at %d without a fill",
+			merged.Now, tc.l1.Probe(line), tc.mem.reads, miss.Now)
 	}
 
 	// Once the fill retired, the line is an L3 hit: two hops and the
@@ -206,9 +206,9 @@ func TestChainProfiledMatchesUnprofiled(t *testing.T) {
 }
 
 func TestRequestStartClearsState(t *testing.T) {
-	r := Request{L1Way: 3, Now: 99}
+	r := Request{PU: CPU, Addr: 0x40, Now: 99}
 	r.Start(GPU, 0x80, 0x80, true, 7)
-	if r != (Request{PU: GPU, Addr: 0x80, Line: 0x80, Write: true, Now: 7, L1Way: -1}) {
+	if r != (Request{PU: GPU, Addr: 0x80, Line: 0x80, Write: true, Now: 7}) {
 		t.Errorf("Start left stale state: %+v", r)
 	}
 }
@@ -318,16 +318,16 @@ func TestPrivateStageHitLevels(t *testing.T) {
 	// Cold: the L2 misses after charging its latency.
 	var r Request
 	r.Start(CPU, 0x40, 0x40, false, 2)
-	if s.Process(&r) || r.Now != 10 || r.L1Way != -1 {
-		t.Fatalf("cold access: now=%d l1way=%d, want a miss at 10", r.Now, r.L1Way)
+	if s.Process(&r) || r.Now != 10 || l1.Probe(0x40) {
+		t.Fatalf("cold access: now=%d, want a miss at 10 without an L1 fill", r.Now)
 	}
 	// Fill as the commit stage would, then evict from L1 only: the next
 	// L1 miss is an L2 hit that refills L1.
 	s.Fill(0x40, false)
 	l1.Invalidate(0x40)
 	r.Start(CPU, 0x40, 0x40, false, 2)
-	if !s.Process(&r) || r.Now != 10 || r.L1Way < 0 || !l1.Probe(0x40) {
-		t.Fatalf("L2 hit: now=%d l1way=%d, want a hit at 10 refilling L1", r.Now, r.L1Way)
+	if !s.Process(&r) || r.Now != 10 || !l1.Probe(0x40) {
+		t.Fatalf("L2 hit: now=%d, want a hit at 10 refilling L1", r.Now)
 	}
 	if env.L2Hits != 1 {
 		t.Error("L2 hit not recorded")
@@ -351,8 +351,8 @@ func TestCommitStageAllocatesAtIssueTime(t *testing.T) {
 	var r Request
 	r.Start(GPU, 0x40, 0x40, false, 0)
 	r.Now = 400 // completion after ring/L3/DRAM
-	if s.Process(&r, 10); r.Now != 400 || r.L1Way < 0 {
-		t.Fatalf("commit: now=%d l1way=%d, want 400 with an L1 fill", r.Now, r.L1Way)
+	if s.Process(&r, 10); r.Now != 400 {
+		t.Fatalf("commit: now=%d, want 400", r.Now)
 	}
 	// The entry must span [10, 400]: a later request merges with it.
 	if ready, ok := file.Outstanding(0x40, 200); !ok || ready != 400 {

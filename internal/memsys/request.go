@@ -53,16 +53,10 @@ type Request struct {
 	Line  uint64 // Addr rounded down to the cache-line base
 	Write bool
 	Now   clock.Time
-	// L1Way reports which way of the PU's L1 holds the line after the
-	// pipeline filled it (-1 when the request completed without an L1
-	// fill, e.g. an MSHR merge or a bypassed install). Callers use it to
-	// seed way memoizations without a post-fill set scan; it carries no
-	// timing information.
-	L1Way int8
 }
 
 // Start (re)initialises the request for a new access. Requests are
 // reused across accesses, so every field is rewritten here.
 func (r *Request) Start(pu PU, addr, line uint64, write bool, now clock.Time) {
-	*r = Request{PU: pu, Addr: addr, Line: line, Write: write, Now: now, L1Way: -1}
+	*r = Request{PU: pu, Addr: addr, Line: line, Write: write, Now: now}
 }

@@ -102,7 +102,7 @@ func (s *PrivateStage) Process(r *Request) bool {
 	r.Now = r.Now.Add(s.L2Lat)
 	if s.L2.Lookup(r.Addr, r.Write) {
 		s.Env.L2Hits++
-		r.L1Way = int8(s.fillInto(s.L1, r.Addr, r.Write))
+		s.fillInto(s.L1, r.Addr, r.Write)
 		return true
 	}
 	return false
@@ -110,28 +110,24 @@ func (s *PrivateStage) Process(r *Request) bool {
 
 // Fill installs the line into the PU's private levels after a shared
 // fill, notifying the directory when a line leaves the PU's domain
-// entirely. It returns the L1 way the line landed in (-1 on bypass) so
-// the caller can seed way memoizations.
-func (s *PrivateStage) Fill(addr uint64, write bool) int {
+// entirely.
+func (s *PrivateStage) Fill(addr uint64, write bool) {
 	if s.L2 != nil {
 		ev := s.L2.Fill(addr, false, false)
 		s.noteEviction(ev, s.L1)
-		return s.fillInto(s.L1, addr, write)
+		s.fillInto(s.L1, addr, write)
+		return
 	}
-	ev, way := s.L1.FillWay(addr, false, write)
-	s.noteEviction(ev, nil)
-	return way
+	s.noteEviction(s.L1.Fill(addr, false, write), nil)
 }
 
 // fillInto fills a private cache, absorbing the eviction (private-level
 // writebacks land in the level below, whose traffic the shared path
-// already dominates; we count them only). Returns the way filled.
-func (s *PrivateStage) fillInto(c *cache.Cache, addr uint64, dirty bool) int {
-	ev, way := c.FillWay(addr, false, dirty)
-	if ev.Valid && ev.Dirty {
+// already dominates; we count them only).
+func (s *PrivateStage) fillInto(c *cache.Cache, addr uint64, dirty bool) {
+	if ev := c.Fill(addr, false, dirty); ev.Valid && ev.Dirty {
 		s.Env.writeback()
 	}
-	return way
 }
 
 // noteEviction counts a private eviction and drops the line from the
@@ -288,7 +284,7 @@ type CommitStage struct {
 // shared path. The InFlight walk only runs with a live gauge, so the
 // uninstrumented path pays a single nil check.
 func (s *CommitStage) Process(r *Request, issued clock.Time) {
-	r.L1Way = int8(s.Private.Fill(r.Addr, r.Write))
+	s.Private.Fill(r.Addr, r.Write)
 	r.Now = s.File.Allocate(r.Line, issued, r.Now)
 	if g := s.Env.Obs.MSHROut[s.Private.PU]; g != nil {
 		g.Set(uint64(s.File.InFlight(issued)))
@@ -297,9 +293,9 @@ func (s *CommitStage) Process(r *Request, issued clock.Time) {
 
 // CoherenceStage prices the directory work an access requires: remote
 // copies are invalidated (and dirty ones written back) over the
-// interconnect before the access may complete. The hierarchy's L1 fast
-// path applies it on write hits and L3Stage on every shared access; it
-// is free when the directory is off or the access needs no remote work.
+// interconnect before the access may complete. The hierarchy applies
+// it on L1 write hits and L3Stage on every shared access; it is free
+// when the directory is off or the access needs no remote work.
 type CoherenceStage struct {
 	Dir  *coherence.Directory // nil = coherence off
 	Net  Interconnect
@@ -308,12 +304,6 @@ type CoherenceStage struct {
 	// directory recalls that PU's copy.
 	Caches [NumPUs][]*cache.Cache
 	Env    *Env
-	// Gen, when non-nil, points at the per-PU generations backing line
-	// memoizations (mem.Hierarchy's fast-path filter). When the stage
-	// invalidates a remote copy, it bumps the victim PU's generation so
-	// that PU's memo slots observe the mutation; the requester's own
-	// memo is untouched by a remote recall.
-	Gen *[NumPUs]uint64
 }
 
 // Directory returns the directory, or nil when coherence is off (or
@@ -342,9 +332,6 @@ func (s *CoherenceStage) Apply(pu PU, addr, line uint64, write bool, now clock.T
 	other := CPU
 	if pu == CPU {
 		other = GPU
-	}
-	if s.Gen != nil {
-		s.Gen[other]++
 	}
 	for _, c := range s.Caches[other] {
 		c.Invalidate(line)

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"heteromem/internal/addrspace"
+	"heteromem/internal/model"
 	"heteromem/internal/sim"
 	"heteromem/internal/systems"
 )
@@ -54,4 +56,70 @@ func FuzzLoadSystem(f *testing.F) {
 			t.Logf("sim.New: %v", err)
 		}
 	})
+}
+
+// FuzzLoadGrid feeds arbitrary bytes to systems.LoadGrid, seeded from
+// the shipped grid files. LoadGrid must fail with an error or return a
+// grid that, when its axis product is small enough to walk, enumerates
+// into valid, hashable points plus skipped combinations that together
+// account for the whole product.
+func FuzzLoadGrid(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/systems/*grid.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed grids: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := systems.LoadGrid(data)
+		if err != nil {
+			return
+		}
+		n := gridProduct(g)
+		if n > 5000 {
+			return
+		}
+		points, skipped := g.Enumerate()
+		if len(points)+skipped != n {
+			t.Fatalf("%d points + %d skipped != axis product %d", len(points), skipped, n)
+		}
+		for _, p := range points {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("Enumerate returned invalid point %s: %v", p.Name, err)
+			}
+			systems.Hash(p)
+		}
+	})
+}
+
+// gridProduct returns the number of combinations g.Enumerate walks,
+// counting an empty axis at its default length, or 5001 once it exceeds
+// 5000.
+func gridProduct(g systems.Grid) int {
+	n := 1
+	for _, k := range []int{
+		orDefault(len(g.Models), len(addrspace.AllModels())),
+		orDefault(len(g.Fabrics), len(systems.AllFabrics())),
+		orDefault(len(g.Protocols), len(model.AllKinds())),
+		orDefault(len(g.FaultGranularities), 1),
+		orDefault(len(g.MemTechs), 1),
+		orDefault(len(g.Translations), 1),
+	} {
+		if n *= k; n > 5000 {
+			return 5001
+		}
+	}
+	return n
+}
+
+func orDefault(n, def int) int {
+	if n == 0 {
+		return def
+	}
+	return n
 }

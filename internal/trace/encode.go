@@ -28,8 +28,8 @@ func Write(w io.Writer, s Stream) error {
 	return WriteSource(w, NewCursor(s))
 }
 
-// WriteSource serialises src to w in the binary trace format, encoding
-// one record at a time: the trace is never buffered in memory, so a
+// WriteSource serialises src to w in the binary trace format, pulling
+// it in small batches: the trace is never buffered whole in memory, so a
 // multi-million-instruction generator streams straight to disk. The
 // record count in the header is src.Len(); src must deliver exactly that
 // many instructions from its current position (a freshly opened or Reset
@@ -52,16 +52,19 @@ func WriteSource(w io.Writer, src Source) error {
 	var rec [recordBytes]byte
 	written := 0
 	if src != nil {
+		var buf [batchLen]Inst
 		for {
-			in, ok := src.Next()
-			if !ok {
+			k := src.NextBatch(buf[:])
+			if k == 0 {
 				break
 			}
-			encodeRecord(&rec, in)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
+			for _, in := range buf[:k] {
+				encodeRecord(&rec, in)
+				if _, err := bw.Write(rec[:]); err != nil {
+					return err
+				}
 			}
-			written++
+			written += k
 		}
 	}
 	if written != n {

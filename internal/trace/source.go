@@ -3,57 +3,33 @@ package trace
 import "heteromem/internal/isa"
 
 // Source is a pull-based cursor over a dynamic instruction stream. It is
-// the simulator's replay interface: cores consume instructions one at a
-// time, so a trace never needs to be materialized in memory — a Source
-// may synthesize records on demand (the workload package's kernel
+// the simulator's replay interface: cores pull instructions in batches,
+// so a trace never needs to be materialized in memory — a Source may
+// synthesize records on demand (the workload package's kernel
 // generators), decode them incrementally, or walk an in-memory Stream.
 //
 // The contract mirrors a restartable iterator:
 //
-//   - Len returns the total number of instructions the source delivers
-//     over a full pass, independent of the cursor position.
-//   - Next returns the next instruction and true, or a zero Inst and
-//     false once the pass is exhausted.
+//   - NextBatch fills dst from the cursor position and returns how many
+//     instructions it wrote, zero once the pass is exhausted. The
+//     delivered sequence does not depend on the lengths of the dst
+//     slices it is pulled into.
 //   - Reset rewinds the cursor to the first instruction; a reset source
 //     delivers the identical sequence again (deterministic replay is a
 //     core requirement for a design-space study).
+//   - Len returns the total number of instructions the source delivers
+//     over a full pass, independent of the cursor position.
 //
 // A Source is not safe for concurrent use; callers that share the
 // underlying definition across goroutines create one Source per consumer.
 type Source interface {
-	Next() (Inst, bool)
+	NextBatch(dst []Inst) int
 	Reset()
 	Len() int
 }
 
-// BatchSource is an optional extension of Source for bulk delivery:
-// NextBatch fills dst from the cursor position and returns how many
-// instructions were written (zero once exhausted). The delivered
-// sequence is identical to repeated Next calls; batching only removes
-// the per-instruction call from replay loops. Use FillBatch to consume
-// any Source through this interface.
-type BatchSource interface {
-	Source
-	NextBatch(dst []Inst) int
-}
-
-// FillBatch fills dst from src, using bulk delivery when src supports
-// it and falling back to Next otherwise. Returns the number written.
-func FillBatch(src Source, dst []Inst) int {
-	if b, ok := src.(BatchSource); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		dst[n] = in
-		n++
-	}
-	return n
-}
+// batchLen is the batch the package's own consumers pull a source in.
+const batchLen = 256
 
 // Cursor adapts an in-memory Stream to the Source interface.
 type Cursor struct {
@@ -70,16 +46,6 @@ func NewCursor(s Stream) *Cursor { return &Cursor{s: s} }
 func (c *Cursor) Bind(s Stream) *Cursor {
 	c.s, c.i = s, 0
 	return c
-}
-
-// Next returns the next instruction, or false at end of stream.
-func (c *Cursor) Next() (Inst, bool) {
-	if c.i >= len(c.s) {
-		return Inst{}, false
-	}
-	in := c.s[c.i]
-	c.i++
-	return in, true
 }
 
 // NextBatch copies up to len(dst) instructions from the cursor position.
@@ -102,14 +68,16 @@ func Materialize(src Source) Stream {
 	if src == nil {
 		return nil
 	}
-	out := make(Stream, 0, src.Len())
-	for {
-		in, ok := src.Next()
-		if !ok {
-			return out
+	out := make(Stream, src.Len())
+	n := 0
+	for n < len(out) {
+		k := src.NextBatch(out[n:])
+		if k == 0 {
+			break
 		}
-		out = append(out, in)
+		n += k
 	}
+	return out[:n]
 }
 
 // SummarizeSource computes summary statistics by streaming src from its
@@ -119,32 +87,35 @@ func SummarizeSource(src Source) Stats {
 	pcs := make(map[uint64]struct{})
 	addrs := make(map[uint64]struct{})
 	taken := 0
+	var buf [batchLen]Inst
 	for {
-		in, ok := src.Next()
-		if !ok {
+		n := src.NextBatch(buf[:])
+		if n == 0 {
 			break
 		}
-		st.Total++
-		st.ByKind[in.Kind]++
-		pcs[in.PC] = struct{}{}
-		switch {
-		case in.Kind.IsMem():
-			st.MemOps++
-			st.MemBytes += uint64(in.Size)
-			addrs[in.Addr] = struct{}{}
-		case in.Kind.IsComm():
-			st.CommOps++
-			st.CommBytes += uint64(in.Size)
-		case in.Kind == isa.Branch:
-			st.Branches++
-			if in.Taken {
-				taken++
+		for _, in := range buf[:n] {
+			st.Total++
+			st.ByKind[in.Kind]++
+			pcs[in.PC] = struct{}{}
+			switch {
+			case in.Kind.IsMem():
+				st.MemOps++
+				st.MemBytes += uint64(in.Size)
+				addrs[in.Addr] = struct{}{}
+			case in.Kind.IsComm():
+				st.CommOps++
+				st.CommBytes += uint64(in.Size)
+			case in.Kind == isa.Branch:
+				st.Branches++
+				if in.Taken {
+					taken++
+				}
+			case in.Kind == isa.Push:
+				st.PushOps++
 			}
-		case in.Kind == isa.Push:
-			st.PushOps++
-		}
-		if in.Kind.IsSIMD() {
-			st.SIMDOps++
+			if in.Kind.IsSIMD() {
+				st.SIMDOps++
+			}
 		}
 	}
 	if st.Branches > 0 {

@@ -31,22 +31,27 @@ func TestCursorWalksStream(t *testing.T) {
 	if c.Len() != 17 {
 		t.Fatalf("Len = %d, want 17", c.Len())
 	}
-	for i, want := range s {
-		got, ok := c.Next()
-		if !ok || got != want {
-			t.Fatalf("inst %d: got %+v ok=%v, want %+v", i, got, ok, want)
-		}
+	// Uneven batches: a short one, one that ends mid-stream, and one
+	// with more room than the rest of the stream.
+	var got Stream
+	for _, size := range []int{1, 7, 32} {
+		dst := make([]Inst, size)
+		got = append(got, dst[:c.NextBatch(dst)]...)
 	}
-	if _, ok := c.Next(); ok {
-		t.Fatal("Next past end returned ok")
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("batches delivered %v, want %v", got, s)
+	}
+	if n := c.NextBatch(make([]Inst, 4)); n != 0 {
+		t.Fatalf("NextBatch past end delivered %d", n)
 	}
 	// Len is the total, not the remainder.
 	if c.Len() != 17 {
 		t.Fatalf("Len after drain = %d, want 17", c.Len())
 	}
 	c.Reset()
-	if in, ok := c.Next(); !ok || in != s[0] {
-		t.Fatalf("after Reset: got %+v ok=%v", in, ok)
+	var first [1]Inst
+	if n := c.NextBatch(first[:]); n != 1 || first[0] != s[0] {
+		t.Fatalf("after Reset: got %+v (n=%d)", first[0], n)
 	}
 }
 
@@ -100,12 +105,13 @@ func TestWriteSourceMatchesWrite(t *testing.T) {
 // shortSource under-delivers against its declared Len.
 type shortSource struct{ n, given int }
 
-func (s *shortSource) Next() (Inst, bool) {
-	if s.given >= s.n-1 {
-		return Inst{}, false
+func (s *shortSource) NextBatch(dst []Inst) int {
+	k := min(len(dst), s.n-1-s.given)
+	for i := range dst[:k] {
+		dst[i] = Inst{Kind: isa.ALU}
 	}
-	s.given++
-	return Inst{Kind: isa.ALU}, true
+	s.given += k
+	return k
 }
 func (s *shortSource) Reset()   { s.given = 0 }
 func (s *shortSource) Len() int { return s.n }

@@ -90,9 +90,9 @@ func (p *genParams) source() *bodySource {
 
 // bodySource is a restartable trace.Source that synthesizes the loop
 // body's dynamic stream on demand: iterations are generated one at a time
-// into a fixed buffer and handed out instruction by instruction, exactly
-// n of them — the final iteration is truncated mid-body just as the
-// materialized form is. Memory use is O(1) in the stream length.
+// and handed out in batches, exactly n instructions — the final
+// iteration is truncated mid-body. Memory use is O(1) in the stream
+// length.
 type bodySource struct {
 	p   *genParams
 	g   gen
@@ -120,42 +120,28 @@ func (s *bodySource) Reset() {
 // Len returns the total instruction count the source delivers.
 func (s *bodySource) Len() int { return s.p.n }
 
-// Next synthesizes and returns the next instruction.
-func (s *bodySource) Next() (trace.Inst, bool) {
-	if s.pos >= s.p.n {
-		return trace.Inst{}, false
-	}
-	if s.bi >= s.g.n {
-		s.g.n = 0
-		s.bi = 0
-		s.p.body(&s.g)
-		s.g.iter++
-		if s.g.n == 0 {
-			panic("workload: loop body emitted nothing")
-		}
-	}
-	in := s.g.out[s.bi]
-	s.bi++
-	s.pos++
-	return in, true
-}
-
 // NextBatch fills up to len(dst) instructions into dst, regenerating
-// loop iterations as needed. The delivered sequence is exactly Next's;
-// the bulk form exists so replay loops avoid an interface call per
-// instruction. While dst has at least a full iteration of room, the
+// loop iterations as needed; the sequence does not depend on the batch
+// lengths. While dst has at least a full iteration of room, the
 // generator's scratch is pointed directly at dst, so the body's appends
-// land in place and the per-iteration copy disappears.
+// land in place and the per-iteration copy disappears; the rest of an
+// iteration that did not fit waits in the scratch buffer for the next
+// call.
 func (s *bodySource) NextBatch(dst []trace.Inst) int {
 	if rem := s.p.n - s.pos; len(dst) > rem {
 		dst = dst[:rem]
 	}
 	n := 0
-	// Drain whatever is left of the current iteration first.
+	// Drain whatever is left of the current iteration first. When that
+	// fills dst, the rest of the iteration stays buffered for the next
+	// call.
 	if s.bi < s.g.n {
-		c := copy(dst, s.g.out[s.bi:s.g.n])
-		s.bi += c
-		n = c
+		n = copy(dst, s.g.out[s.bi:s.g.n])
+		s.bi += n
+		if n == len(dst) {
+			s.pos += n
+			return n
+		}
 	}
 	// Emit whole iterations straight into dst.
 	for len(dst)-n >= bodyBufCap {
