@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"heteromem/internal/clock"
-	"heteromem/internal/config"
 	"heteromem/internal/energy"
 	"heteromem/internal/harness"
 	"heteromem/internal/locality"
@@ -59,6 +58,10 @@ func main() {
 	flag.Parse()
 	defer prof.Start()()
 
+	intervalPS, err := harness.CheckFlags(*intervalCycles, *hostprofEvery, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	observing := *traceOut != "" || *intervalOut != "" || *metricsOut != "" ||
 		*serveAddr != "" || *hostprofEvery > 0
 	if (*traceOut != "" || *intervalOut != "" || *metricsOut != "") && *all {
@@ -89,7 +92,6 @@ func main() {
 	}
 
 	var p *workload.Program
-	var err error
 	if *program != "" {
 		f, err := os.Open(*program)
 		if err != nil {
@@ -138,11 +140,10 @@ func main() {
 		reg = obs.NewRegistry()
 		opts.Metrics = reg
 		if *intervalOut != "" {
-			cyclePS := uint64(config.BaselineCPU().Domain().PeriodPS())
-			if *intervalCycles == 0 {
+			if intervalPS == 0 {
 				log.Fatal("-interval-cycles must be positive")
 			}
-			sampler = obs.NewSampler(reg, *intervalCycles*cyclePS)
+			sampler = obs.NewSampler(reg, intervalPS)
 			opts.Sampler = sampler
 		}
 		if *traceOut != "" {

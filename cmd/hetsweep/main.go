@@ -75,10 +75,11 @@ func main() {
 	flag.Parse()
 	defer prof.Start()()
 
-	var cache *rescache.Store
-	if *cacheVerify < 0 || *cacheVerify > 1 {
-		log.Fatalf("-cache-verify %v: fraction must be in [0, 1]", *cacheVerify)
+	intervalPS, err := harness.CheckFlags(*intervalCycles, *hostprofEvery, *cacheVerify)
+	if err != nil {
+		log.Fatal(err)
 	}
+	var cache *rescache.Store
 	if *cacheDir != "" {
 		var err error
 		if cache, err = rescache.Open(*cacheDir); err != nil {
@@ -98,7 +99,7 @@ func main() {
 
 	obsRun, err := setupObservability(observeConfig{
 		OutDir: *outDir, ServeAddr: *serveAddr,
-		IntervalCycles: *intervalCycles, HostProfEvery: *hostprofEvery,
+		IntervalPS: intervalPS, HostProfEvery: *hostprofEvery,
 		Par: *par, Cache: cache,
 	})
 	if err != nil {

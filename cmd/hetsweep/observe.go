@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"heteromem/internal/config"
 	"heteromem/internal/harness"
 	"heteromem/internal/obs"
 	"heteromem/internal/rescache"
@@ -18,11 +17,11 @@ import (
 
 // observeConfig is the observability slice of hetsweep's flags.
 type observeConfig struct {
-	OutDir         string
-	ServeAddr      string
-	IntervalCycles uint64
-	HostProfEvery  int
-	Par            int
+	OutDir        string
+	ServeAddr     string
+	IntervalPS    uint64
+	HostProfEvery int
+	Par           int
 	// Cache is the sweep's result cache, reported in the manifest.
 	Cache *rescache.Store
 }
@@ -73,9 +72,8 @@ func setupObservability(cfg observeConfig) (*observedRun, error) {
 		r.tracer = obs.NewTracer()
 		r.obs.Ledger = led
 		r.obs.Trace = r.tracer
-		if cfg.IntervalCycles > 0 {
-			cyclePS := uint64(config.BaselineCPU().Domain().PeriodPS())
-			r.obs.IntervalPS = cfg.IntervalCycles * cyclePS
+		if cfg.IntervalPS > 0 {
+			r.obs.IntervalPS = cfg.IntervalPS
 			r.obs.IntervalDir = filepath.Join(cfg.OutDir, "intervals")
 		}
 	}

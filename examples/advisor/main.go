@@ -86,10 +86,11 @@ func main() {
 				now = stage.Translate(cfg.pu, a, now)
 			}
 		}
-		missRate := float64(stage.Misses(cfg.pu)) / float64(stage.Lookups(cfg.pu))
+		st := stage.Stats()
+		missRate := float64(st.Misses[cfg.pu]) / float64(st.Lookups[cfg.pu])
 		fmt.Printf("%-16s %v: miss rate %.4f, %v walking page tables, over a %dMB stream\n",
 			cfg.label, stage.TLB[cfg.pu], missRate,
-			report.Dur(clock.Duration(stage.WalkPS(cfg.pu))), stream>>20)
+			report.Dur(clock.Duration(st.WalkPS[cfg.pu])), stream>>20)
 	}
 	fmt.Println("\nLarge GPU pages collapse the TLB miss rate — and the page-walk time")
 	fmt.Println("behind it — on streams: one of the hardware options a per-PU memory")

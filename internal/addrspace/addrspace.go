@@ -198,30 +198,18 @@ type Space struct {
 	// fault modeling (LRB's lib-pf).
 	touched [mem.NumPUs]map[uint64]bool
 	stats   Stats
-	obs     spaceObs
 }
 
-// spaceObs holds the space's observability instruments under the
-// addrspace.* namespace; nil instruments make every bump a no-op.
-type spaceObs struct {
-	allocs           *obs.Counter
-	frees            *obs.Counter
-	mapUpdates       [mem.NumPUs]*obs.Counter
-	ownershipChanges *obs.Counter
-	firstTouchFaults *obs.Counter
-}
-
-// Instrument registers the space's metrics (addrspace.*) with reg. A nil
-// registry detaches the instruments.
-func (s *Space) Instrument(reg *obs.Registry) {
-	s.obs = spaceObs{
-		allocs:           reg.Counter("addrspace.allocs"),
-		frees:            reg.Counter("addrspace.frees"),
-		ownershipChanges: reg.Counter("addrspace.ownership_changes"),
-		firstTouchFaults: reg.Counter("addrspace.first_touch_faults"),
-	}
-	s.obs.mapUpdates[mem.CPU] = reg.Counter("addrspace.map_updates.cpu")
-	s.obs.mapUpdates[mem.GPU] = reg.Counter("addrspace.map_updates.gpu")
+// Instrument binds the space's counts into b as registry counters under
+// addrspace.*. The owner of b flushes it, and rebases it after resetting
+// the space.
+func (s *Space) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "addrspace.allocs", &s.stats.Allocs)
+	b.Bind(reg, "addrspace.frees", &s.stats.Frees)
+	b.Bind(reg, "addrspace.ownership_changes", &s.stats.OwnershipChanges)
+	b.Bind(reg, "addrspace.first_touch_faults", &s.stats.FirstTouchFaults)
+	b.Bind(reg, "addrspace.map_updates.cpu", &s.stats.MapUpdates[mem.CPU])
+	b.Bind(reg, "addrspace.map_updates.gpu", &s.stats.MapUpdates[mem.GPU])
 }
 
 // New returns an empty space under the given model with the given page
@@ -358,14 +346,12 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	o := Object{Base: base, Size: size, Region: r}
 	s.objects = append(s.objects, o)
 	s.stats.Allocs++
-	s.obs.allocs.Inc()
 	for _, pu := range s.mappedPUs(r) {
 		for p := uint64(0); p < pages; p++ {
 			vpn := (base + p*s.pageSize) / s.pageSize
 			s.pt[pu][vpn] = s.nextFrame[pu]
 			s.nextFrame[pu]++
 			s.stats.MapUpdates[pu]++
-			s.obs.mapUpdates[pu].Inc()
 		}
 	}
 	if s.model == PartiallyShared && r == Shared {
@@ -394,12 +380,10 @@ func (s *Space) Free(o Object) error {
 			vpn := (o.Base + p*s.pageSize) / s.pageSize
 			delete(s.pt[pu], vpn)
 			s.stats.MapUpdates[pu]++
-			s.obs.mapUpdates[pu].Inc()
 		}
 	}
 	delete(s.owner, o.Base)
 	s.stats.Frees++
-	s.obs.frees.Inc()
 	return nil
 }
 
@@ -479,7 +463,6 @@ func (s *Space) Acquire(pu mem.PU, o Object) error {
 	if s.owner[o.Base] != pu {
 		s.owner[o.Base] = pu
 		s.stats.OwnershipChanges++
-		s.obs.ownershipChanges.Inc()
 	}
 	return nil
 }
@@ -499,7 +482,6 @@ func (s *Space) Release(pu mem.PU, o Object) error {
 	}
 	delete(s.owner, o.Base)
 	s.stats.OwnershipChanges++
-	s.obs.ownershipChanges.Inc()
 	return nil
 }
 
@@ -522,7 +504,6 @@ func (s *Space) Touch(pu mem.PU, addr uint64) bool {
 	}
 	s.touched[pu][page] = true
 	s.stats.FirstTouchFaults++
-	s.obs.firstTouchFaults.Inc()
 	return true
 }
 

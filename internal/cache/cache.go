@@ -158,11 +158,7 @@ type Cache struct {
 	lineShift uint
 	tick      uint64
 	stats     Stats
-	obs       cacheObs
-	// flushed is the stats snapshot at the last FlushObs: the obs
-	// instruments are advanced by the delta, not bumped per event.
-	flushed Stats
-	maxExpl int
+	maxExpl   int
 }
 
 // chunk holds the metadata of up to chunkSets consecutive sets.
@@ -195,37 +191,14 @@ func (ch *chunk) clear() {
 	clear(ch.explicit)
 }
 
-// cacheObs holds the cache's observability instruments; nil (the
-// default) instruments make every bump a no-op.
-type cacheObs struct {
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-}
-
-// Instrument registers the cache's hit/miss/eviction counters with reg
-// under the given prefix (e.g. "mem.cpu.l1d" yields
-// "mem.cpu.l1d.hits"). A nil registry detaches the instruments. The
-// counters are advanced in batches (FlushObs), starting from the
-// cache's state at registration.
-func (c *Cache) Instrument(reg *obs.Registry, prefix string) {
-	c.obs = cacheObs{
-		hits:      reg.Counter(prefix + ".hits"),
-		misses:    reg.Counter(prefix + ".misses"),
-		evictions: reg.Counter(prefix + ".evictions"),
-	}
-	c.flushed = c.stats
-}
-
-// FlushObs pushes counter growth since the previous flush into the
-// registered instruments. Batching keeps the lookup hot path free of
-// per-event instrument traffic; totals at flush points are identical
-// to per-event bumping.
-func (c *Cache) FlushObs() {
-	c.obs.hits.Add(c.stats.Hits - c.flushed.Hits)
-	c.obs.misses.Add(c.stats.Misses - c.flushed.Misses)
-	c.obs.evictions.Add(c.stats.Evictions - c.flushed.Evictions)
-	c.flushed = c.stats
+// Instrument binds the cache's hit/miss/eviction counts into b as
+// registry counters under the given prefix (e.g. "mem.cpu.l1d" yields
+// "mem.cpu.l1d.hits"). The owner of b flushes it, and rebases it after
+// resetting the cache.
+func (c *Cache) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) {
+	b.Bind(reg, prefix+".hits", &c.stats.Hits)
+	b.Bind(reg, prefix+".misses", &c.stats.Misses)
+	b.Bind(reg, prefix+".evictions", &c.stats.Evictions)
 }
 
 // New returns a cache with the given configuration.
@@ -478,7 +451,6 @@ func (c *Cache) Reset() {
 	}
 	c.tick = 0
 	c.stats = Stats{}
-	c.flushed = Stats{}
 }
 
 // Invalidate removes the line containing addr if present, reporting

@@ -37,11 +37,11 @@ type Fabric interface {
 	Launch() clock.Duration
 	// Stats returns cumulative transfer counters.
 	Stats() Stats
-	// Instrument registers the fabric's metrics (comm.*) with reg; a nil
-	// registry detaches them.
-	Instrument(reg *obs.Registry)
+	// Instrument binds the fabric's counts into b as registry counters
+	// under comm.*.
+	Instrument(b *obs.Batch, reg *obs.Registry)
 	// Reset returns the fabric to its just-constructed state (idle link,
-	// zeroed statistics), keeping any instruments wired.
+	// zeroed statistics).
 	Reset()
 }
 
@@ -52,27 +52,12 @@ type Stats struct {
 	Busy      clock.Duration
 }
 
-// fabObs holds a fabric's observability instruments under the comm.*
-// namespace; nil instruments make every bump a no-op. All fabric kinds
-// share the same metric names — a simulator has exactly one fabric.
-type fabObs struct {
-	transfers *obs.Counter
-	bytes     *obs.Counter
-	busyPS    *obs.Counter
-}
-
-func newFabObs(reg *obs.Registry) fabObs {
-	return fabObs{
-		transfers: reg.Counter("comm.transfers"),
-		bytes:     reg.Counter("comm.bytes"),
-		busyPS:    reg.Counter("comm.busy_ps"),
-	}
-}
-
-func (o *fabObs) record(bytes uint64, busy clock.Duration) {
-	o.transfers.Inc()
-	o.bytes.Add(bytes)
-	o.busyPS.Add(uint64(busy))
+// bind ties the counts to registry counters under comm.*. Every fabric
+// kind binds the same names: a simulator has exactly one fabric.
+func (s *Stats) bind(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "comm.transfers", &s.Transfers)
+	b.Bind(reg, "comm.bytes", &s.Bytes)
+	b.Bind(reg, "comm.busy_ps", (*uint64)(&s.Busy))
 }
 
 // PCIe is the PCI-E 2.0 fabric: each transfer pays the api-pci base
@@ -83,7 +68,6 @@ type PCIe struct {
 	link   *clock.Resource
 	async  bool
 	stats  Stats
-	obs    fabObs
 }
 
 // NewPCIe returns a PCI-E fabric with Table IV costs. async selects the
@@ -118,7 +102,7 @@ func (p *PCIe) Launch() clock.Duration {
 func (p *PCIe) Stats() Stats { return p.stats }
 
 // Instrument implements Fabric.
-func (p *PCIe) Instrument(reg *obs.Registry) { p.obs = newFabObs(reg) }
+func (p *PCIe) Instrument(b *obs.Batch, reg *obs.Registry) { p.stats.bind(b, reg) }
 
 // Reset implements Fabric.
 func (p *PCIe) Reset() {
@@ -136,7 +120,6 @@ func (p *PCIe) Transfer(bytes uint64, now clock.Time) clock.Time {
 	p.stats.Transfers++
 	p.stats.Bytes += bytes
 	p.stats.Busy += ser
-	p.obs.record(bytes, ser)
 	return done
 }
 
@@ -148,7 +131,6 @@ type Aperture struct {
 	params config.CommParams
 	link   *clock.Resource
 	stats  Stats
-	obs    fabObs
 }
 
 // NewAperture returns a PCI-aperture fabric with Table IV costs.
@@ -170,7 +152,7 @@ func (a *Aperture) Launch() clock.Duration { return 0 }
 func (a *Aperture) Stats() Stats { return a.stats }
 
 // Instrument implements Fabric.
-func (a *Aperture) Instrument(reg *obs.Registry) { a.obs = newFabObs(reg) }
+func (a *Aperture) Instrument(b *obs.Batch, reg *obs.Registry) { a.stats.bind(b, reg) }
 
 // Reset implements Fabric.
 func (a *Aperture) Reset() {
@@ -186,7 +168,6 @@ func (a *Aperture) Transfer(bytes uint64, now clock.Time) clock.Time {
 	a.stats.Transfers++
 	a.stats.Bytes += bytes
 	a.stats.Busy += ser
-	a.obs.record(bytes, ser)
 	return done
 }
 
@@ -197,7 +178,6 @@ func (a *Aperture) Transfer(bytes uint64, now clock.Time) clock.Time {
 type MemController struct {
 	ctrl  *dram.Controller
 	stats Stats
-	obs   fabObs
 }
 
 // NewMemController returns a memory-controller fabric backed by ctrl.
@@ -219,7 +199,7 @@ func (m *MemController) Launch() clock.Duration { return 0 }
 func (m *MemController) Stats() Stats { return m.stats }
 
 // Instrument implements Fabric.
-func (m *MemController) Instrument(reg *obs.Registry) { m.obs = newFabObs(reg) }
+func (m *MemController) Instrument(b *obs.Batch, reg *obs.Registry) { m.stats.bind(b, reg) }
 
 // Reset implements Fabric: the controller belongs to the hierarchy,
 // which resets it; only the fabric's own counters clear here.
@@ -232,7 +212,6 @@ func (m *MemController) Transfer(bytes uint64, now clock.Time) clock.Time {
 	m.stats.Transfers++
 	m.stats.Bytes += bytes
 	m.stats.Busy += done.Sub(now)
-	m.obs.record(bytes, done.Sub(now))
 	return done
 }
 
@@ -240,7 +219,6 @@ func (m *MemController) Transfer(bytes uint64, now clock.Time) clock.Time {
 // experiment.
 type Ideal struct {
 	stats Stats
-	obs   fabObs
 }
 
 // NewIdeal returns an ideal fabric.
@@ -259,7 +237,7 @@ func (i *Ideal) Launch() clock.Duration { return 0 }
 func (i *Ideal) Stats() Stats { return i.stats }
 
 // Instrument implements Fabric.
-func (i *Ideal) Instrument(reg *obs.Registry) { i.obs = newFabObs(reg) }
+func (i *Ideal) Instrument(b *obs.Batch, reg *obs.Registry) { i.stats.bind(b, reg) }
 
 // Reset implements Fabric.
 func (i *Ideal) Reset() { i.stats = Stats{} }
@@ -268,7 +246,6 @@ func (i *Ideal) Reset() { i.stats = Stats{} }
 func (i *Ideal) Transfer(bytes uint64, now clock.Time) clock.Time {
 	i.stats.Transfers++
 	i.stats.Bytes += bytes
-	i.obs.record(bytes, 0)
 	return now
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRunAllocBudget pins the replay hot path at zero heap allocations
-// per Run: the Execution lives on the caller's stack and instructions are
+// per Run: the core reuses its one Execution and instructions are
 // pulled through a reused cursor, so replay cost is independent of trace
 // length. A regression here silently reintroduces O(N)-alloc replays.
 func TestRunAllocBudget(t *testing.T) {

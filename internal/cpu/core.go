@@ -58,46 +58,37 @@ type Core struct {
 	pred   *bpred.Gshare
 	memory Memory
 	comm   CommCoster
-	obs    coreObs
+
+	// exec is the live Execution: Begin and Run reuse it, so a replay
+	// allocates nothing and obs binds its statistics once.
+	exec Execution
+	// obs carries exec's statistics into the registry (cpu.*); the
+	// replay loop bumps only the plain fields.
+	obs      obs.Batch
+	memLatPS *obs.Histogram
 
 	// completion and retire rings must cover both the ROB window and the
 	// maximum trace dependency distance (uint16).
 	comp   []clock.Time
 	retire []clock.Time
-	// srcBuf is the lookahead batch shared by the core's Executions (one
-	// is live at a time); it lives here so starting a replay allocates
-	// nothing.
+	// srcBuf is the lookahead batch of the live Execution; it lives here
+	// so starting a replay allocates nothing.
 	srcBuf []trace.Inst
 }
 
-// coreObs holds the core's observability instruments under the cpu.*
-// namespace. All fields are nil until Instrument is called, and every
-// bump on a nil instrument is a no-op, so the uninstrumented hot path
-// pays one predictable branch per bump.
-type coreObs struct {
-	instructions *obs.Counter
-	branches     *obs.Counter
-	mispredicts  *obs.Counter
-	memOps       *obs.Counter
-	commOps      *obs.Counter
-	pushOps      *obs.Counter
-	commTimePS   *obs.Counter
-	memLatPS     *obs.Histogram
-}
-
-// Instrument registers the core's metrics (cpu.*) with reg and routes the
-// hot-path bumps to them. A nil registry detaches the instruments.
+// Instrument binds the core's statistics (cpu.*) into the registry and
+// registers its load-latency histogram. A nil registry detaches them.
 func (c *Core) Instrument(reg *obs.Registry) {
-	c.obs = coreObs{
-		instructions: reg.Counter("cpu.instructions"),
-		branches:     reg.Counter("cpu.branches"),
-		mispredicts:  reg.Counter("cpu.mispredicts"),
-		memOps:       reg.Counter("cpu.memops"),
-		commOps:      reg.Counter("cpu.commops"),
-		pushOps:      reg.Counter("cpu.pushops"),
-		commTimePS:   reg.Counter("cpu.commtime_ps"),
-		memLatPS:     reg.Histogram("cpu.memlat_ps"),
-	}
+	c.obs = obs.Batch{}
+	st := &c.exec.stats
+	c.obs.Bind(reg, "cpu.instructions", &st.Instructions)
+	c.obs.Bind(reg, "cpu.branches", &st.Branches)
+	c.obs.Bind(reg, "cpu.mispredicts", &st.Mispredicts)
+	c.obs.Bind(reg, "cpu.memops", &st.MemOps)
+	c.obs.Bind(reg, "cpu.commops", &st.CommOps)
+	c.obs.Bind(reg, "cpu.pushops", &st.PushOps)
+	c.obs.Bind(reg, "cpu.commtime_ps", (*uint64)(&st.CommTime))
+	c.memLatPS = reg.Histogram("cpu.memlat_ps")
 }
 
 const ringSize = 1 << 16
@@ -144,8 +135,9 @@ func (c *Core) Domain() *clock.Domain { return c.dom }
 // Execution is an in-progress replay of one instruction source. It lets
 // the simulator co-simulate two cores by alternately advancing whichever
 // is behind in simulated time, so their memory traffic interleaves on
-// shared resources in time order. A core supports one live Execution at
-// a time (the completion rings are per-core).
+// shared resources in time order. A core has one live Execution: Begin
+// and Run restart it, so an Execution is valid until the core's next
+// Begin or Run.
 //
 // The execution keeps a lookahead batch pulled from the source (refilled
 // the moment it drains), so Done is accurate the moment the last
@@ -166,23 +158,20 @@ type Execution struct {
 	maxComp    clock.Time // latest completion seen (for barriers/drain)
 	lastRetire clock.Time
 	stats      Stats
-	// flushed is the Stats snapshot at the last FlushObs; the replay loop
-	// bumps only the plain stats fields and the instruments advance by the
-	// delta at flush points, keeping instrument calls off the hot path.
-	flushed Stats
 	// memLat accumulates load-latency observations between flushes; it
 	// only fills when a latency histogram is registered.
 	memLat obs.HistAccum
 }
 
-// Begin starts replaying the source at time at. A nil source is an empty
-// execution.
+// Begin starts replaying the source at time at, ending the core's
+// previous Execution. A nil source is an empty execution.
 func (c *Core) Begin(src trace.Source, at clock.Time) *Execution {
-	e := &Execution{c: c, src: src, start: at, cur: at}
+	c.exec = Execution{c: c, src: src, start: at, cur: at}
+	c.obs.Rebase()
 	if src != nil {
-		e.bn = src.NextBatch(c.srcBuf)
+		c.exec.bn = src.NextBatch(c.srcBuf)
 	}
-	return e
+	return &c.exec
 }
 
 // Run replays the source starting at start to completion and returns the
@@ -191,10 +180,7 @@ func (c *Core) Begin(src trace.Source, at clock.Time) *Execution {
 // across calls (warm predictor), ring state does not need clearing
 // because every slot is written before it is read within a run.
 func (c *Core) Run(src trace.Source, start clock.Time) (clock.Time, Stats) {
-	e := Execution{c: c, src: src, start: start, cur: start}
-	if src != nil {
-		e.bn = src.NextBatch(c.srcBuf)
-	}
+	e := c.Begin(src, start)
 	e.StepUntil(clock.Time(^uint64(0)))
 	return e.End()
 }
@@ -265,7 +251,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 		case in.Kind == isa.Load:
 			e.stats.MemOps++
 			done = c.memory.Access(mem.CPU, in.Addr, false, ready)
-			if c.obs.memLatPS != nil {
+			if c.memLatPS != nil {
 				e.memLat.Observe(uint64(done.Sub(ready)))
 			}
 		case in.Kind == isa.Store:
@@ -335,29 +321,20 @@ func (e *Execution) End() (clock.Time, Stats) {
 	if !e.Done() {
 		panic("cpu: End called on unfinished execution")
 	}
-	e.FlushObs()
+	e.c.FlushObs()
 	end := clock.Max(e.cur, e.maxComp)
 	st := e.stats
 	st.Duration = end.Sub(e.start)
 	return end, st
 }
 
-// FlushObs pushes the statistics accumulated since the previous flush
-// into the core's instruments. The co-simulation loop calls it before
-// each interval sample; End flushes the tail, so registry totals match
-// per-event bumping exactly. A no-op on an uninstrumented core (every
-// instrument is nil-safe).
-func (e *Execution) FlushObs() {
-	c, st, fl := e.c, &e.stats, &e.flushed
-	c.obs.instructions.Add(st.Instructions - fl.Instructions)
-	c.obs.branches.Add(st.Branches - fl.Branches)
-	c.obs.mispredicts.Add(st.Mispredicts - fl.Mispredicts)
-	c.obs.memOps.Add(st.MemOps - fl.MemOps)
-	c.obs.commOps.Add(st.CommOps - fl.CommOps)
-	c.obs.pushOps.Add(st.PushOps - fl.PushOps)
-	c.obs.commTimePS.Add(uint64(st.CommTime - fl.CommTime))
-	c.obs.memLatPS.Merge(&e.memLat)
-	e.flushed = *st
+// FlushObs carries the live Execution's statistics accumulated since the
+// previous flush into the registry. The simulator calls it before every
+// interval sample and End flushes the tail, so registry totals match the
+// returned statistics exactly. A no-op on an uninstrumented core.
+func (c *Core) FlushObs() {
+	c.obs.Flush()
+	c.memLatPS.Merge(&c.exec.memLat)
 }
 
 func pushLevel(l uint8) mem.Level {

@@ -154,7 +154,8 @@ type Controller struct {
 	cfg      Config
 	channels []channel
 	stats    Stats
-	obs      ctrlObs
+	// bytes is the data moved: one line per serviced request.
+	bytes uint64
 
 	// Scratch buffers reused across SubmitBatch/TransferTime calls so
 	// batch scheduling allocates nothing in steady state: doneBuf backs
@@ -165,33 +166,18 @@ type Controller struct {
 	sched   batchIndex
 }
 
-// ctrlObs holds the controller's observability instruments under the
-// dram.* namespace; nil instruments make every bump a no-op.
-type ctrlObs struct {
-	requests  *obs.Counter
-	rowHits   *obs.Counter
-	rowMisses *obs.Counter
-	bytes     *obs.Counter
-}
-
-// Instrument registers the controller's metrics (dram.*) with reg. The
-// dram.bytes counter advances by one line per serviced request, so
-// per-epoch deltas divided by the epoch length give achieved bandwidth.
-// A nil registry detaches the instruments.
-func (c *Controller) Instrument(reg *obs.Registry) {
-	c.InstrumentPrefix(reg, "dram")
-}
-
-// InstrumentPrefix is Instrument under a caller-chosen namespace, for
-// controllers embedded in another device (an HBM stack registers its
-// banked-controller metrics as memtech.hbm.*).
-func (c *Controller) InstrumentPrefix(reg *obs.Registry, prefix string) {
-	c.obs = ctrlObs{
-		requests:  reg.Counter(prefix + ".requests"),
-		rowHits:   reg.Counter(prefix + ".row_hits"),
-		rowMisses: reg.Counter(prefix + ".row_misses"),
-		bytes:     reg.Counter(prefix + ".bytes"),
-	}
+// Instrument binds the controller's counts into b as registry counters
+// under prefix: "dram" for the hierarchy's DDR3 controllers, and the
+// device's own namespace for a controller embedded in another device (an
+// HBM stack registers memtech.hbm.*). The prefix.bytes counter advances
+// by one line per serviced request, so per-epoch deltas divided by the
+// epoch length give achieved bandwidth. The owner of b flushes it, and
+// rebases it after resetting the controller.
+func (c *Controller) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) {
+	b.Bind(reg, prefix+".requests", &c.stats.Requests)
+	b.Bind(reg, prefix+".row_hits", &c.stats.RowHits)
+	b.Bind(reg, prefix+".row_misses", &c.stats.RowMisses)
+	b.Bind(reg, prefix+".bytes", &c.bytes)
 }
 
 // New returns a controller with all banks closed.
@@ -268,8 +254,7 @@ func (c *Controller) service(addr uint64, at clock.Time) clock.Time {
 func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time) clock.Time {
 	bk := &ch.banks[bkIdx]
 	c.stats.Requests++
-	c.obs.requests.Inc()
-	c.obs.bytes.Add(uint64(c.cfg.LineBytes))
+	c.bytes += uint64(c.cfg.LineBytes)
 
 	start := clock.Max(at, bk.busy)
 	var access, occupancy clock.Duration
@@ -279,12 +264,10 @@ func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time
 	}
 	if bk.rowValid && bk.openRow == row {
 		c.stats.RowHits++
-		c.obs.rowHits.Inc()
 		access = c.cfg.TCAS
 		occupancy = ccd
 	} else {
 		c.stats.RowMisses++
-		c.obs.rowMisses.Inc()
 		if bk.rowValid {
 			access = c.cfg.TRP + c.cfg.TRCD + c.cfg.TCAS
 			occupancy = c.cfg.TRP + c.cfg.TRCD + ccd
@@ -559,4 +542,5 @@ func (c *Controller) Reset() {
 		c.channels[i].bus.Reset()
 	}
 	c.stats = Stats{}
+	c.bytes = 0
 }

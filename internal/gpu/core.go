@@ -58,45 +58,36 @@ type Core struct {
 	// accesses into unique cache-line requests (true, the default) or
 	// issue one request per active lane (the ablation configuration).
 	Coalesce bool
-	obs      coreObs
+
+	// exec is the live Execution: Begin and Run reuse it, so a replay
+	// allocates nothing and obs binds its statistics once.
+	exec Execution
+	// obs carries exec's statistics into the registry (gpu.*); the
+	// replay loop bumps only the plain fields.
+	obs      obs.Batch
+	memLatPS *obs.Histogram
 
 	comp []clock.Time
-	// srcBuf is the lookahead batch shared by the core's Executions (one
-	// is live at a time); it lives here so starting a replay allocates
-	// nothing.
+	// srcBuf is the lookahead batch of the live Execution; it lives here
+	// so starting a replay allocates nothing.
 	srcBuf []trace.Inst
 }
 
-// coreObs holds the core's observability instruments under the gpu.*
-// namespace; nil (the default) instruments make every bump a no-op.
-type coreObs struct {
-	instructions *obs.Counter
-	branches     *obs.Counter
-	memOps       *obs.Counter
-	lineRequests *obs.Counter
-	swHits       *obs.Counter
-	swMisses     *obs.Counter
-	commOps      *obs.Counter
-	pushOps      *obs.Counter
-	commTimePS   *obs.Counter
-	memLatPS     *obs.Histogram
-}
-
-// Instrument registers the core's metrics (gpu.*) with reg and routes the
-// hot-path bumps to them. A nil registry detaches the instruments.
+// Instrument binds the core's statistics (gpu.*) into the registry and
+// registers its memory-latency histogram. A nil registry detaches them.
 func (c *Core) Instrument(reg *obs.Registry) {
-	c.obs = coreObs{
-		instructions: reg.Counter("gpu.instructions"),
-		branches:     reg.Counter("gpu.branches"),
-		memOps:       reg.Counter("gpu.memops"),
-		lineRequests: reg.Counter("gpu.line_requests"),
-		swHits:       reg.Counter("gpu.sw.hits"),
-		swMisses:     reg.Counter("gpu.sw.misses"),
-		commOps:      reg.Counter("gpu.commops"),
-		pushOps:      reg.Counter("gpu.pushops"),
-		commTimePS:   reg.Counter("gpu.commtime_ps"),
-		memLatPS:     reg.Histogram("gpu.memlat_ps"),
-	}
+	c.obs = obs.Batch{}
+	st := &c.exec.stats
+	c.obs.Bind(reg, "gpu.instructions", &st.Instructions)
+	c.obs.Bind(reg, "gpu.branches", &st.Branches)
+	c.obs.Bind(reg, "gpu.memops", &st.MemOps)
+	c.obs.Bind(reg, "gpu.line_requests", &st.LineRequests)
+	c.obs.Bind(reg, "gpu.sw.hits", &st.SWHits)
+	c.obs.Bind(reg, "gpu.sw.misses", &st.SWMisses)
+	c.obs.Bind(reg, "gpu.commops", &st.CommOps)
+	c.obs.Bind(reg, "gpu.pushops", &st.PushOps)
+	c.obs.Bind(reg, "gpu.commtime_ps", (*uint64)(&st.CommTime))
+	c.memLatPS = reg.Histogram("gpu.memlat_ps")
 }
 
 const ringSize = 1 << 16
@@ -140,8 +131,9 @@ func (c *Core) Domain() *clock.Domain { return c.dom }
 
 // Execution is an in-progress replay of one instruction source,
 // advanceable in bounded steps so the simulator can co-simulate the GPU
-// with the CPU in time order. A core supports one live Execution at a
-// time.
+// with the CPU in time order. A core has one live Execution: Begin and
+// Run restart it, so an Execution is valid until the core's next Begin
+// or Run.
 //
 // Like the CPU's Execution, it keeps a lookahead batch pulled from the
 // source (refilled the moment it drains) so Done is accurate the moment
@@ -157,33 +149,27 @@ type Execution struct {
 	cur     clock.Time
 	maxComp clock.Time
 	stats   Stats
-	// flushed is the Stats snapshot at the last FlushObs; the replay loop
-	// bumps only the plain stats fields and the instruments advance by the
-	// delta at flush points, keeping instrument calls off the hot path.
-	flushed Stats
 	// memLat accumulates memory-latency observations between flushes; it
 	// only fills when a latency histogram is registered.
 	memLat obs.HistAccum
 }
 
-// Begin starts replaying the source at time at. A nil source is an empty
-// execution.
+// Begin starts replaying the source at time at, ending the core's
+// previous Execution. A nil source is an empty execution.
 func (c *Core) Begin(src trace.Source, at clock.Time) *Execution {
-	e := &Execution{c: c, src: src, start: at, cur: at}
+	c.exec = Execution{c: c, src: src, start: at, cur: at}
+	c.obs.Rebase()
 	if src != nil {
-		e.bn = src.NextBatch(c.srcBuf)
+		c.exec.bn = src.NextBatch(c.srcBuf)
 	}
-	return e
+	return &c.exec
 }
 
 // Run replays the source starting at start to completion and returns the
 // completion time of the last instruction (with memory drained) and
 // statistics.
 func (c *Core) Run(src trace.Source, start clock.Time) (clock.Time, Stats) {
-	e := Execution{c: c, src: src, start: start, cur: start}
-	if src != nil {
-		e.bn = src.NextBatch(c.srcBuf)
-	}
+	e := c.Begin(src, start)
 	e.StepUntil(clock.Time(^uint64(0)))
 	return e.End()
 }
@@ -241,7 +227,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 		case in.Kind.IsMem():
 			e.stats.MemOps++
 			done = c.accessMem(in, issueAt, &e.stats)
-			if c.obs.memLatPS != nil {
+			if c.memLatPS != nil {
 				e.memLat.Observe(uint64(done.Sub(issueAt)))
 			}
 		case in.Kind.IsSoftwareCache():
@@ -293,31 +279,20 @@ func (e *Execution) End() (clock.Time, Stats) {
 	if !e.Done() {
 		panic("gpu: End called on unfinished execution")
 	}
-	e.FlushObs()
+	e.c.FlushObs()
 	end := clock.Max(e.cur, e.maxComp)
 	st := e.stats
 	st.Duration = end.Sub(e.start)
 	return end, st
 }
 
-// FlushObs pushes the statistics accumulated since the previous flush
-// into the core's instruments. The co-simulation loop calls it before
-// each interval sample; End flushes the tail, so registry totals match
-// per-event bumping exactly. A no-op on an uninstrumented core (every
-// instrument is nil-safe).
-func (e *Execution) FlushObs() {
-	c, st, fl := e.c, &e.stats, &e.flushed
-	c.obs.instructions.Add(st.Instructions - fl.Instructions)
-	c.obs.branches.Add(st.Branches - fl.Branches)
-	c.obs.memOps.Add(st.MemOps - fl.MemOps)
-	c.obs.lineRequests.Add(st.LineRequests - fl.LineRequests)
-	c.obs.swHits.Add(st.SWHits - fl.SWHits)
-	c.obs.swMisses.Add(st.SWMisses - fl.SWMisses)
-	c.obs.commOps.Add(st.CommOps - fl.CommOps)
-	c.obs.pushOps.Add(st.PushOps - fl.PushOps)
-	c.obs.commTimePS.Add(uint64(st.CommTime - fl.CommTime))
-	c.obs.memLatPS.Merge(&e.memLat)
-	e.flushed = *st
+// FlushObs carries the live Execution's statistics accumulated since the
+// previous flush into the registry. The simulator calls it before every
+// interval sample and End flushes the tail, so registry totals match the
+// returned statistics exactly. A no-op on an uninstrumented core.
+func (c *Core) FlushObs() {
+	c.obs.Flush()
+	c.memLatPS.Merge(&c.exec.memLat)
 }
 
 // record notes instruction i's completion time.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,18 @@ func TestRenderTables(t *testing.T) {
 		if strings.Contains(c.out, "false") {
 			t.Errorf("%s reports a paper mismatch:\n%s", c.name, c.out)
 		}
+	}
+}
+
+// TestRenderTable3AllocBudget pins Table III to the opened programs:
+// it needs phase lengths, never the 27M generated instructions.
+func TestRenderTable3AllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RenderTable3()
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
+		t.Errorf("RenderTable3 allocated %.1f MB, want under 16 MB", mb)
 	}
 }
 

@@ -2,16 +2,38 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
+	"heteromem/internal/config"
 	"heteromem/internal/obs"
 	"heteromem/internal/rescache"
 	"heteromem/internal/sim"
 )
+
+// CheckFlags validates the observability and verification values hetsim
+// and hetsweep read from the command line, so that none silently wraps
+// or disables itself. It returns the interval epoch of intervalCycles
+// CPU cycles in picoseconds (0 stays 0), rejecting one that overflows;
+// hostprofEvery must be in [0, 2^32), the range obs.NewHostProf holds;
+// cacheVerify must be a fraction in [0, 1], NaN rejected.
+func CheckFlags(intervalCycles uint64, hostprofEvery int, cacheVerify float64) (intervalPS uint64, err error) {
+	cyclePS := uint64(config.BaselineCPU().Domain().PeriodPS())
+	if intervalCycles > math.MaxUint64/cyclePS {
+		return 0, fmt.Errorf("-interval-cycles %d: the epoch overflows at %d ps per cycle", intervalCycles, cyclePS)
+	}
+	if hostprofEvery < 0 || uint64(hostprofEvery) > math.MaxUint32 {
+		return 0, fmt.Errorf("-hostprof %d: must be in [0, %d]", hostprofEvery, uint64(math.MaxUint32))
+	}
+	if !(cacheVerify >= 0 && cacheVerify <= 1) {
+		return 0, fmt.Errorf("-cache-verify %v: fraction must be in [0, 1]", cacheVerify)
+	}
+	return intervalCycles * cyclePS, nil
+}
 
 // Observer wires a sweep into the observability layer: every cell the
 // Executor runs appends a structured record to the run ledger, opens a

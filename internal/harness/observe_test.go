@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,43 @@ import (
 	"heteromem/internal/sim"
 	"heteromem/internal/systems"
 )
+
+func TestCheckFlags(t *testing.T) {
+	const cyclePS = 285 // the 3.5 GHz CPU cycle
+	for _, c := range []struct {
+		name     string
+		cycles   uint64
+		hostprof int
+		verify   float64
+		wantPS   uint64
+		wantErr  string
+	}{
+		{name: "defaults", cycles: 100_000, hostprof: 32, wantPS: 100_000 * cyclePS},
+		{name: "interval off", cycles: 0, hostprof: 0, verify: 1},
+		{name: "largest epoch", cycles: math.MaxUint64 / cyclePS, wantPS: math.MaxUint64 / cyclePS * cyclePS},
+		{name: "epoch overflows", cycles: math.MaxUint64/cyclePS + 1, wantErr: "-interval-cycles"},
+		{name: "hostprof at 2^32-1", hostprof: math.MaxUint32},
+		{name: "hostprof truncates", hostprof: 1 << 32, wantErr: "-hostprof"},
+		{name: "hostprof negative", hostprof: -1, wantErr: "-hostprof"},
+		{name: "verify NaN", verify: math.NaN(), wantErr: "-cache-verify"},
+		{name: "verify negative", verify: -0.1, wantErr: "-cache-verify"},
+		{name: "verify above one", verify: 1.5, wantErr: "-cache-verify"},
+		{name: "verify infinite", verify: math.Inf(1), wantErr: "-cache-verify"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ps, err := CheckFlags(c.cycles, c.hostprof, c.verify)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil || ps != c.wantPS {
+				t.Fatalf("CheckFlags = %d, %v; want %d, nil", ps, err, c.wantPS)
+			}
+		})
+	}
+}
 
 // ledgerLines decodes every JSONL line of a ledger buffer.
 func ledgerLines(t *testing.T, buf *bytes.Buffer) []map[string]any {

@@ -277,52 +277,43 @@ type Hierarchy struct {
 	l1Lat [NumPUs]clock.Duration
 
 	stats Stats // access/push counts; event counts live in env
-	obs   hierObs
+	// obs carries every count of the hierarchy and its components into
+	// the registry when FlushObs runs.
+	obs obs.Batch
 }
 
-// hierObs holds the hierarchy-owned observability instruments under the
-// mem.* namespace; the per-stage instruments live in env.Obs. Nil
-// instruments make every bump a no-op. Counters advance in batches
-// (FlushObs) by the delta of stats over flushed.
-type hierObs struct {
-	accesses         [NumPUs]*obs.Counter
-	pushes           *obs.Counter
-	pushBytes        *obs.Counter
-	scratchOverflows *obs.Counter
-	flushed          Stats
-}
-
-// Instrument registers the hierarchy's metrics (mem.*) with reg and
-// cascades to its components: each cache under "mem.<name>", the ring
-// (noc.*) and the memory controllers (dram.*). A nil registry detaches
-// everything. The stages observe the rewiring through their shared Env.
+// Instrument binds the hierarchy's counts (mem.*) and its components'
+// into the registry: each cache under "mem.<name>", the ring (noc.*), the
+// memory controllers (dram.*), the memory technology (memtech.*) and
+// translation (xlat.*). A nil registry detaches everything. The counters
+// advance when FlushObs runs; the MSHR gauges are set as misses commit.
 func (h *Hierarchy) Instrument(reg *obs.Registry) {
+	h.obs = obs.Batch{}
+	b := &h.obs
 	for p := PU(0); p < NumPUs; p++ {
-		h.obs.accesses[p] = reg.Counter("mem.accesses." + p.String())
-		h.env.Obs.L1Hits[p] = reg.Counter("mem.l1.hits." + p.String())
-		h.env.Obs.L3Hits[p] = reg.Counter("mem.l3.hits." + p.String())
-		h.env.Obs.DRAMFills[p] = reg.Counter("mem.dram_fills." + p.String())
-		h.env.Obs.MSHROut[p] = reg.Gauge("mem.mshr.outstanding." + p.String())
+		b.Bind(reg, "mem.accesses."+p.String(), &h.stats.Accesses[p])
+		b.Bind(reg, "mem.l1.hits."+p.String(), &h.env.L1Hits[p])
+		b.Bind(reg, "mem.l3.hits."+p.String(), &h.env.L3Hits[p])
+		b.Bind(reg, "mem.dram_fills."+p.String(), &h.env.DRAMFills[p])
+		h.env.MSHROut[p] = reg.Gauge("mem.mshr.outstanding." + p.String())
 	}
-	h.env.Obs.L2Hits = reg.Counter("mem.l2.hits")
-	h.env.Obs.Writebacks = reg.Counter("mem.writebacks")
-	h.env.Obs.CoherenceOps = reg.Counter("mem.coherence.ops")
-	h.obs.pushes = reg.Counter("mem.pushes")
-	h.obs.pushBytes = reg.Counter("mem.push_bytes")
-	h.obs.scratchOverflows = reg.Counter("mem.scratch_overflows")
-	h.obs.flushed = h.stats
-	h.env.MarkFlushed()
+	b.Bind(reg, "mem.l2.hits", &h.env.L2Hits)
+	b.Bind(reg, "mem.writebacks", &h.env.Writebacks)
+	b.Bind(reg, "mem.coherence.ops", &h.env.CoherenceOps)
+	b.Bind(reg, "mem.pushes", &h.stats.Pushes)
+	b.Bind(reg, "mem.push_bytes", &h.stats.PushBytes)
+	b.Bind(reg, "mem.scratch_overflows", &h.stats.ScratchOverflows)
 
-	h.cpuL1d.Instrument(reg, "mem."+h.cfg.CPUL1D.Name)
-	h.cpuL2.Instrument(reg, "mem."+h.cfg.CPUL2.Name)
-	h.gpuL1d.Instrument(reg, "mem."+h.cfg.GPUL1D.Name)
+	h.cpuL1d.Instrument(b, reg, "mem."+h.cfg.CPUL1D.Name)
+	h.cpuL2.Instrument(b, reg, "mem."+h.cfg.CPUL2.Name)
+	h.gpuL1d.Instrument(b, reg, "mem."+h.cfg.GPUL1D.Name)
 	for i, t := range h.l3 {
-		t.Instrument(reg, fmt.Sprintf("mem.l3.t%d", i))
+		t.Instrument(b, reg, fmt.Sprintf("mem.l3.t%d", i))
 	}
-	h.ring.Instrument(reg)
-	h.dram.Instrument(reg)
-	h.backend.Instrument(reg)
-	h.xlat.Instrument(reg)
+	h.ring.Instrument(b, reg)
+	h.dram.Instrument(b, reg, "dram")
+	h.backend.Instrument(b, reg)
+	h.xlat.Instrument(b, reg)
 }
 
 // InstrumentHost attaches sampled host wall-clock attribution to the
@@ -543,19 +534,19 @@ func (h *Hierarchy) Stats() Stats {
 	s.DRAMFills = h.env.DRAMFills
 	s.Writebacks = h.env.Writebacks
 	s.CoherenceOps = h.env.CoherenceOps
-	for p := PU(0); p < NumPUs; p++ {
-		s.XlatLookups[p] = h.xlat.Lookups(memsys.PU(p))
-		s.XlatMisses[p] = h.xlat.Misses(memsys.PU(p))
-		s.XlatWalkPS[p] = h.xlat.WalkPS(memsys.PU(p))
-		s.XlatShootdowns[p] = h.xlat.Shootdowns(memsys.PU(p))
-	}
+	x := h.xlat.Stats()
+	s.XlatLookups = x.Lookups
+	s.XlatMisses = x.Misses
+	s.XlatWalkPS = x.WalkPS
+	s.XlatShootdowns = x.Shootdowns
 	return s
 }
 
 // Reset returns the hierarchy to its just-constructed state: every
 // cache cold, the ring and controllers idle, MSHR files and scratchpad
 // empty, the directory untracked, and all statistics cleared.
-// Instruments stay wired (use Instrument(nil) to detach them).
+// Instruments stay wired (use Instrument(nil) to detach them); counts
+// not yet flushed are dropped.
 func (h *Hierarchy) Reset() {
 	h.cpuL1d.Reset()
 	h.cpuL2.Reset()
@@ -574,35 +565,15 @@ func (h *Hierarchy) Reset() {
 	if h.dir != nil {
 		h.dir.Reset()
 	}
-	h.env.Reset()
+	h.env.Counts = memsys.Counts{}
 	h.stats = Stats{}
-	h.obs.flushed = Stats{}
+	h.obs.Rebase()
 }
 
-// FlushObs pushes the counters accumulated since the last flush into the
-// registered instruments: the hierarchy's own access/push counters, the
-// stage counters in env, and each cache's hit/miss/eviction counts. The
-// simulator calls it at phase boundaries (immediately before interval
-// samples), so hot-path events cost a plain integer increment instead of
-// an instrument call.
-func (h *Hierarchy) FlushObs() {
-	for p := PU(0); p < NumPUs; p++ {
-		h.obs.accesses[p].Add(h.stats.Accesses[p] - h.obs.flushed.Accesses[p])
-	}
-	h.obs.pushes.Add(h.stats.Pushes - h.obs.flushed.Pushes)
-	h.obs.pushBytes.Add(h.stats.PushBytes - h.obs.flushed.PushBytes)
-	h.obs.scratchOverflows.Add(h.stats.ScratchOverflows - h.obs.flushed.ScratchOverflows)
-	h.obs.flushed = h.stats
-	h.env.FlushObs()
-	h.cpuL1d.FlushObs()
-	h.cpuL2.FlushObs()
-	h.gpuL1d.FlushObs()
-	for _, t := range h.l3 {
-		t.FlushObs()
-	}
-	h.backend.FlushObs()
-	h.xlat.FlushObs()
-}
+// FlushObs carries the counts accumulated since the last flush into the
+// registry. The simulator calls it before every interval sample and at
+// run end, so an event on the hot path costs a plain integer increment.
+func (h *Hierarchy) FlushObs() { h.obs.Flush() }
 
 // Scratchpad returns the GPU's software-managed cache.
 func (h *Hierarchy) Scratchpad() *cache.Scratchpad { return h.scratch }

@@ -15,10 +15,10 @@ import (
 // the device is modelled exactly as with the single DRAM controller.
 //
 // A backend absorbs L3 victim writebacks, resets its device state
-// between runs, and mirrors its batched memtech.* counters into an
-// observability registry on the hierarchy's FlushObs cadence. Reset
-// covers only backend-private state: substrates owned by the hierarchy
-// (the DDR3 controller behind DRAMStage) are reset by their owner.
+// between runs, and binds its memtech.* counts into the hierarchy's
+// observability batch. Reset covers only backend-private state:
+// substrates owned by the hierarchy (the DDR3 controller behind
+// DRAMStage) are reset by their owner.
 type Backend interface {
 	// Read serves the line at addr for a request arriving at the
 	// memory-controller stop at now and returns the time its data
@@ -29,41 +29,14 @@ type Backend interface {
 	// path, occupying its resources but delaying nobody.
 	Writeback(addr uint64, now clock.Time)
 	// Reset returns backend-private device state and counters to
-	// just-constructed; registered instruments stay wired.
+	// just-constructed.
 	Reset()
-	// Instrument registers the backend's memtech.* instruments with reg
-	// (nil detaches them) and aligns the flush baseline so a freshly
-	// attached registry observes only subsequent events.
-	Instrument(reg *obs.Registry)
-	// FlushObs pushes counter growth since the previous flush into the
-	// registered instruments.
-	FlushObs()
+	// Instrument binds the backend's counts into b as registry counters
+	// under memtech.*.
+	Instrument(b *obs.Batch, reg *obs.Registry)
 }
 
 // chanFor interleaves line addresses across n channels.
 func chanFor(addr uint64, lineBytes int, n int) int {
 	return int((addr / uint64(lineBytes)) % uint64(n))
-}
-
-// backendCounter is one batched memtech.* counter: a plain hot-path
-// field plus the flush baseline and instrument behind it.
-type backendCounter struct {
-	n       uint64
-	flushed uint64
-	obs     *obs.Counter
-}
-
-func (c *backendCounter) instrument(reg *obs.Registry, name string) {
-	c.obs = reg.Counter(name)
-	c.flushed = c.n
-}
-
-func (c *backendCounter) flush() {
-	c.obs.Add(c.n - c.flushed)
-	c.flushed = c.n
-}
-
-func (c *backendCounter) reset() {
-	c.n = 0
-	c.flushed = 0
 }

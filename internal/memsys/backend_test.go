@@ -37,12 +37,12 @@ func TestHBMStageServesMiss(t *testing.T) {
 	if got, want := s.Read(0x40, 3), clock.Time(127); got != want {
 		t.Errorf("completion = %d, want %d", got, want)
 	}
-	if s.accesses.n != 1 || ctrl.Stats().Requests != 1 {
-		t.Errorf("read must reach the stack once: accesses=%d", s.accesses.n)
+	if s.accesses != 1 || ctrl.Stats().Requests != 1 {
+		t.Errorf("read must reach the stack once: accesses=%d", s.accesses)
 	}
 
 	s.Reset()
-	if s.accesses.n != 0 || ctrl.Stats().Requests != 0 {
+	if s.accesses != 0 || ctrl.Stats().Requests != 0 {
 		t.Error("Reset must clear the stage counter and its private controller")
 	}
 }
@@ -53,14 +53,14 @@ func TestNVMReadWriteAsymmetry(t *testing.T) {
 		ReadLat: 100, WriteLat: 1000, Bus: 10, QueueDepth: 2, LineBytes: 64,
 	}
 
-	if got := s.Read(0x40, 0); got != 100 || s.reads.n != 1 {
-		t.Errorf("read completion = %d (reads=%d), want 100", got, s.reads.n)
+	if got := s.Read(0x40, 0); got != 100 || s.reads != 1 {
+		t.Errorf("read completion = %d (reads=%d), want 100", got, s.reads)
 	}
 
 	// Writebacks drain serially: each extends the horizon by WriteLat.
 	s.Writeback(0x1000, 200)
 	s.Writeback(0x1040, 200)
-	if s.writes.n != 2 || s.horizon != 200+2*1000 {
+	if s.writes != 2 || s.horizon != 200+2*1000 {
 		t.Errorf("horizon = %d after two writes, want 2200", s.horizon)
 	}
 }
@@ -81,16 +81,16 @@ func TestNVMWriteQueueStallsReads(t *testing.T) {
 	if got, want := s.Read(0x40, 0), clock.Time(1100); got != want {
 		t.Errorf("stalled read completes at %d, want %d", got, want)
 	}
-	if s.writeStalls.n != 1 {
-		t.Errorf("writeStalls = %d, want 1", s.writeStalls.n)
+	if s.writeStalls != 1 {
+		t.Errorf("writeStalls = %d, want 1", s.writeStalls)
 	}
 
 	// After the drain horizon passes, reads are admitted immediately.
 	if got, want := s.Read(0x80, 5000), clock.Time(5100); got != want {
 		t.Errorf("unstalled read completes at %d, want %d", got, want)
 	}
-	if s.writeStalls.n != 1 {
-		t.Errorf("unstalled read must not count a stall, got %d", s.writeStalls.n)
+	if s.writeStalls != 1 {
+		t.Errorf("unstalled read must not count a stall, got %d", s.writeStalls)
 	}
 }
 
@@ -113,31 +113,31 @@ func TestDRAMCacheHitMissFill(t *testing.T) {
 	if got, want := s.Read(0x40, 0), clock.Time(550); got != want {
 		t.Errorf("cold miss completes at %d, want %d", got, want)
 	}
-	if s.misses.n != 1 || s.fills.n != 1 || s.hits.n != 0 {
+	if s.misses != 1 || s.fills != 1 || s.hits != 0 {
 		t.Errorf("cold miss counters: hits=%d misses=%d fills=%d",
-			s.hits.n, s.misses.n, s.fills.n)
+			s.hits, s.misses, s.fills)
 	}
 
 	// Re-read: near memory now holds the line.
 	if got, want := s.Read(0x40, 1000), clock.Time(1050); got != want {
 		t.Errorf("near hit completes at %d, want %d", got, want)
 	}
-	if s.hits.n != 1 {
-		t.Errorf("hits = %d, want 1", s.hits.n)
+	if s.hits != 1 {
+		t.Errorf("hits = %d, want 1", s.hits)
 	}
 
 	// A dirty L3 victim write-allocates into near memory.
 	s.Writeback(0x2000, 2000)
-	if s.fills.n != 2 {
-		t.Errorf("writeback must fill near memory, fills = %d", s.fills.n)
+	if s.fills != 2 {
+		t.Errorf("writeback must fill near memory, fills = %d", s.fills)
 	}
 	s.Read(0x2000, 3000)
-	if s.hits.n != 2 {
-		t.Errorf("written-back line must hit near memory, hits = %d", s.hits.n)
+	if s.hits != 2 {
+		t.Errorf("written-back line must hit near memory, hits = %d", s.hits)
 	}
 
 	s.Reset()
-	if s.hits.n != 0 || dir.Probe(0x40) {
+	if s.hits != 0 || dir.Probe(0x40) {
 		t.Error("Reset must clear counters and the near-cache directory")
 	}
 }
@@ -162,8 +162,8 @@ func TestDRAMCacheDirtyVictimGoesFar(t *testing.T) {
 
 	s.Writeback(0x0000, 0)   // dirty line in set 0
 	s.Writeback(0x0080, 100) // same set: evicts the first, dirty
-	if s.writebacks.n != 1 {
-		t.Errorf("far writebacks = %d, want 1", s.writebacks.n)
+	if s.writebacks != 1 {
+		t.Errorf("far writebacks = %d, want 1", s.writebacks)
 	}
 	// Far channel served the eviction's transfer (plus nothing else).
 	if far.Requests() != 1 {
@@ -171,8 +171,8 @@ func TestDRAMCacheDirtyVictimGoesFar(t *testing.T) {
 	}
 }
 
-// Backend FlushObs must push exactly the delta since the last flush,
-// matching the hierarchy's batched-counter contract.
+// A backend's counts bound into a batch must flush exactly the delta
+// since the last flush.
 func TestBackendCounterFlush(t *testing.T) {
 	ctrl, err := dram.New(dram.DDR3_1333())
 	if err != nil {
@@ -181,15 +181,16 @@ func TestBackendCounterFlush(t *testing.T) {
 	s := &DRAMStage{Ctrl: ctrl}
 
 	reg := obs.NewRegistry()
-	s.Instrument(reg)
+	var b obs.Batch
+	s.Instrument(&b, reg)
 	for i := uint64(0); i < 3; i++ {
 		s.Read(i*64, 0)
 	}
-	s.FlushObs()
+	b.Flush()
 	if got := reg.Snapshot().Counters["memtech.dram.accesses"]; got != 3 {
 		t.Errorf("flushed accesses = %d, want 3", got)
 	}
-	s.FlushObs() // idempotent with no new events
+	b.Flush() // idempotent with no new events
 	if got := reg.Snapshot().Counters["memtech.dram.accesses"]; got != 3 {
 		t.Errorf("double flush = %d, want 3", got)
 	}

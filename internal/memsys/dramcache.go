@@ -33,10 +33,10 @@ type DRAMCacheStage struct {
 	// LineBytes is the line size both channel sets interleave on.
 	LineBytes int
 
-	hits       backendCounter
-	misses     backendCounter
-	fills      backendCounter
-	writebacks backendCounter
+	hits       uint64
+	misses     uint64
+	fills      uint64
+	writebacks uint64
 }
 
 // Read implements Backend: the near probe (tag check + data access) is
@@ -46,10 +46,10 @@ func (s *DRAMCacheStage) Read(addr uint64, now clock.Time) clock.Time {
 	start, _ := s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	now = start.Add(s.NearLat)
 	if s.Dir.Lookup(addr, false) {
-		s.hits.n++
+		s.hits++
 		return now
 	}
-	s.misses.n++
+	s.misses++
 	start, _ = s.FarChans[chanFor(addr, s.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
 	now = start.Add(s.FarRead)
 	s.fill(addr, false, now)
@@ -60,11 +60,11 @@ func (s *DRAMCacheStage) Read(addr uint64, now clock.Time) clock.Time {
 // near channel off the critical path, and a dirty victim goes back to
 // far memory.
 func (s *DRAMCacheStage) fill(addr uint64, dirty bool, now clock.Time) {
-	s.fills.n++
+	s.fills++
 	s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	ev := s.Dir.Fill(addr, false, dirty)
 	if ev.Valid && ev.Dirty {
-		s.writebacks.n++
+		s.writebacks++
 		start, _ := s.FarChans[chanFor(ev.Addr, s.LineBytes, len(s.FarChans))].Acquire(now, s.FarBus)
 		_ = start.Add(s.FarWrite)
 	}
@@ -75,10 +75,10 @@ func (s *DRAMCacheStage) fill(addr uint64, dirty bool, now clock.Time) {
 func (s *DRAMCacheStage) Writeback(addr uint64, now clock.Time) {
 	start, _ := s.NearChans[chanFor(addr, s.LineBytes, len(s.NearChans))].Acquire(now, s.NearBus)
 	if s.Dir.Lookup(addr, true) {
-		s.hits.n++
+		s.hits++
 		return
 	}
-	s.misses.n++
+	s.misses++
 	s.fill(addr, true, start.Add(s.NearLat))
 }
 
@@ -91,28 +91,19 @@ func (s *DRAMCacheStage) Reset() {
 	for _, c := range s.FarChans {
 		c.Reset()
 	}
-	s.hits.reset()
-	s.misses.reset()
-	s.fills.reset()
-	s.writebacks.reset()
+	s.hits = 0
+	s.misses = 0
+	s.fills = 0
+	s.writebacks = 0
 }
 
-// Instrument implements Backend, registering memtech.dram_cache.*: the
-// stage's access counters plus the near-cache directory's stats under
+// Instrument implements Backend, binding memtech.dram_cache.*: the
+// stage's access counts plus the near-cache directory's stats under
 // memtech.dram_cache.cache.*.
-func (s *DRAMCacheStage) Instrument(reg *obs.Registry) {
-	s.hits.instrument(reg, "memtech.dram_cache.hits")
-	s.misses.instrument(reg, "memtech.dram_cache.misses")
-	s.fills.instrument(reg, "memtech.dram_cache.fills")
-	s.writebacks.instrument(reg, "memtech.dram_cache.writebacks")
-	s.Dir.Instrument(reg, "memtech.dram_cache.cache")
-}
-
-// FlushObs implements Backend.
-func (s *DRAMCacheStage) FlushObs() {
-	s.hits.flush()
-	s.misses.flush()
-	s.fills.flush()
-	s.writebacks.flush()
-	s.Dir.FlushObs()
+func (s *DRAMCacheStage) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "memtech.dram_cache.hits", &s.hits)
+	b.Bind(reg, "memtech.dram_cache.misses", &s.misses)
+	b.Bind(reg, "memtech.dram_cache.fills", &s.fills)
+	b.Bind(reg, "memtech.dram_cache.writebacks", &s.writebacks)
+	s.Dir.Instrument(b, reg, "memtech.dram_cache.cache")
 }

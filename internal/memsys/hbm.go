@@ -20,13 +20,13 @@ type HBMStage struct {
 	Ctrl     *dram.Controller
 	ExtraLat clock.Duration
 
-	accesses backendCounter
+	accesses uint64
 }
 
 // Read implements Backend: the fixed stacked-path latency, then the
 // banked access.
 func (s *HBMStage) Read(addr uint64, now clock.Time) clock.Time {
-	s.accesses.n++
+	s.accesses++
 	return s.Ctrl.Submit(addr, now.Add(s.ExtraLat))
 }
 
@@ -39,18 +39,13 @@ func (s *HBMStage) Writeback(addr uint64, now clock.Time) {
 // Reset implements Backend.
 func (s *HBMStage) Reset() {
 	s.Ctrl.Reset()
-	s.accesses.reset()
+	s.accesses = 0
 }
 
-// Instrument implements Backend, registering memtech.hbm.*: the
-// stage's own access counter plus the controller's request/row/bytes
-// counters under the same prefix.
-func (s *HBMStage) Instrument(reg *obs.Registry) {
-	s.accesses.instrument(reg, "memtech.hbm.accesses")
-	s.Ctrl.InstrumentPrefix(reg, "memtech.hbm")
+// Instrument implements Backend, binding memtech.hbm.*: the stage's
+// own access count plus the controller's request/row/bytes counts under
+// the same prefix.
+func (s *HBMStage) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "memtech.hbm.accesses", &s.accesses)
+	s.Ctrl.Instrument(b, reg, "memtech.hbm")
 }
-
-// FlushObs implements Backend. The controller's own counters bump
-// per-event (as dram.* always has), so only the batched stage counter
-// flushes here.
-func (s *HBMStage) FlushObs() { s.accesses.flush() }

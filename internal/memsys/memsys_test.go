@@ -69,10 +69,9 @@ func (b *countingBackend) Read(_ uint64, now clock.Time) clock.Time {
 	return now.Add(b.lat)
 }
 
-func (b *countingBackend) Writeback(uint64, clock.Time) {}
-func (b *countingBackend) Reset()                       {}
-func (b *countingBackend) Instrument(*obs.Registry)     {}
-func (b *countingBackend) FlushObs()                    {}
+func (b *countingBackend) Writeback(uint64, clock.Time)         {}
+func (b *countingBackend) Reset()                               {}
+func (b *countingBackend) Instrument(*obs.Batch, *obs.Registry) {}
 
 // testChain is a GPU request path over real stages: a private L1, a
 // four-entry MSHR file, fakeNet ring hops (3 ps each), four L3 tiles
@@ -283,8 +282,8 @@ func TestDRAMStageSkipsOnL3Hit(t *testing.T) {
 		t.Fatal("cold line hit")
 	}
 	l3.Fetch(&r)
-	if env.DRAMFills[CPU] != 1 || s.accesses.n != 1 || ctrl.Stats().Requests != 1 {
-		t.Errorf("miss must reach DRAM once: fills=%v accesses=%d", env.DRAMFills, s.accesses.n)
+	if env.DRAMFills[CPU] != 1 || s.accesses != 1 || ctrl.Stats().Requests != 1 {
+		t.Errorf("miss must reach DRAM once: fills=%v accesses=%d", env.DRAMFills, s.accesses)
 	}
 	if len(net.sends) != 2 || net.sends[0] != (fakeSend{4, topo.MCStop, 16}) ||
 		net.sends[1] != (fakeSend{topo.MCStop, 4, 64 + 16}) {

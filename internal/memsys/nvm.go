@@ -32,9 +32,9 @@ type NVMStage struct {
 	// queued so far; each write extends it by WriteLat.
 	horizon clock.Time
 
-	reads       backendCounter
-	writes      backendCounter
-	writeStalls backendCounter
+	reads       uint64
+	writes      uint64
+	writeStalls uint64
 }
 
 // Read implements Backend: admission past the write queue, then the
@@ -42,7 +42,7 @@ type NVMStage struct {
 func (s *NVMStage) Read(addr uint64, now clock.Time) clock.Time {
 	at := s.admit(now)
 	start, _ := s.Chans[chanFor(addr, s.LineBytes, len(s.Chans))].Acquire(at, s.Bus)
-	s.reads.n++
+	s.reads++
 	return start.Add(s.ReadLat)
 }
 
@@ -52,7 +52,7 @@ func (s *NVMStage) Read(addr uint64, now clock.Time) clock.Time {
 func (s *NVMStage) admit(at clock.Time) clock.Time {
 	bound := uint64(s.QueueDepth) * uint64(s.WriteLat)
 	if uint64(s.horizon) > uint64(at)+bound {
-		s.writeStalls.n++
+		s.writeStalls++
 		return clock.Time(uint64(s.horizon) - bound)
 	}
 	return at
@@ -66,7 +66,7 @@ func (s *NVMStage) Writeback(addr uint64, now clock.Time) {
 	ch := chanFor(addr, s.LineBytes, len(s.Chans))
 	start, _ := s.Chans[ch].Acquire(now, s.Bus)
 	s.horizon = clock.Max(s.horizon, start).Add(s.WriteLat)
-	s.writes.n++
+	s.writes++
 }
 
 // Reset implements Backend.
@@ -75,21 +75,14 @@ func (s *NVMStage) Reset() {
 		c.Reset()
 	}
 	s.horizon = 0
-	s.reads.reset()
-	s.writes.reset()
-	s.writeStalls.reset()
+	s.reads = 0
+	s.writes = 0
+	s.writeStalls = 0
 }
 
-// Instrument implements Backend, registering memtech.nvm.*.
-func (s *NVMStage) Instrument(reg *obs.Registry) {
-	s.reads.instrument(reg, "memtech.nvm.reads")
-	s.writes.instrument(reg, "memtech.nvm.writes")
-	s.writeStalls.instrument(reg, "memtech.nvm.write_stalls")
-}
-
-// FlushObs implements Backend.
-func (s *NVMStage) FlushObs() {
-	s.reads.flush()
-	s.writes.flush()
-	s.writeStalls.flush()
+// Instrument implements Backend, binding memtech.nvm.*.
+func (s *NVMStage) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "memtech.nvm.reads", &s.reads)
+	b.Bind(reg, "memtech.nvm.writes", &s.writes)
+	b.Bind(reg, "memtech.nvm.write_stalls", &s.writeStalls)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Counts are the per-hierarchy event counters the stages bump on the
-// hot path: plain fields with no instrument indirection, mirrored into
-// the obs registry in batches (Env.FlushObs).
+// hot path: plain fields, bound into the hierarchy's observability
+// batch.
 type Counts struct {
 	L1Hits       [NumPUs]uint64
 	L2Hits       uint64 // CPU only
@@ -21,57 +21,14 @@ type Counts struct {
 }
 
 // Env is the state shared by every stage of one hierarchy: the event
-// counters the stages bump and the observability instruments behind
-// them. Stages hold a pointer to their hierarchy's Env, so re-wiring
-// the instruments (mem.Hierarchy.Instrument) reaches every stage.
+// counters the stages bump and the MSHR occupancy gauges. Stages hold a
+// pointer to their hierarchy's Env, so re-wiring the gauges
+// (mem.Hierarchy.Instrument) reaches every stage.
 type Env struct {
 	Counts
-
-	Obs EnvObs
-	// flushed is the counter snapshot at the last FlushObs; instruments
-	// advance by the delta.
-	flushed Counts
-}
-
-// EnvObs bundles the optional observability instruments. Nil counters
-// are no-ops (obs instruments are nil-safe); the MSHR gauges are
-// nil-checked explicitly because updating them walks the MSHR file.
-type EnvObs struct {
-	L1Hits       [NumPUs]*obs.Counter
-	L2Hits       *obs.Counter
-	L3Hits       [NumPUs]*obs.Counter
-	DRAMFills    [NumPUs]*obs.Counter
-	Writebacks   *obs.Counter
-	CoherenceOps *obs.Counter
-	MSHROut      [NumPUs]*obs.Gauge
-}
-
-// Reset zeroes the event counters and the flush baseline (the
-// instruments are left wired).
-func (e *Env) Reset() {
-	obsSaved := e.Obs
-	*e = Env{Obs: obsSaved}
-}
-
-// MarkFlushed aligns the flush baseline with the current counters so a
-// freshly attached registry observes only subsequent events, matching
-// per-event bumping semantics.
-func (e *Env) MarkFlushed() { e.flushed = e.Counts }
-
-// FlushObs pushes counter growth since the previous flush into the
-// registered instruments. The hierarchy calls it at phase boundaries,
-// so registry totals and interval samples match per-event bumping
-// exactly while the access hot path stays instrument-free.
-func (e *Env) FlushObs() {
-	for p := PU(0); p < NumPUs; p++ {
-		e.Obs.L1Hits[p].Add(e.L1Hits[p] - e.flushed.L1Hits[p])
-		e.Obs.L3Hits[p].Add(e.L3Hits[p] - e.flushed.L3Hits[p])
-		e.Obs.DRAMFills[p].Add(e.DRAMFills[p] - e.flushed.DRAMFills[p])
-	}
-	e.Obs.L2Hits.Add(e.L2Hits - e.flushed.L2Hits)
-	e.Obs.Writebacks.Add(e.Writebacks - e.flushed.Writebacks)
-	e.Obs.CoherenceOps.Add(e.CoherenceOps - e.flushed.CoherenceOps)
-	e.flushed = e.Counts
+	// MSHROut are the optional per-PU MSHR occupancy gauges, nil-checked
+	// explicitly because updating one walks the MSHR file.
+	MSHROut [NumPUs]*obs.Gauge
 }
 
 // writeback counts one dirty-line writeback.
@@ -242,12 +199,12 @@ func (s *L3Stage) Fill(tile int, addr uint64, explicit, dirty bool, now clock.Ti
 type DRAMStage struct {
 	Ctrl *dram.Controller
 
-	accesses backendCounter
+	accesses uint64
 }
 
 // Read implements Backend: one controller access.
 func (s *DRAMStage) Read(addr uint64, now clock.Time) clock.Time {
-	s.accesses.n++
+	s.accesses++
 	return s.Ctrl.Submit(addr, now)
 }
 
@@ -259,16 +216,13 @@ func (s *DRAMStage) Writeback(addr uint64, now clock.Time) {
 
 // Reset implements Backend. The DDR3 controller is a hierarchy-owned
 // substrate (the memory-controller fabric DMAs through it too), so the
-// hierarchy resets it; only the stage's own counters clear here.
-func (s *DRAMStage) Reset() { s.accesses.reset() }
+// hierarchy resets it; only the stage's own counter clears here.
+func (s *DRAMStage) Reset() { s.accesses = 0 }
 
-// Instrument implements Backend, registering memtech.dram.*.
-func (s *DRAMStage) Instrument(reg *obs.Registry) {
-	s.accesses.instrument(reg, "memtech.dram.accesses")
+// Instrument implements Backend, binding memtech.dram.*.
+func (s *DRAMStage) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "memtech.dram.accesses", &s.accesses)
 }
-
-// FlushObs implements Backend.
-func (s *DRAMStage) FlushObs() { s.accesses.flush() }
 
 // CommitStage finishes a shared-path request: the line is installed
 // into the PU's private levels and the miss is registered in the MSHR
@@ -286,7 +240,7 @@ type CommitStage struct {
 func (s *CommitStage) Process(r *Request, issued clock.Time) {
 	s.Private.Fill(r.Addr, r.Write)
 	r.Now = s.File.Allocate(r.Line, issued, r.Now)
-	if g := s.Env.Obs.MSHROut[s.Private.PU]; g != nil {
+	if g := s.Env.MSHROut[s.Private.PU]; g != nil {
 		g.Set(uint64(s.File.InFlight(issued)))
 	}
 }

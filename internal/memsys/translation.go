@@ -40,12 +40,20 @@ type TranslationStage struct {
 	IOMMUExtra clock.Duration
 
 	shared bool
+	stats  TranslationStats
+}
 
-	lookups    [NumPUs]backendCounter
-	misses     [NumPUs]backendCounter
-	walkPS     [NumPUs]backendCounter
-	wcHits     [NumPUs]backendCounter
-	shootdowns [NumPUs]backendCounter
+// TranslationStats counts translation events per PU.
+type TranslationStats struct {
+	// Lookups and Misses count TLB probes and misses.
+	Lookups [NumPUs]uint64
+	Misses  [NumPUs]uint64
+	// WalkPS is the total picoseconds accesses spent stalled on page
+	// walks, including walker queueing.
+	WalkPS        [NumPUs]uint64
+	WalkCacheHits [NumPUs]uint64
+	// Shootdowns counts TLB flushes at page-table updates.
+	Shootdowns [NumPUs]uint64
 }
 
 // NewTranslationStage builds the stage an xlat.Spec describes, or nil
@@ -94,14 +102,14 @@ func NewTranslationStage(spec xlat.Spec) (*TranslationStage, error) {
 // the time the physical address is available. A TLB hit returns now
 // unchanged: the probe runs in parallel with the L1 tag check.
 func (s *TranslationStage) Translate(pu PU, addr uint64, now clock.Time) clock.Time {
-	s.lookups[pu].n++
+	s.stats.Lookups[pu]++
 	if s.TLB[pu].Lookup(addr) {
 		return now
 	}
-	s.misses[pu].n++
+	s.stats.Misses[pu]++
 	levels := s.Levels
 	if wc := s.WalkCache[pu]; wc != nil && wc.Lookup(addr) {
-		s.wcHits[pu].n++
+		s.stats.WalkCacheHits[pu]++
 		levels = 1
 	}
 	lat := clock.Duration(levels) * s.LevelLat
@@ -109,7 +117,7 @@ func (s *TranslationStage) Translate(pu PU, addr uint64, now clock.Time) clock.T
 		lat += s.IOMMUExtra
 	}
 	_, end := s.Walker[pu].Acquire(now, lat)
-	s.walkPS[pu].n += uint64(end.Sub(now))
+	s.stats.WalkPS[pu] += uint64(end.Sub(now))
 	return end
 }
 
@@ -121,7 +129,7 @@ func (s *TranslationStage) Flush(pu PU) {
 	if s == nil {
 		return
 	}
-	s.shootdowns[pu].n++
+	s.stats.Shootdowns[pu]++
 	s.TLB[pu].Flush()
 	if wc := s.WalkCache[pu]; wc != nil {
 		wc.Flush()
@@ -129,7 +137,7 @@ func (s *TranslationStage) Flush(pu PU) {
 }
 
 // Reset returns the stage to just-constructed: TLBs, walk caches,
-// walkers and counters all cleared. Registered instruments stay wired.
+// walkers and counters all cleared.
 func (s *TranslationStage) Reset() {
 	if s == nil {
 		return
@@ -140,85 +148,33 @@ func (s *TranslationStage) Reset() {
 			wc.Reset()
 		}
 		s.Walker[pu].Reset()
-		s.lookups[pu].reset()
-		s.misses[pu].reset()
-		s.walkPS[pu].reset()
-		s.wcHits[pu].reset()
-		s.shootdowns[pu].reset()
 	}
+	s.stats = TranslationStats{}
 }
 
-// Instrument registers the stage's xlat.* instruments with reg (nil
-// detaches them) and aligns the flush baseline so a freshly attached
-// registry observes only subsequent events.
-func (s *TranslationStage) Instrument(reg *obs.Registry) {
+// Instrument binds the stage's counts into b as registry counters
+// under xlat.*.
+func (s *TranslationStage) Instrument(b *obs.Batch, reg *obs.Registry) {
 	if s == nil {
 		return
 	}
 	for pu := PU(0); pu < NumPUs; pu++ {
-		s.lookups[pu].instrument(reg, "xlat.lookups."+pu.String())
-		s.misses[pu].instrument(reg, "xlat.misses."+pu.String())
-		s.walkPS[pu].instrument(reg, "xlat.walk_ps."+pu.String())
-		s.wcHits[pu].instrument(reg, "xlat.walk_cache_hits."+pu.String())
-		s.shootdowns[pu].instrument(reg, "xlat.shootdowns."+pu.String())
-	}
-}
-
-// FlushObs pushes counter growth since the previous flush into the
-// registered instruments.
-func (s *TranslationStage) FlushObs() {
-	if s == nil {
-		return
-	}
-	for pu := range s.lookups {
-		s.lookups[pu].flush()
-		s.misses[pu].flush()
-		s.walkPS[pu].flush()
-		s.wcHits[pu].flush()
-		s.shootdowns[pu].flush()
+		b.Bind(reg, "xlat.lookups."+pu.String(), &s.stats.Lookups[pu])
+		b.Bind(reg, "xlat.misses."+pu.String(), &s.stats.Misses[pu])
+		b.Bind(reg, "xlat.walk_ps."+pu.String(), &s.stats.WalkPS[pu])
+		b.Bind(reg, "xlat.walk_cache_hits."+pu.String(), &s.stats.WalkCacheHits[pu])
+		b.Bind(reg, "xlat.shootdowns."+pu.String(), &s.stats.Shootdowns[pu])
 	}
 }
 
 // SharedMMU reports whether both PUs walk through one shared walker.
 func (s *TranslationStage) SharedMMU() bool { return s != nil && s.shared }
 
-// Lookups returns pu's TLB probe count (nil-safe, like all accessors).
-func (s *TranslationStage) Lookups(pu PU) uint64 {
+// Stats returns the translation counters; all zero on a nil stage (the
+// axis off).
+func (s *TranslationStage) Stats() TranslationStats {
 	if s == nil {
-		return 0
+		return TranslationStats{}
 	}
-	return s.lookups[pu].n
-}
-
-// Misses returns pu's TLB miss count.
-func (s *TranslationStage) Misses(pu PU) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.misses[pu].n
-}
-
-// WalkPS returns the total picoseconds pu's accesses spent stalled on
-// page walks (including walker queueing).
-func (s *TranslationStage) WalkPS(pu PU) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.walkPS[pu].n
-}
-
-// WalkCacheHits returns pu's walk-cache hit count.
-func (s *TranslationStage) WalkCacheHits(pu PU) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.wcHits[pu].n
-}
-
-// Shootdowns returns the number of TLB shootdowns pu suffered.
-func (s *TranslationStage) Shootdowns(pu PU) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.shootdowns[pu].n
+	return s.stats
 }

@@ -39,9 +39,9 @@ func TestTranslationOffIsNil(t *testing.T) {
 	// them unconditionally.
 	s.Flush(CPU)
 	s.Reset()
-	s.FlushObs()
-	s.Instrument(obs.NewRegistry())
-	if s.Lookups(GPU) != 0 || s.Misses(GPU) != 0 || s.WalkPS(GPU) != 0 || s.Shootdowns(GPU) != 0 {
+	var b obs.Batch
+	s.Instrument(&b, obs.NewRegistry())
+	if s.Stats() != (TranslationStats{}) {
 		t.Fatal("nil stage reported nonzero counters")
 	}
 }
@@ -63,8 +63,8 @@ func TestTranslationHitIsFree(t *testing.T) {
 	if again != afterMiss {
 		t.Fatalf("TLB hit advanced time: %v -> %v", afterMiss, again)
 	}
-	if s.Lookups(CPU) != 2 || s.Misses(CPU) != 1 {
-		t.Fatalf("lookups=%d misses=%d", s.Lookups(CPU), s.Misses(CPU))
+	if s.Stats().Lookups[CPU] != 2 || s.Stats().Misses[CPU] != 1 {
+		t.Fatalf("lookups=%d misses=%d", s.Stats().Lookups[CPU], s.Stats().Misses[CPU])
 	}
 }
 
@@ -76,8 +76,8 @@ func TestTranslationMissChargesFullWalk(t *testing.T) {
 	if got := end.Sub(start); got != want {
 		t.Fatalf("walk charged %v, want %v", got, want)
 	}
-	if s.WalkPS(GPU) != uint64(want) {
-		t.Fatalf("WalkPS = %d, want %d", s.WalkPS(GPU), want)
+	if s.Stats().WalkPS[GPU] != uint64(want) {
+		t.Fatalf("WalkPS = %d, want %d", s.Stats().WalkPS[GPU], want)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestWalkCacheShortensRepeatWalks(t *testing.T) {
 	if got := end2.Sub(end); got != s.LevelLat {
 		t.Fatalf("cached walk charged %v, want %v", got, s.LevelLat)
 	}
-	if s.WalkCacheHits(CPU) != 1 {
-		t.Fatalf("walk-cache hits = %d", s.WalkCacheHits(CPU))
+	if s.Stats().WalkCacheHits[CPU] != 1 {
+		t.Fatalf("walk-cache hits = %d", s.Stats().WalkCacheHits[CPU])
 	}
 }
 
@@ -158,8 +158,8 @@ func TestFlushShootsDownAndCounts(t *testing.T) {
 		t.Fatal("warm entry missed")
 	}
 	s.Flush(CPU)
-	if s.Shootdowns(CPU) != 1 {
-		t.Fatalf("shootdowns = %d", s.Shootdowns(CPU))
+	if s.Stats().Shootdowns[CPU] != 1 {
+		t.Fatalf("shootdowns = %d", s.Stats().Shootdowns[CPU])
 	}
 	if got := s.Translate(CPU, 0x1000, end); got == end {
 		t.Fatal("hit after shootdown")
@@ -178,7 +178,7 @@ func TestTranslationResetRestoresColdState(t *testing.T) {
 	first := s.Translate(CPU, 0x1000, start)
 	s.Translate(GPU, 0x2000, start)
 	s.Reset()
-	if s.Lookups(CPU) != 0 || s.Misses(GPU) != 0 || s.WalkPS(CPU) != 0 {
+	if s.Stats().Lookups[CPU] != 0 || s.Stats().Misses[GPU] != 0 || s.Stats().WalkPS[CPU] != 0 {
 		t.Fatal("reset kept counters")
 	}
 	// The walker must be idle again: a post-reset walk from t=0 takes
@@ -192,11 +192,12 @@ func TestTranslationResetRestoresColdState(t *testing.T) {
 func TestTranslationObservability(t *testing.T) {
 	s := mustStage(t, xlat.Spec{MMU: xlat.Private})
 	reg := obs.NewRegistry()
-	s.Instrument(reg)
+	var b obs.Batch
+	s.Instrument(&b, reg)
 	s.Translate(CPU, 0x1000, clock.Time(0))
 	s.Translate(CPU, 0x1000, clock.Time(0))
 	s.Flush(CPU)
-	s.FlushObs()
+	b.Flush()
 	snap := reg.Snapshot()
 	if got := snap.Counters["xlat.lookups.cpu"]; got != 2 {
 		t.Fatalf("xlat.lookups.cpu = %d", got)
@@ -212,8 +213,9 @@ func TestTranslationObservability(t *testing.T) {
 	}
 	// Instrumenting mid-run must only expose subsequent growth.
 	reg2 := obs.NewRegistry()
-	s.Instrument(reg2)
-	s.FlushObs()
+	var b2 obs.Batch
+	s.Instrument(&b2, reg2)
+	b2.Flush()
 	if got := reg2.Snapshot().Counters["xlat.lookups.cpu"]; got != 0 {
 		t.Fatalf("re-instrumented baseline leaked %d lookups", got)
 	}

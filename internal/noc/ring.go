@@ -64,30 +64,20 @@ type Ring struct {
 	// of two, else -1 (Send falls back to division).
 	lbcShift int
 	stats    Stats
-	obs      ringObs
+	// linkBusyPS accumulates link occupancy: serialisation time times
+	// links traversed.
+	linkBusyPS uint64
 }
 
-// ringObs holds the ring's observability instruments under the noc.*
-// namespace; nil instruments make every bump a no-op.
-type ringObs struct {
-	messages   *obs.Counter
-	hops       *obs.Counter
-	bytes      *obs.Counter
-	linkBusyPS *obs.Counter
-}
-
-// Instrument registers the ring's metrics (noc.*) with reg. The
-// noc.link_busy_ps counter accumulates link occupancy (serialisation time
-// times links traversed), so per-epoch deltas divided by epoch length and
-// link count give ring-link utilisation. A nil registry detaches the
-// instruments.
-func (r *Ring) Instrument(reg *obs.Registry) {
-	r.obs = ringObs{
-		messages:   reg.Counter("noc.messages"),
-		hops:       reg.Counter("noc.hops"),
-		bytes:      reg.Counter("noc.bytes"),
-		linkBusyPS: reg.Counter("noc.link_busy_ps"),
-	}
+// Instrument binds the ring's counts into b as registry counters under
+// noc.*. Per-epoch deltas of noc.link_busy_ps divided by the epoch
+// length and link count give ring-link utilisation. The owner of b
+// flushes it, and rebases it after resetting the ring.
+func (r *Ring) Instrument(b *obs.Batch, reg *obs.Registry) {
+	b.Bind(reg, "noc.messages", &r.stats.Messages)
+	b.Bind(reg, "noc.hops", &r.stats.TotalHops)
+	b.Bind(reg, "noc.bytes", &r.stats.Bytes)
+	b.Bind(reg, "noc.link_busy_ps", &r.linkBusyPS)
 }
 
 // Links returns the number of directed links (two per stop pair).
@@ -194,10 +184,7 @@ func (r *Ring) Send(from, to, bytes int, now clock.Time) clock.Time {
 	r.stats.Messages++
 	r.stats.TotalHops += uint64(hops)
 	r.stats.Bytes += uint64(bytes)
-	r.obs.messages.Inc()
-	r.obs.hops.Add(uint64(hops))
-	r.obs.bytes.Add(uint64(bytes))
-	r.obs.linkBusyPS.Add(uint64(ser) * uint64(hops))
+	r.linkBusyPS += uint64(ser) * uint64(hops)
 	return t.Add(ser)
 }
 
@@ -208,4 +195,5 @@ func (r *Ring) Reset() {
 		r.ccw[i].Reset()
 	}
 	r.stats = Stats{}
+	r.linkBusyPS = 0
 }

@@ -12,11 +12,14 @@
 //
 // Every metric type is nil-safe: methods on a nil *Counter, *Gauge,
 // *Histogram, *Sampler or *Tracer are no-ops, and a nil *Registry hands
-// out nil metrics. A component therefore registers its instruments
-// unconditionally at construction and bumps them unconditionally on the
-// hot path; when observability is off, every bump is a single predictable
-// nil-check branch (benchmarked to be within noise of the uninstrumented
-// simulator).
+// out nil metrics.
+//
+// Simulator components never bump a Counter per event. They count in
+// plain uint64 fields of their own statistics, and a Batch carries the
+// growth of those fields into registry counters when the simulator
+// flushes (before every interval sample and at run end). The hot path
+// therefore costs the same with observability on or off: one integer
+// increment per event.
 //
 // Metrics within one Registry are not synchronised: a registry belongs to
 // one simulator instance and is bumped from that simulator's goroutine
@@ -196,6 +199,52 @@ func (h *Histogram) Merge(a *HistAccum) {
 		h.sum += a.sum
 	}
 	a.Reset()
+}
+
+// Batch carries counts a component keeps in plain uint64 fields into
+// registry counters. Bind ties a counter to a field; Flush adds each
+// field's growth since the previous Flush to its counter. The zero value
+// is an empty batch, and a component's owner re-instruments it by
+// replacing the batch with a fresh one.
+type Batch struct {
+	binds []binding
+}
+
+type binding struct {
+	src  *uint64
+	last uint64
+	dst  *Counter
+}
+
+// Bind registers the named counter with reg and ties it to *src, taking
+// the field's current value as the baseline, so a freshly attached
+// registry observes only later events. A nil registry binds nothing.
+func (b *Batch) Bind(reg *Registry, name string, src *uint64) {
+	if reg == nil {
+		return
+	}
+	b.binds = append(b.binds, binding{src: src, last: *src, dst: reg.Counter(name)})
+}
+
+// Flush adds every bound field's growth since the previous Flush (or
+// Rebase, or Bind) to its counter.
+func (b *Batch) Flush() {
+	for i := range b.binds {
+		x := &b.binds[i]
+		v := *x.src
+		x.dst.v += v - x.last
+		x.last = v
+	}
+}
+
+// Rebase takes the bound fields' current values as the baseline without
+// touching the counters. An owner calls it after zeroing the fields it
+// bound, so the reset does not read as growth at the next Flush; counts
+// not flushed before the reset are dropped.
+func (b *Batch) Rebase() {
+	for i := range b.binds {
+		b.binds[i].last = *b.binds[i].src
+	}
 }
 
 // Bucket is one non-empty histogram bucket: Count observations fell in

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"heteromem/internal/clock"
 )
 
 func TestRegistryRegistrationAndLookup(t *testing.T) {
@@ -129,5 +131,52 @@ func TestRegistryWriteJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("JSON missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestBatch covers the one path simulator counts take into a registry:
+// plain fields bound once, flushed as deltas, rebased after the owner
+// zeroes them.
+func TestBatch(t *testing.T) {
+	var stats struct {
+		hits uint64
+		busy clock.Duration
+	}
+	stats.hits = 5 // counted before Bind: never reaches the registry
+	reg := NewRegistry()
+	var b Batch
+	b.Bind(reg, "c.hits", &stats.hits)
+	b.Bind(reg, "c.busy_ps", (*uint64)(&stats.busy))
+
+	stats.hits += 2
+	stats.busy += 3 * clock.Nanosecond
+	if got := reg.CounterValue("c.hits"); got != 0 {
+		t.Fatalf("c.hits = %d before Flush, want 0", got)
+	}
+	b.Flush()
+	b.Flush() // nothing new: must not double-count
+	if h, d := reg.CounterValue("c.hits"), reg.CounterValue("c.busy_ps"); h != 2 || d != 3000 {
+		t.Fatalf("after Flush: c.hits = %d, c.busy_ps = %d, want 2 and 3000", h, d)
+	}
+
+	// The owner resets its fields and the registry, then rebases: counting
+	// resumes from zero without reading the reset as growth.
+	stats.hits, stats.busy = 0, 0
+	reg.Reset()
+	b.Rebase()
+	stats.hits++
+	b.Flush()
+	if h, d := reg.CounterValue("c.hits"), reg.CounterValue("c.busy_ps"); h != 1 || d != 0 {
+		t.Fatalf("after Rebase: c.hits = %d, c.busy_ps = %d, want 1 and 0", h, d)
+	}
+
+	// A nil registry binds nothing, so flushing it touches no counter.
+	var off Batch
+	off.Bind(nil, "c.hits", &stats.hits)
+	stats.hits++
+	off.Flush()
+	off.Rebase()
+	if got := reg.CounterValue("c.hits"); got != 1 {
+		t.Fatalf("unbound batch moved c.hits to %d", got)
 	}
 }

@@ -107,10 +107,10 @@ type Options struct {
 	// arena, rewound between systems (see internal/harness).
 	Arena *arena.Arena
 
-	// Metrics attaches an observability registry: every component
-	// registers its counters under its namespace (cpu.*, gpu.*, mem.*,
-	// noc.*, dram.*, comm.*, addrspace.*) and bumps them as it runs. Nil
-	// leaves the hot path uninstrumented.
+	// Metrics attaches an observability registry: every component's
+	// counts appear under its namespace (cpu.*, gpu.*, mem.*, noc.*,
+	// dram.*, comm.*, addrspace.*), flushed before every interval sample
+	// and at run end. Nil leaves the run unobserved.
 	Metrics *obs.Registry
 	// Sampler snapshots Metrics at fixed simulated-time intervals,
 	// building the per-epoch time series. Must be built over the same
@@ -156,9 +156,11 @@ type Simulator struct {
 	// scheme is the locality-management scheme to apply, if any.
 	scheme *locality.Scheme
 
-	// Observability sinks; all nil-safe, so an uninstrumented run pays
-	// one predictable branch per bump.
+	// Observability sinks, all nil-safe. obs carries the address space's
+	// and the fabric's counts into metrics; the hierarchy and the cores
+	// carry their own.
 	metrics *obs.Registry
+	obs     obs.Batch
 	sampler *obs.Sampler
 	tracer  *obs.Tracer
 
@@ -242,8 +244,8 @@ func NewWithOptions(sys systems.System, opts Options) (*Simulator, error) {
 	if opts.Metrics != nil {
 		s.metrics = opts.Metrics
 		s.hier.Instrument(opts.Metrics)
-		s.space.Instrument(opts.Metrics)
-		s.fabric.Instrument(opts.Metrics)
+		s.space.Instrument(&s.obs, opts.Metrics)
+		s.fabric.Instrument(&s.obs, opts.Metrics)
 		s.cpuCore.Instrument(opts.Metrics)
 		s.gpuCore.Instrument(opts.Metrics)
 	}
@@ -343,18 +345,22 @@ func (s *Simulator) Reset() {
 	s.proto.Reset()
 	s.metrics.Reset()
 	s.sampler.Reset()
+	s.obs.Rebase()
 }
 
-// flushObs drains the batched hot-path counters into the registry so
-// interval samples and registry reads observe them. Core counters flush
-// when each Execution ends (and mid-phase in the co-simulation loop);
-// this covers the hierarchy and its components, plus the host-time
-// self-profiler. A no-op when the run is uninstrumented.
+// flushObs carries every count accumulated since the last flush into
+// the registry, so interval samples and registry reads observe them:
+// the cores' live executions, the hierarchy and its components, the
+// address space and fabric, and the host-time self-profiler. It is the
+// one flush point of a run. A no-op when the run is uninstrumented.
 func (s *Simulator) flushObs() {
 	if s.metrics == nil {
 		return
 	}
+	s.cpuCore.FlushObs()
+	s.gpuCore.FlushObs()
 	s.hier.FlushObs()
+	s.obs.Flush()
 	s.hostProf.FlushTo(s.metrics)
 }
 
@@ -595,10 +601,6 @@ func (s *Simulator) runCoSim(ge *gpu.Execution, ce *cpu.Execution) {
 			ce.StepUntil(ge.Now())
 		}
 		if s.sampler != nil {
-			// Drain the batched counters so the epoch deltas match
-			// per-event bumping exactly.
-			ce.FlushObs()
-			ge.FlushObs()
 			s.flushObs()
 			lo := ge.Now()
 			if ce.Now() < lo {

@@ -510,12 +510,3 @@ func MustGenerate(name string) *Program {
 	}
 	return p
 }
-
-// All generates every kernel in Table III order.
-func All() []*Program {
-	var out []*Program
-	for _, n := range Names() {
-		out = append(out, MustGenerate(n))
-	}
-	return out
-}

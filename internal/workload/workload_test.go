@@ -2,21 +2,26 @@ package workload
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"heteromem/internal/isa"
 	"heteromem/internal/trace"
 )
 
-// cachedAll shares the generated programs across tests: generation is
-// deterministic, and regenerating 26M instructions per test is wasteful.
-var cachedAll = sync.OnceValue(All)
+// opened returns every kernel opened, in Table III order: phase lengths,
+// transfers and objects without generating the instructions.
+func opened() []*Program {
+	var out []*Program
+	for _, n := range Names() {
+		out = append(out, MustOpen(n))
+	}
+	return out
+}
 
 func TestCharacteristicsMatchTableIII(t *testing.T) {
 	// The generated programs must reproduce Table III exactly:
 	// instruction counts, communication counts, initial transfer sizes.
-	programs := cachedAll()
+	programs := opened()
 	for i, want := range TableIII() {
 		p := programs[i]
 		if p.Name != want.Name {
@@ -30,9 +35,22 @@ func TestCharacteristicsMatchTableIII(t *testing.T) {
 }
 
 func TestAllProgramsValidate(t *testing.T) {
-	for _, p := range cachedAll() {
+	buf := make(trace.Stream, 256)
+	for _, p := range opened() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
+		}
+		// Validate checks the materialized streams only; stream every
+		// generated instruction through a batch and check it instead.
+		for i := range p.Phases {
+			ph := &p.Phases[i]
+			for _, src := range []trace.Source{ph.CPUSource(), ph.GPUSource()} {
+				for n := src.NextBatch(buf); n > 0; n = src.NextBatch(buf) {
+					if err := buf[:n].Validate(); err != nil {
+						t.Fatalf("%s phase %d: %v", p.Name, i, err)
+					}
+				}
+			}
 		}
 	}
 }
@@ -117,7 +135,7 @@ func TestKernelMixesDiffer(t *testing.T) {
 }
 
 func TestTransferPhasesWellFormed(t *testing.T) {
-	for _, p := range cachedAll() {
+	for _, p := range opened() {
 		var h2dSeen bool
 		for _, ph := range p.Phases {
 			if ph.Kind != Transfer {
@@ -140,7 +158,7 @@ func TestTransferPhasesWellFormed(t *testing.T) {
 }
 
 func TestObjectsPresent(t *testing.T) {
-	for _, p := range cachedAll() {
+	for _, p := range opened() {
 		if len(p.Objects) == 0 {
 			t.Errorf("%s: no objects for locality planning", p.Name)
 		}
@@ -250,6 +268,8 @@ func TestSourceExactCount(t *testing.T) {
 
 func BenchmarkGenerateAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		All()
+		for _, n := range Names() {
+			MustGenerate(n)
+		}
 	}
 }
