@@ -1,8 +1,10 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
+	"heteromem/internal/config"
 	"heteromem/internal/isa"
 	"heteromem/internal/trace"
 )
@@ -35,5 +37,31 @@ func TestRunAllocBudget(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("cpu.Core.Run allocates %.1f objects per replay, want 0", avg)
+	}
+}
+
+// TestNewAllocBudget pins what building a core allocates: the replay
+// rings are sized by the ROB, not by the largest trace dependency
+// distance, so a 128-entry ROB costs two 256-entry rings next to the
+// trace lookahead buffer. The core is built without a branch predictor,
+// whose gshare table the configuration sizes (16 KiB at Table II's 14
+// bits) and which this budget does not cover.
+func TestNewAllocBudget(t *testing.T) {
+	cfg := config.BaselineCPU()
+	cfg.PredictorTableBits = 0
+	// TotalAlloc counts every goroutine's allocations, so the test pins
+	// one P, as testing.AllocsPerRun does, and averages over builds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const builds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		runtime.KeepAlive(New(cfg, &fakeMem{}, zeroComm))
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / builds; got >= 16<<10 {
+		t.Errorf("cpu.New allocates %d bytes, want under 16 KiB", got)
+	} else {
+		t.Logf("cpu.New: %d bytes", got)
 	}
 }

@@ -12,6 +12,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 	"heteromem/internal/config"
@@ -67,8 +69,10 @@ type Core struct {
 	obs      obs.Batch
 	memLatPS *obs.Histogram
 
-	// completion and retire rings must cover both the ROB window and the
-	// maximum trace dependency distance (uint16).
+	// comp and retire hold the completion and running retire times of the
+	// last len(comp) instructions, a power of two above the ROB size: no
+	// older producer can delay a dispatch (see StepUntil), so a deeper
+	// history would hold nothing the timing uses.
 	comp   []clock.Time
 	retire []clock.Time
 	// srcBuf is the lookahead batch of the live Execution; it lives here
@@ -91,8 +95,6 @@ func (c *Core) Instrument(reg *obs.Registry) {
 	c.memLatPS = reg.Histogram("cpu.memlat_ps")
 }
 
-const ringSize = 1 << 16
-
 // srcBatch is the lookahead batch size pulled from the trace source.
 const srcBatch = 256
 
@@ -113,14 +115,15 @@ func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster
 		cfg.ROBSize = 1
 	}
 	dom := cfg.Domain()
+	ring := 1 << bits.Len(uint(cfg.ROBSize))
 	c := &Core{
 		cfg:    cfg,
 		dom:    dom,
 		cycle:  dom.PeriodPS(),
 		memory: memory,
 		comm:   comm,
-		comp:   arena.Make[clock.Time](a, ringSize),
-		retire: arena.Make[clock.Time](a, ringSize),
+		comp:   arena.Make[clock.Time](a, ring),
+		retire: arena.Make[clock.Time](a, ring),
 		srcBuf: arena.Make[trace.Inst](a, srcBatch),
 	}
 	if cfg.PredictorTableBits > 0 {
@@ -202,6 +205,7 @@ func (e *Execution) Now() clock.Time { return e.cur }
 // progress when called with deadline >= Now().
 func (e *Execution) StepUntil(deadline clock.Time) {
 	c := e.c
+	mask := len(c.comp) - 1
 	for e.bi < e.bn && e.cur <= deadline {
 		i, in := e.i, c.srcBuf[e.bi]
 		if e.issued >= c.cfg.IssueWidth {
@@ -211,22 +215,28 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 		// Reorder-buffer occupancy: instruction i cannot dispatch before
 		// instruction i-ROB has retired.
 		if i >= c.cfg.ROBSize {
-			head := c.retire[(i-c.cfg.ROBSize)%ringSize]
+			head := c.retire[(i-c.cfg.ROBSize)&mask]
 			if e.cur < head {
 				e.cur = head
 				e.issued = 0
 			}
 		}
 		// Dependencies pointing before the stream start are ignored: the
-		// producer ran in an earlier phase and has long completed.
+		// producer ran in an earlier phase and has long completed. So are
+		// those at d > mask, past the ring: len(comp) > ROB, and
+		// retirement is in order, so retire[i-ROB] is the latest
+		// completion of every instruction up to i-ROB and the dispatch
+		// clock is already at or past it. Any producer at d >= ROB thus
+		// has comp[i-d] <= cur <= ready and cannot delay i. (For i < ROB,
+		// such a d exceeds i and is ignored anyway.)
 		ready := e.cur
-		if d := int(in.Dep1); d != 0 && d <= i {
-			if t := c.comp[(i-d)%ringSize]; t > ready {
+		if d := int(in.Dep1); d != 0 && d <= i && d <= mask {
+			if t := c.comp[(i-d)&mask]; t > ready {
 				ready = t
 			}
 		}
-		if d := int(in.Dep2); d != 0 && d <= i {
-			if t := c.comp[(i-d)%ringSize]; t > ready {
+		if d := int(in.Dep2); d != 0 && d <= i && d <= mask {
+			if t := c.comp[(i-d)&mask]; t > ready {
 				ready = t
 			}
 		}
@@ -295,7 +305,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 			done = ready.Add(clock.Duration(lat) * c.cycle)
 		}
 
-		slot := i % ringSize
+		slot := i & mask
 		c.comp[slot] = done
 		if done > e.maxComp {
 			e.maxComp = done

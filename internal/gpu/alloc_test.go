@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"heteromem/internal/isa"
@@ -32,5 +33,26 @@ func TestRunAllocBudget(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("gpu.Core.Run allocates %.1f objects per replay, want 0", avg)
+	}
+}
+
+// TestNewAllocBudget pins what building a core allocates: the completion
+// ring starts at ringMin entries and grows only when a replay needs it,
+// so construction is the ring plus the trace lookahead buffer.
+func TestNewAllocBudget(t *testing.T) {
+	// TotalAlloc counts every goroutine's allocations, so the test pins
+	// one P, as testing.AllocsPerRun does, and averages over builds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const builds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		runtime.KeepAlive(newCore(newFake(0)))
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / builds; got >= 16<<10 {
+		t.Errorf("gpu.New allocates %d bytes, want under 16 KiB", got)
+	} else {
+		t.Logf("gpu.New: %d bytes", got)
 	}
 }

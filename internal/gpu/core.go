@@ -67,6 +67,10 @@ type Core struct {
 	obs      obs.Batch
 	memLatPS *obs.Histogram
 
+	// comp holds the completion times of the last len(comp)
+	// instructions. It starts at ringMin entries and grows (see record)
+	// only while a replay would drop an entry still in flight; a grown
+	// ring stays here for later replays.
 	comp []clock.Time
 	// srcBuf is the lookahead batch of the live Execution; it lives here
 	// so starting a replay allocates nothing.
@@ -90,7 +94,13 @@ func (c *Core) Instrument(reg *obs.Registry) {
 	c.memLatPS = reg.Histogram("gpu.memlat_ps")
 }
 
-const ringSize = 1 << 16
+// ringMin and ringMax bound the completion ring. ringMax exceeds the
+// largest uint16 dependency distance, so a ring that large never needs
+// to keep more.
+const (
+	ringMin = 256
+	ringMax = 1 << 16
+)
 
 // srcBatch is the lookahead batch size pulled from the trace source.
 const srcBatch = 256
@@ -121,7 +131,7 @@ func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster
 		comm:     comm,
 		swLat:    swLat,
 		Coalesce: true,
-		comp:     arena.Make[clock.Time](a, ringSize),
+		comp:     arena.Make[clock.Time](a, ringMin),
 		srcBuf:   arena.Make[trace.Inst](a, srcBatch),
 	}
 }
@@ -199,15 +209,20 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 			e.bi = 0
 		}
 		// Dependencies pointing before the stream start are ignored: the
-		// producer ran in an earlier phase and has long completed.
+		// producer ran in an earlier phase and has long completed. So are
+		// those at d > len(comp), which the ring has dropped: record drops
+		// an entry only once it completes no later than the issue clock,
+		// and the clock never goes back. Slot i still holds i-len(comp)
+		// until record overwrites it, so d == len(comp) is read.
 		ready := e.cur
-		if d := int(in.Dep1); d != 0 && d <= i {
-			if t := c.comp[(i-d)%ringSize]; t > ready {
+		ring := len(c.comp)
+		if d := int(in.Dep1); d != 0 && d <= i && d <= ring {
+			if t := c.comp[(i-d)&(ring-1)]; t > ready {
 				ready = t
 			}
 		}
-		if d := int(in.Dep2); d != 0 && d <= i {
-			if t := c.comp[(i-d)%ringSize]; t > ready {
+		if d := int(in.Dep2); d != 0 && d <= i && d <= ring {
+			if t := c.comp[(i-d)&(ring-1)]; t > ready {
 				ready = t
 			}
 		}
@@ -295,12 +310,32 @@ func (c *Core) FlushObs() {
 	c.memLatPS.Merge(&c.exec.memLat)
 }
 
-// record notes instruction i's completion time.
+// record notes instruction i's completion time once e.cur has moved to
+// the issue clock after i. Writing slot i drops instruction
+// i-len(comp). That is exact while the dropped completion is no later
+// than e.cur, since every later instruction issues at or after it;
+// otherwise the ring doubles first, up to ringMax.
 func (e *Execution) record(i int, done clock.Time) {
-	e.c.comp[i%ringSize] = done
+	c := e.c
+	if ring := len(c.comp); i >= ring && c.comp[i&(ring-1)] > e.cur && ring < ringMax {
+		c.grow(i)
+	}
+	c.comp[i&(len(c.comp)-1)] = done
 	if done > e.maxComp {
 		e.maxComp = done
 	}
+}
+
+// grow doubles the completion ring before instruction i is written,
+// moving the previous len(comp) instructions' entries to their new
+// slots.
+func (c *Core) grow(i int) {
+	old := c.comp
+	ring := make([]clock.Time, 2*len(old))
+	for k := i - len(old); k < i; k++ {
+		ring[k&(len(ring)-1)] = old[k&(len(old)-1)]
+	}
+	c.comp = ring
 }
 
 // accessMem times a (possibly SIMD) memory operation issued at issueAt.

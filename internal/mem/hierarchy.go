@@ -651,7 +651,11 @@ func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock
 	if size == 0 {
 		return now
 	}
+	// Walk a line count, not an address bound: a range ending at the top
+	// of the address space would wrap the bound to zero.
 	lineBytes := uint64(h.topo.LineBytes)
+	first := h.topo.Line(addr)
+	lines := (addr - first + uint64(size) + lineBytes - 1) / lineBytes
 	switch level {
 	case LevelSoftware:
 		// Software-managed cache: one DMA-style burst from the shared
@@ -665,7 +669,7 @@ func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock
 			_ = h.scratch.Place(addr, uint64(size))
 		}
 		t := now
-		for line := h.topo.Line(addr); line < addr+uint64(size); line += lineBytes {
+		for n, line := uint64(0), first; n < lines; n, line = n+1, line+lineBytes {
 			t = h.Access(GPU, line, false, t)
 		}
 		return t
@@ -673,7 +677,7 @@ func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock
 		// Move each line into its L3 tile over the ring, marked explicit.
 		t := now
 		src := h.topo.PUStop[pu]
-		for line := h.topo.Line(addr); line < addr+uint64(size); line += lineBytes {
+		for n, line := uint64(0), first; n < lines; n, line = n+1, line+lineBytes {
 			tile := h.topo.TileFor(line)
 			at := h.ring.Send(src, h.topo.TileStop(tile), h.topo.LineBytes+h.topo.ReqBytes, t)
 			at = at.Add(h.cfg.L3Lat)
@@ -684,7 +688,7 @@ func (h *Hierarchy) Push(pu PU, addr uint64, size uint32, level Level, now clock
 	case LevelPrivate:
 		// Prefetch into the PU's first-level cache through the normal path.
 		t := now
-		for line := h.topo.Line(addr); line < addr+uint64(size); line += lineBytes {
+		for n, line := uint64(0), first; n < lines; n, line = n+1, line+lineBytes {
 			t = h.Access(pu, line, false, t)
 		}
 		return t

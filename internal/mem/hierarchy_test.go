@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"heteromem/internal/clock"
 	"heteromem/internal/noc"
@@ -186,6 +187,27 @@ func TestPushZeroSize(t *testing.T) {
 	h := newH(t)
 	if got := h.Push(CPU, 0x1000, 0, LevelShared, 42); got != 42 {
 		t.Fatalf("zero-size push took time: %v", got)
+	}
+}
+
+// TestPushTopLineReturns pushes ranges that end at, or run past, the top
+// of the address space at every level. Each must return after touching
+// its lines; a loop bounded by addr+size would wrap to zero and spin.
+func TestPushTopLineReturns(t *testing.T) {
+	for _, c := range []struct {
+		addr uint64
+		size uint32
+	}{{1<<64 - 64, 64}, {1<<64 - 100, 90}} {
+		for _, level := range []Level{LevelPrivate, LevelShared, LevelSoftware} {
+			h := newH(t)
+			done := make(chan clock.Time, 1)
+			go func() { done <- h.Push(GPU, c.addr, c.size, level, 0) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Push(%#x, %d, level %d) still running after 10s", c.addr, c.size, level)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"heteromem/internal/isa"
 )
@@ -62,6 +63,11 @@ func (in Inst) ActiveLanes() int {
 	return int(in.Lanes)
 }
 
+// lineBytes is the granule the simulator rounds a memory or push range
+// out to (a cache line). Validate rejects a range whose rounded-out end
+// would wrap past 2^64.
+const lineBytes = 64
+
 // Validate checks internal consistency of a single record.
 func (in Inst) Validate() error {
 	if !in.Kind.Valid() {
@@ -69,6 +75,10 @@ func (in Inst) Validate() error {
 	}
 	if in.Kind.IsMem() && in.Size == 0 {
 		return fmt.Errorf("trace: %v with zero size", in.Kind)
+	}
+	if (in.Kind.IsMem() || in.Kind.IsSoftwareCache() || in.Kind == isa.Push) &&
+		in.Addr > math.MaxUint64-uint64(in.Size)-(lineBytes-1) {
+		return fmt.Errorf("trace: %v range %#x+%d wraps the address space", in.Kind, in.Addr, in.Size)
 	}
 	if in.Lanes > 8 {
 		return fmt.Errorf("trace: %d SIMD lanes exceeds datapath width 8", in.Lanes)

@@ -30,6 +30,11 @@ func TestValidateOK(t *testing.T) {
 	if err := sample().Validate(); err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
+	// The last line whose end is representable may be pushed.
+	top := Stream{{Kind: isa.Push, Addr: 1<<64 - 128, Size: 64, PushLevel: PushShared}}
+	if err := top.Validate(); err != nil {
+		t.Fatalf("push of the line below the top rejected: %v", err)
+	}
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -44,6 +49,9 @@ func TestValidateRejects(t *testing.T) {
 		{"lanes on scalar", Stream{{Kind: isa.ALU, Lanes: 4}}, "non-SIMD"},
 		{"push level range", Stream{{Kind: isa.Push, Addr: 1, Size: 4, PushLevel: 3}}, "out of range"},
 		{"push level on alu", Stream{{Kind: isa.ALU, PushLevel: 1}}, "non-push"},
+		{"wrapping push", Stream{{Kind: isa.Push, Addr: 1<<64 - 100, Size: 90, PushLevel: PushShared}}, "wraps"},
+		{"push of the top line", Stream{{Kind: isa.Push, Addr: 1<<64 - 64, Size: 64}}, "wraps"},
+		{"wrapping load", Stream{{Kind: isa.SIMDLoad, Addr: 1<<64 - 8, Size: 16}}, "wraps"},
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
