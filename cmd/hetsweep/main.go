@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"heteromem/internal/guideline"
@@ -113,7 +114,9 @@ func main() {
 		kernels = harness.QuickKernels()
 	}
 	if *kernelsFlag != "" {
-		kernels = splitKernels(*kernelsFlag)
+		if kernels, err = splitKernels(*kernelsFlag); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	if *sensitivity != "" {
@@ -302,18 +305,22 @@ func runGrid(exec harness.Executor, obsRun *observedRun, path string, kernelsOve
 }
 
 // splitKernels parses the -kernels flag: comma-separated names, blanks
-// ignored.
-func splitKernels(s string) []string {
+// dropped. A flag naming no kernel, or one kernel twice, is an error.
+func splitKernels(s string) ([]string, error) {
 	var out []string
 	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			out = append(out, k)
+		if k = strings.TrimSpace(k); k == "" {
+			continue
 		}
+		if slices.Contains(out, k) {
+			return nil, fmt.Errorf("-kernels %q names kernel %q twice", s, k)
+		}
+		out = append(out, k)
 	}
 	if len(out) == 0 {
-		log.Fatalf("-kernels %q names no kernels", s)
+		return nil, fmt.Errorf("-kernels %q names no kernels", s)
 	}
-	return out
+	return out, nil
 }
 
 func writeJSON(cells []harness.Cell) {

@@ -5,7 +5,10 @@
 // arena batches those small allocations into large per-type slabs, so a
 // build costs a handful of slab allocations instead of hundreds of
 // individual ones, and the garbage collector sees a few long-lived
-// objects instead of a cloud of small ones.
+// objects instead of a cloud of small ones. Each type keeps two slab
+// lists, each with its own cursor: doubling batching slabs for small
+// carvings, and exact-fit slabs for large ones (replay rings, L3 tag
+// columns), which take no batching room and strand none.
 //
 // Reset rewinds every slab in O(slabs) — it does not zero retained
 // memory. Zeroing happens at carve time instead (Make clears exactly the
@@ -28,7 +31,9 @@ const (
 	// exact-fit slab instead of the doubling curve. Large carvings (replay
 	// rings, L3 tag columns) would otherwise trigger slabs up to twice
 	// their size and pin the overshoot for the arena's lifetime —
-	// measured as +30% allocated bytes on the Figure 5 sweep.
+	// measured as +30% allocated bytes on the Figure 5 sweep. Exact slabs
+	// sit on a list of their own, so a large carving between two small
+	// ones leaves the current batching slab open to the second.
 	exactCut = 4096
 	// slabCap bounds the batching-slab doubling, limiting the tail waste
 	// of the small-carving slabs to one slabCap-sized slab per type.
@@ -72,15 +77,46 @@ func (a *Arena) Bytes() uintptr {
 // pooler is the type-erased view of a pool, for Reset.
 type pooler interface{ rewind() }
 
-// pool bump-allocates []T spans out of progressively larger slabs.
+// pool bump-allocates []T spans out of two slab lists: progressively
+// larger batching slabs for carvings under exactCut, and exact-fit slabs
+// for the rest.
 type pool[T any] struct {
-	slabs [][]T
-	cur   int // slab being carved
-	off   int // next free element in slabs[cur]
+	batch slabs[T]
+	exact slabs[T]
 	small int // size of the next batching slab (doubles up to slabCap)
 }
 
-func (p *pool[T]) rewind() { p.cur, p.off = 0, 0 }
+func (p *pool[T]) rewind() {
+	p.batch.rewind()
+	p.exact.rewind()
+}
+
+// slabs is one bump-allocated slab list with its carving cursor.
+type slabs[T any] struct {
+	list [][]T
+	cur  int // slab being carved
+	off  int // next free element in list[cur]
+}
+
+func (l *slabs[T]) rewind() { l.cur, l.off = 0, 0 }
+
+// fits advances the cursor through retained slabs until one has room
+// for n elements, reporting whether one did.
+func (l *slabs[T]) fits(n int) bool {
+	for l.cur < len(l.list) && len(l.list[l.cur])-l.off < n {
+		l.cur++
+		l.off = 0
+	}
+	return l.cur < len(l.list)
+}
+
+// carve hands out the next n elements of the current slab, zeroed.
+func (l *slabs[T]) carve(n int) []T {
+	s := l.list[l.cur][l.off : l.off+n : l.off+n]
+	l.off += n
+	clear(s)
+	return s
+}
 
 // Make carves a zeroed length-n []T from the arena (capacity exactly n:
 // growing the result with append escapes to the ordinary heap, which is
@@ -100,32 +136,20 @@ func Make[T any](a *Arena, n int) []T {
 		p = &pool[T]{}
 		a.pools[rt] = p
 	}
-	// Advance through retained slabs until one has room.
-	for p.cur < len(p.slabs) && len(p.slabs[p.cur])-p.off < n {
-		p.cur++
-		p.off = 0
+	l, size := &p.exact, n
+	if n < exactCut {
+		l = &p.batch
 	}
-	if p.cur == len(p.slabs) {
-		// Large requests get an exact-fit slab; small ones batch into
-		// doubling slabs so hundreds of little carvings still cost a
-		// logarithmic number of allocations.
-		size := n
+	if !l.fits(n) {
+		// Small requests batch into doubling slabs so hundreds of little
+		// carvings still cost a logarithmic number of allocations.
 		if n < exactCut {
-			if p.small == 0 {
-				p.small = slabMin
-			}
-			if size < p.small {
-				size = p.small
-			}
-			if p.small < slabCap {
-				p.small *= 2
-			}
+			p.small = max(p.small, slabMin)
+			size = max(n, p.small)
+			p.small = min(2*p.small, slabCap)
 		}
-		p.slabs = append(p.slabs, make([]T, size))
+		l.list = append(l.list, make([]T, size))
 		a.bytes += uintptr(size) * rt.Elem().Size()
 	}
-	s := p.slabs[p.cur][p.off : p.off+n : p.off+n]
-	p.off += n
-	clear(s)
-	return s
+	return l.carve(n)
 }

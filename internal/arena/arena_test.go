@@ -130,6 +130,34 @@ func TestBatchingSlabsCapped(t *testing.T) {
 	}
 }
 
+func TestExactCarvingsStrandNoBatchingRoom(t *testing.T) {
+	// An L3 tile carves a large tag column between small state columns
+	// of the same type. The large carving must not end the current
+	// batching slab: while that slab has room for the next small
+	// carving, no batching slab is opened.
+	a := New()
+	const big, small = 2 * exactCut, slabMin
+	room := 0 // free elements left in the current batching slab
+	for i := 0; i < 16; i++ {
+		before := a.Bytes()
+		Make[uint64](a, big)
+		if got, want := a.Bytes()-before, uintptr(big)*8; got != want {
+			t.Fatalf("round %d: exact carving retained %d bytes, want %d", i, got, want)
+		}
+		before = a.Bytes()
+		Make[uint64](a, small)
+		grew := int(a.Bytes()-before) / 8
+		switch {
+		case grew != 0 && room >= small:
+			t.Fatalf("round %d: opened a %d-element batching slab with %d elements free in the current one", i, grew, room)
+		case grew != 0:
+			room = grew - small
+		default:
+			room -= small
+		}
+	}
+}
+
 func BenchmarkMakeSteadyState(b *testing.B) {
 	a := New()
 	b.ReportAllocs()

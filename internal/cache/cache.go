@@ -156,16 +156,18 @@ type Cache struct {
 	waysMask  uint64
 	setMask   uint64
 	lineShift uint
-	tick      uint64
-	stats     Stats
-	maxExpl   int
+	// tick is the recency clock; it stays at most maxStamp (see advance).
+	tick    uint32
+	stats   Stats
+	maxExpl int
 }
 
 // chunk holds the metadata of up to chunkSets consecutive sets.
 type chunk struct {
 	// tags and lastUse are indexed [set*ways+way], set local to the chunk.
+	// A lastUse stamp only orders the ways of its set (see advance).
 	tags    []uint64
-	lastUse []uint64
+	lastUse []uint32
 	// valid, dirty and explicit hold one bit per way, one word per set.
 	valid    []uint64
 	dirty    []uint64
@@ -175,7 +177,7 @@ type chunk struct {
 func newChunk(a *arena.Arena, sets, ways int) *chunk {
 	return &chunk{
 		tags:     arena.Make[uint64](a, sets*ways),
-		lastUse:  arena.Make[uint64](a, sets*ways),
+		lastUse:  arena.Make[uint32](a, sets*ways),
 		valid:    arena.Make[uint64](a, sets),
 		dirty:    arena.Make[uint64](a, sets),
 		explicit: arena.Make[uint64](a, sets),
@@ -281,7 +283,7 @@ func (c *Cache) locate(addr uint64) (*chunk, uint64) {
 // miss the caller is expected to fetch the line from the next level and
 // call Fill.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
-	c.tick++
+	c.advance()
 	c.stats.Accesses++
 	if ch, s := c.locate(addr); ch != nil {
 		tag := c.tagOf(addr)
@@ -327,7 +329,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // (e.g. a store miss under write-allocate). The returned Eviction
 // describes any displaced block or a bypass.
 func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
-	c.tick++
+	c.advance()
 	ch, s := c.locate(addr)
 	if ch == nil {
 		ch = c.materialize(addr)
@@ -388,6 +390,50 @@ func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
 	return ev
 }
 
+// maxStamp is the largest recency stamp. lruAmong reads an ineligible
+// way as ^uint32(0), so no stamp may reach it.
+const maxStamp = ^uint32(0) - 1
+
+// advance moves the recency clock one tick for a Lookup or Fill.
+//
+// Stamps are 32 bits, so the clock renumbers before it would pass
+// maxStamp. That is exact: a stamp is read only by lruAmong, which runs
+// only on a full set (chooseVictim takes an invalid way first) and
+// compares only the ways of that one set. Replacement therefore depends
+// on nothing but the order of each set's valid stamps, and renumber
+// keeps that order. Stamps of invalid ways are never read.
+func (c *Cache) advance() {
+	if c.tick == maxStamp {
+		c.renumber()
+	}
+	c.tick++
+}
+
+// renumber restamps every materialized set's valid ways 1..n in their
+// current stamp order and restarts the clock at Ways, above every n.
+// Valid stamps within a set are distinct (each tick stamps one way), so
+// the order is total.
+func (c *Cache) renumber() {
+	for _, ch := range c.live {
+		for s, v := range ch.valid {
+			set := ch.lastUse[s*c.ways : (s+1)*c.ways]
+			var old [64]uint32
+			copy(old[:], set)
+			for m := v; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				rank := uint32(1)
+				for o := v; o != 0; o &= o - 1 {
+					if old[bits.TrailingZeros64(o)] < old[w] {
+						rank++
+					}
+				}
+				set[w] = rank
+			}
+		}
+	}
+	c.tick = uint32(c.ways)
+}
+
 // materialize builds the chunk holding addr's set on its first fill.
 func (c *Cache) materialize(addr uint64) *chunk {
 	ch := newChunk(nil, chunkSets, c.ways)
@@ -425,13 +471,14 @@ func (c *Cache) chooseVictim(ch *chunk, s uint64, explicitFill bool) int {
 // eligible way wins ties), or -1 when the mask is empty. The scan has a
 // fixed trip count and no data-dependent branch: an ineligible way reads
 // as the largest stamp, and the running minimum and its way update by
-// conditional moves. A valid block's stamp is a tick, never ^0.
+// conditional moves. A valid block's stamp is at most maxStamp, so an
+// eligible way always beats the ineligible ^uint32(0).
 func (c *Cache) lruAmong(ch *chunk, s uint64, eligible uint64) int {
 	base := int(s) * c.ways
-	best, bestUse := -1, ^uint64(0)
+	best, bestUse := -1, ^uint32(0)
 	for w, u := range ch.lastUse[base : base+c.ways] {
 		if eligible>>(uint(w)&63)&1 == 0 {
-			u = ^uint64(0)
+			u = ^uint32(0)
 		}
 		if u < bestUse {
 			best = w

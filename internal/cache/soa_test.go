@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -223,6 +224,67 @@ func (c *aosCache) ValidBlocks() int {
 	return n
 }
 
+// Operations the oracle comparisons drive.
+const (
+	opLookup = iota
+	opFill
+	opProbe
+	opInvalidate
+	opFlush
+	opReset
+	numOps
+)
+
+// stepBoth applies one operation to the cache and to the oracle and
+// compares every return value, every Eviction field and the Stats
+// afterwards. For a lookup b1 is the write flag; for a fill b1 and b2
+// are the explicit and dirty flags.
+func stepBoth(soa *Cache, aos *aosCache, op int, a uint64, b1, b2 bool) error {
+	switch op {
+	case opLookup:
+		if g, o := soa.Lookup(a, b1), aos.Lookup(a, b1); g != o {
+			return fmt.Errorf("Lookup(%#x,%v) = %v, oracle %v", a, b1, g, o)
+		}
+	case opFill:
+		if g, o := soa.Fill(a, b1, b2), aos.Fill(a, b1, b2); g != o {
+			return fmt.Errorf("Fill(%#x,%v,%v) = %+v, oracle %+v", a, b1, b2, g, o)
+		}
+	case opProbe:
+		if g, o := soa.Probe(a), aos.Probe(a); g != o {
+			return fmt.Errorf("Probe(%#x) = %v, oracle %v", a, g, o)
+		}
+	case opInvalidate:
+		gp, gd := soa.Invalidate(a)
+		wp, wd := aos.Invalidate(a)
+		if gp != wp || gd != wd {
+			return fmt.Errorf("Invalidate(%#x) = (%v,%v), oracle (%v,%v)", a, gp, gd, wp, wd)
+		}
+	case opFlush:
+		if g, o := soa.FlushAll(), aos.FlushAll(); g != o {
+			return fmt.Errorf("FlushAll = %d, oracle %d", g, o)
+		}
+	case opReset:
+		soa.Reset()
+		aos.Reset()
+	}
+	if soa.Stats() != aos.stats {
+		return fmt.Errorf("stats diverged: %+v vs oracle %+v", soa.Stats(), aos.stats)
+	}
+	return nil
+}
+
+// oracleConfigs are the geometries the randomized oracle tests cover.
+var oracleConfigs = []Config{
+	{Name: "lru", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, Policy: LRU},
+	{Name: "la", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, Policy: LocalityAware},
+	{Name: "la-cap1", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8, Policy: LocalityAware, MaxExplicitWays: 1},
+	{Name: "la-cap7", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8, Policy: LocalityAware, MaxExplicitWays: 7},
+	{Name: "one-way", SizeBytes: 1 << 10, LineBytes: 64, Ways: 1, Policy: LRU},
+	{Name: "wide", SizeBytes: 64 << 10, LineBytes: 64, Ways: 32, Policy: LocalityAware},
+	{Name: "widest", SizeBytes: 16 << 10, LineBytes: 64, Ways: 64, Policy: LocalityAware, MaxExplicitWays: 40},
+	{Name: "multi-chunk", SizeBytes: 4 << 20, LineBytes: 64, Ways: 16, Policy: LocalityAware},
+}
+
 // TestSoAMatchesAoSOracle drives the SoA cache and the AoS oracle
 // through long random operation sequences — lookups, fills (implicit/explicit, clean/dirty), probes, invalidates, flushes
 // and resets — over a small cache (so sets conflict constantly) and
@@ -232,108 +294,175 @@ func (c *aosCache) ValidBlocks() int {
 // traffic in two of them, so every operation, flushes and resets
 // included, also meets chunks that were never materialized.
 func TestSoAMatchesAoSOracle(t *testing.T) {
-	configs := []Config{
-		{Name: "lru", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, Policy: LRU},
-		{Name: "la", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, Policy: LocalityAware},
-		{Name: "la-cap1", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8, Policy: LocalityAware, MaxExplicitWays: 1},
-		{Name: "la-cap7", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8, Policy: LocalityAware, MaxExplicitWays: 7},
-		{Name: "one-way", SizeBytes: 1 << 10, LineBytes: 64, Ways: 1, Policy: LRU},
-		{Name: "wide", SizeBytes: 64 << 10, LineBytes: 64, Ways: 32, Policy: LocalityAware},
-		{Name: "multi-chunk", SizeBytes: 4 << 20, LineBytes: 64, Ways: 16, Policy: LocalityAware},
+	for _, cfg := range oracleConfigs {
+		t.Run(cfg.Name, func(t *testing.T) { runOracle(t, cfg, nil) })
 	}
-	for _, cfg := range configs {
-		cfg := cfg
+}
+
+// TestSoAMatchesAoSOracleAcrossClockWrap is the same comparison with
+// the cache's 32-bit recency clock set at most 128 ticks below its
+// limit, at the start, after every Reset and after every renumbering.
+// Renumbering so fires over and over in every geometry, on sets in
+// every state, while the oracle's 64-bit clock never wraps.
+func TestSoAMatchesAoSOracleAcrossClockWrap(t *testing.T) {
+	for _, cfg := range oracleConfigs {
 		t.Run(cfg.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x5eed + int64(cfg.Ways)))
-			soa := MustNew(cfg)
-			aos := newAOS(cfg)
-			// Few distinct lines so sets overflow and every victim path runs.
-			lines := 4 * cfg.SizeBytes / cfg.LineBytes / cfg.Ways * cfg.Ways
-			addr := func() uint64 {
-				return uint64(rng.Intn(lines))*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
-			}
-			fillAddr := addr
-			sparse := soa.Sets() > chunkSets
-			if sparse {
-				// Eight hot sets at the start of chunks 0 and 2, and an
-				// occasional far set anywhere. Far fills are rarer still
-				// and land only in chunk 1, which so materializes part
-				// way through the run; chunk 3 is never filled.
-				sets := uint64(soa.Sets())
-				line := func(set uint64) uint64 {
-					tag := uint64(rng.Intn(4 * cfg.Ways))
-					return (tag*sets+set)*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
-				}
-				hot := func() uint64 {
-					return uint64(rng.Intn(2)*2*chunkSets + rng.Intn(8))
-				}
-				addr = func() uint64 {
-					if rng.Intn(64) == 0 {
-						return line(uint64(rng.Int63n(int64(sets))))
-					}
-					return line(hot())
-				}
-				fillAddr = func() uint64 {
-					if rng.Intn(1024) == 0 {
-						return line(uint64(chunkSets + rng.Intn(chunkSets)))
-					}
-					return line(hot())
-				}
-			}
-			steps := 200_000
-			if sparse {
-				steps = 50_000 // the oracle's flushes and resets walk all 4096 sets
-			}
-			for step := 0; step < steps; step++ {
-				op := rng.Intn(100)
-				switch {
-				case op < 55: // lookup
-					a, w := addr(), rng.Intn(2) == 0
-					if g, o := soa.Lookup(a, w), aos.Lookup(a, w); g != o {
-						t.Fatalf("step %d: Lookup(%#x,%v) = %v, oracle %v", step, a, w, g, o)
-					}
-				case op < 85: // fill
-					a, ex, dr := fillAddr(), rng.Intn(3) == 0, rng.Intn(3) == 0
-					if g, o := soa.Fill(a, ex, dr), aos.Fill(a, ex, dr); g != o {
-						t.Fatalf("step %d: Fill(%#x,%v,%v) = %+v, oracle %+v", step, a, ex, dr, g, o)
-					}
-				case op < 90: // probe
-					a := addr()
-					if g, o := soa.Probe(a), aos.Probe(a); g != o {
-						t.Fatalf("step %d: Probe(%#x) = %v, oracle %v", step, a, g, o)
-					}
-				case op < 96: // invalidate
-					a := addr()
-					gp, gd := soa.Invalidate(a)
-					op2, od := aos.Invalidate(a)
-					if gp != op2 || gd != od {
-						t.Fatalf("step %d: Invalidate(%#x) = (%v,%v), oracle (%v,%v)", step, a, gp, gd, op2, od)
-					}
-				case op < 99: // flush
-					if g, o := soa.FlushAll(), aos.FlushAll(); g != o {
-						t.Fatalf("step %d: FlushAll = %d, oracle %d", step, g, o)
-					}
-				default: // reset
-					soa.Reset()
-					aos.Reset()
-				}
-				if soa.Stats() != aos.stats {
-					t.Fatalf("step %d: stats diverged: %+v vs oracle %+v", step, soa.Stats(), aos.stats)
-				}
-				if step%1024 == 0 {
-					if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
-						t.Fatalf("step %d: ValidBlocks %d vs %d", step, g, o)
-					}
-					if g, o := soa.ExplicitBlocks(), aos.ExplicitBlocks(); g != o {
-						t.Fatalf("step %d: ExplicitBlocks %d vs %d", step, g, o)
-					}
-				}
-			}
-			if m, n := soa.Chunks(); sparse && (m != 3 || n != 4) {
-				t.Errorf("%d of %d chunks materialized, want 3 of 4 (chunk 3 is never filled)", m, n)
+			rng := rand.New(rand.NewSource(int64(cfg.SizeBytes)))
+			renumbers := runOracle(t, cfg, func(c *Cache) { c.tick = maxStamp - uint32(rng.Intn(128)) })
+			if renumbers < 100 {
+				t.Errorf("clock renumbered %d times, want at least 100", renumbers)
 			}
 		})
 	}
+}
+
+// runOracle runs the randomized comparison for one geometry. A non-nil
+// arm sets the cache's clock at the start, after every Reset and after
+// every renumbering; runOracle returns how many renumberings it saw.
+func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(0x5eed + int64(cfg.Ways)))
+	soa := MustNew(cfg)
+	aos := newAOS(cfg)
+	if arm != nil {
+		arm(soa)
+	}
+	// Few distinct lines so sets overflow and every victim path runs.
+	lines := 4 * cfg.SizeBytes / cfg.LineBytes / cfg.Ways * cfg.Ways
+	addr := func() uint64 {
+		return uint64(rng.Intn(lines))*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
+	}
+	fillAddr := addr
+	sparse := soa.Sets() > chunkSets
+	if sparse {
+		// Eight hot sets at the start of chunks 0 and 2, and an
+		// occasional far set anywhere. Far fills are rarer still
+		// and land only in chunk 1, which so materializes part
+		// way through the run; chunk 3 is never filled.
+		sets := uint64(soa.Sets())
+		line := func(set uint64) uint64 {
+			tag := uint64(rng.Intn(4 * cfg.Ways))
+			return (tag*sets+set)*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
+		}
+		hot := func() uint64 {
+			return uint64(rng.Intn(2)*2*chunkSets + rng.Intn(8))
+		}
+		addr = func() uint64 {
+			if rng.Intn(64) == 0 {
+				return line(uint64(rng.Int63n(int64(sets))))
+			}
+			return line(hot())
+		}
+		fillAddr = func() uint64 {
+			if rng.Intn(1024) == 0 {
+				return line(uint64(chunkSets + rng.Intn(chunkSets)))
+			}
+			return line(hot())
+		}
+	}
+	steps := 200_000
+	if sparse {
+		steps = 50_000 // the oracle's flushes and resets walk all 4096 sets
+	}
+	for step := 0; step < steps; step++ {
+		var op int
+		var a uint64
+		var b1, b2 bool
+		switch r := rng.Intn(100); {
+		case r < 55:
+			op, a, b1 = opLookup, addr(), rng.Intn(2) == 0
+		case r < 85:
+			op, a, b1, b2 = opFill, fillAddr(), rng.Intn(3) == 0, rng.Intn(3) == 0
+		case r < 90:
+			op, a = opProbe, addr()
+		case r < 96:
+			op, a = opInvalidate, addr()
+		case r < 99:
+			op = opFlush
+		default:
+			op = opReset
+		}
+		before := soa.tick
+		if err := stepBoth(soa, aos, op, a, b1, b2); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		renumbered := op != opReset && soa.tick < before
+		if renumbered {
+			renumbers++
+		}
+		if arm != nil && (op == opReset || renumbered) {
+			arm(soa)
+		}
+		if step%1024 == 0 {
+			if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
+				t.Fatalf("step %d: ValidBlocks %d vs %d", step, g, o)
+			}
+			if g, o := soa.ExplicitBlocks(), aos.ExplicitBlocks(); g != o {
+				t.Fatalf("step %d: ExplicitBlocks %d vs %d", step, g, o)
+			}
+		}
+	}
+	if m, n := soa.Chunks(); sparse && (m != 3 || n != 4) {
+		t.Errorf("%d of %d chunks materialized, want 3 of 4 (chunk 3 is never filled)", m, n)
+	}
+	return renumbers
+}
+
+// FuzzCacheMatchesOracle lets the fuzzer pick the geometry (1 to 64
+// ways, both policies, an explicit-way cap), the starting clock (fresh
+// or up to 255 ticks below the renumbering limit) and the operation
+// sequence, and compares every return value, Eviction and the Stats
+// with the AoS oracle. The clock is set back to its start after every
+// Reset and every renumbering.
+func FuzzCacheMatchesOracle(f *testing.F) {
+	f.Add([]byte{2, 0, 2, 0xff, 0, 1, 1, 2, 0x21, 3, 0x41, 4, 1, 5, 0, 6})
+	f.Add([]byte{6, 1, 0, 0x10, 1, 1, 1, 2, 1, 3, 0x09, 4, 0x19, 5, 0, 1, 5, 0})
+	f.Add([]byte{0, 0, 3, 0xfe, 1, 1, 1, 0, 0, 3, 4, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		// Header: log2 ways, policy and cap, log2 sets, clock offset.
+		ways := 1 << (data[0] % 7)
+		sets := 1 << (data[2] % 4)
+		cfg := Config{Name: "fuzz", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways}
+		if ways > 1 && data[1]&1 != 0 {
+			cfg.Policy = LocalityAware
+			cfg.MaxExplicitWays = int(data[1]>>1) % ways
+		}
+		soa, err := New(cfg)
+		if err != nil {
+			t.Fatalf("generated config %+v rejected: %v", cfg, err)
+		}
+		aos := newAOS(cfg)
+		var start uint32
+		if data[3] != 0 {
+			start = maxStamp - uint32(data[3])
+		}
+		soa.tick = start
+		// Each op is two bytes. The first holds the operation (low three
+		// bits), its flags (the next two) and the set (the top three);
+		// the second is the tag, enough to overflow a 64-way set.
+		for i := 4; i+1 < len(data); i += 2 {
+			b := data[i]
+			op := int(b&7) % numOps
+			line := uint64(data[i+1])*uint64(sets) + uint64(b>>5)%uint64(sets)
+			a := line*64 + uint64(i%64)
+			before := soa.tick
+			if err := stepBoth(soa, aos, op, a, b&8 != 0, b&16 != 0); err != nil {
+				t.Fatalf("op at byte %d (%+v): %v", i, cfg, err)
+			}
+			if op == opReset || soa.tick < before {
+				soa.tick = start
+			}
+			if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
+				t.Fatalf("op at byte %d: ValidBlocks %d vs oracle %d", i, g, o)
+			}
+			if g, o := soa.ExplicitBlocks(), aos.ExplicitBlocks(); g != o {
+				t.Fatalf("op at byte %d: ExplicitBlocks %d vs oracle %d", i, g, o)
+			}
+		}
+	})
 }
 
 // TestWaysLimit pins the packed-state associativity bound: 64 ways is

@@ -83,7 +83,9 @@ const (
 // NumKinds is one past the largest Kind value, for sizing count arrays.
 const NumKinds = int(Push) + 1
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind; the empty entries are the unassigned
+// values between Barrier and APIPCI.
+var kindNames = [NumKinds]string{
 	Nop: "nop", ALU: "alu", Mul: "mul", Div: "div", FP: "fp", FDiv: "fdiv",
 	Load: "load", Store: "store", Branch: "branch",
 	SIMDALU: "simd.alu", SIMDFP: "simd.fp", SIMDLoad: "simd.load", SIMDStore: "simd.store",
@@ -93,8 +95,8 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.Valid() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -111,8 +113,7 @@ func AllKinds() []Kind {
 
 // Valid reports whether k is a defined instruction kind.
 func (k Kind) Valid() bool {
-	_, ok := kindNames[k]
-	return ok
+	return int(k) < NumKinds && kindNames[k] != ""
 }
 
 // IsMem reports whether k accesses the data-cache hierarchy.

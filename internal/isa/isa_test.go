@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,30 @@ func TestValid(t *testing.T) {
 	}
 	if Kind(30).Valid() {
 		t.Error("gap kind 30 reported valid")
+	}
+}
+
+// TestKindTableMatchesMap pins the array-indexed String and Valid to the
+// map they replaced, for every uint8 value: defined kinds, the gap
+// between Barrier and APIPCI, and everything past Push.
+func TestKindTableMatchesMap(t *testing.T) {
+	names := map[Kind]string{
+		Nop: "nop", ALU: "alu", Mul: "mul", Div: "div", FP: "fp", FDiv: "fdiv",
+		Load: "load", Store: "store", Branch: "branch",
+		SIMDALU: "simd.alu", SIMDFP: "simd.fp", SIMDLoad: "simd.load", SIMDStore: "simd.store",
+		SWLoad: "sw.load", SWStore: "sw.store", Barrier: "barrier",
+		APIPCI: "api-pci", APIAcquire: "api-acq", APIRelease: "api-rel",
+		APITransfer: "api-tr", LibPageFault: "lib-pf", Push: "push",
+	}
+	for v := 0; v < 256; v++ {
+		k := Kind(v)
+		want, ok := names[k]
+		if !ok {
+			want = fmt.Sprintf("kind(%d)", v)
+		}
+		if k.Valid() != ok || k.String() != want {
+			t.Errorf("Kind(%d): Valid %v String %q, want %v %q", v, k.Valid(), k.String(), ok, want)
+		}
 	}
 }
 

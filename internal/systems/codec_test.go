@@ -2,6 +2,7 @@ package systems
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"heteromem/internal/addrspace"
@@ -186,5 +187,12 @@ func TestGridExampleFile(t *testing.T) {
 func TestLoadGridRejectsUnknownField(t *testing.T) {
 	if _, err := LoadGrid([]byte(`{"name": "g", "fabrics": ["pcie"], "pony": 1}`)); err == nil {
 		t.Error("LoadGrid accepted an unknown field")
+	}
+}
+
+func TestLoadGridRejectsRepeatedKernel(t *testing.T) {
+	_, err := LoadGrid([]byte(`{"name": "g", "kernels": ["reduction", "dct", "reduction"]}`))
+	if err == nil || !strings.Contains(err.Error(), `"reduction"`) {
+		t.Errorf("LoadGrid with a repeated kernel: err = %v, want one naming \"reduction\"", err)
 	}
 }

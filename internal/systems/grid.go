@@ -71,6 +71,13 @@ func LoadGrid(data []byte) (Grid, error) {
 	if err != nil {
 		return Grid{}, fmt.Errorf("systems: grid %q: %w", j.Name, err)
 	}
+	seen := make(map[string]bool, len(j.Kernels))
+	for _, k := range j.Kernels {
+		if seen[k] {
+			return Grid{}, fmt.Errorf("systems: grid %q: kernel %q is listed twice", j.Name, k)
+		}
+		seen[k] = true
+	}
 	return Grid{
 		Name:               j.Name,
 		Models:             j.Models,
