@@ -1,14 +1,17 @@
-// Package arena provides a typed bump allocator for simulator
-// construction. Building a simulator carves dozens of metadata slices —
-// cache tag arrays, MSHR files, core replay rings, trace buffers — and a
-// sweep harness builds one simulator per (worker, design point). The
-// arena batches those small allocations into large per-type slabs, so a
-// build costs a handful of slab allocations instead of hundreds of
+// Package arena provides a typed bump allocator for simulator memory.
+// Building a simulator carves dozens of metadata slices — cache tag
+// arrays, MSHR files, core replay rings, trace buffers — and running it
+// grows a few more lazily: DRAM-cache directory chunks, FR-FCFS batch
+// scratch, a GPU replay ring that outgrows its first size. A sweep
+// harness builds one simulator per (worker, design point). The arena
+// batches those allocations into large per-type slabs, so a simulator's
+// whole life costs a handful of slab allocations instead of hundreds of
 // individual ones, and the garbage collector sees a few long-lived
 // objects instead of a cloud of small ones. Each type keeps two slab
 // lists, each with its own cursor: doubling batching slabs for small
 // carvings, and exact-fit slabs for large ones (replay rings, L3 tag
-// columns), which take no batching room and strand none.
+// columns, directory chunks), which take no batching room and strand
+// none.
 //
 // Reset rewinds every slab in O(slabs) — it does not zero retained
 // memory. Zeroing happens at carve time instead (Make clears exactly the
@@ -16,11 +19,18 @@
 // fresh one to its callers while Reset stays effectively O(1) between
 // the design points a sweep worker moves through.
 //
+// A simulator built from an arena carves from it for its whole life, so
+// it must run on the goroutine that owns the arena, and the arena may be
+// Reset only once that simulator is dropped.
+//
 // All helpers accept a nil *Arena and degrade to plain make, so
 // arena-aware constructors need no branching at call sites.
 package arena
 
-import "reflect"
+import (
+	"math/bits"
+	"reflect"
+)
 
 const (
 	// slabMin is the smallest element count a fresh batching slab holds;
@@ -152,4 +162,19 @@ func Make[T any](a *Arena, n int) []T {
 		a.bytes += uintptr(size) * rt.Elem().Size()
 	}
 	return l.carve(n)
+}
+
+// Grow returns s resliced to length n when its capacity allows.
+// Otherwise it copies s into a span carved from a (plain make for a nil
+// arena) whose capacity is n rounded up to a power of two, with the
+// elements past len(s) zeroed. A buffer grown over a simulator's life
+// therefore strands a logarithmic number of carvings, all reclaimed by
+// the arena's next Reset.
+func Grow[T any](a *Arena, s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	g := Make[T](a, 1<<bits.Len(uint(n-1)))
+	copy(g, s)
+	return g[:n]
 }

@@ -169,3 +169,34 @@ func BenchmarkMakeSteadyState(b *testing.B) {
 		a.Reset()
 	}
 }
+
+func TestGrowKeepsContentsAndRoundsUp(t *testing.T) {
+	for _, a := range []*Arena{nil, New()} {
+		s := Grow[uint64](a, nil, 3)
+		if len(s) != 3 || cap(s) != 4 {
+			t.Fatalf("len %d cap %d, want 3 and 4", len(s), cap(s))
+		}
+		s[0], s[2] = 7, 9
+		if r := Grow(a, s, 4); &r[0] != &s[0] {
+			t.Fatal("growth within capacity moved the buffer")
+		}
+		g := Grow(a, s, 5)
+		if len(g) != 5 || cap(g) != 8 || g[0] != 7 || g[2] != 9 || g[3] != 0 || g[4] != 0 {
+			t.Fatalf("grown to %v (cap %d), want [7 0 9 0 0] with cap 8", g, cap(g))
+		}
+	}
+}
+
+func TestGrowStrandsLogarithmically(t *testing.T) {
+	// Growing one buffer element by element to n carves at most
+	// log2(n)+1 spans, so the arena retains under 4n elements.
+	a := New()
+	const n = 1 << 14
+	var s []uint64
+	for i := 1; i <= n; i++ {
+		s = Grow(a, s, i)
+	}
+	if got := a.Bytes(); got > 4*n*8 {
+		t.Fatalf("growing to %d elements retained %d bytes, want at most %d", n, got, 4*n*8)
+	}
+}

@@ -4,6 +4,8 @@
 // handles itself.
 package bpred
 
+import "heteromem/internal/arena"
+
 // Gshare is the classic gshare predictor: a global history register XORed
 // with the branch PC indexes a table of 2-bit saturating counters.
 type Gshare struct {
@@ -19,6 +21,12 @@ type Gshare struct {
 // history register of historyBits bits. It panics on a non-positive or
 // oversized table; predictor geometry is fixed at configuration time.
 func NewGshare(tableBits, historyBits uint) *Gshare {
+	return NewGshareIn(nil, tableBits, historyBits)
+}
+
+// NewGshareIn is NewGshare with the counter table carved from the arena
+// (nil falls back to the heap).
+func NewGshareIn(a *arena.Arena, tableBits, historyBits uint) *Gshare {
 	if tableBits == 0 || tableBits > 28 {
 		panic("bpred: table bits out of range")
 	}
@@ -27,7 +35,7 @@ func NewGshare(tableBits, historyBits uint) *Gshare {
 	}
 	g := &Gshare{
 		histBits: historyBits,
-		counters: make([]uint8, 1<<tableBits),
+		counters: arena.Make[uint8](a, 1<<tableBits),
 		mask:     1<<tableBits - 1,
 	}
 	// Initialise to weakly taken: real predictors warm up quickly and the

@@ -62,6 +62,12 @@ type Config struct {
 	// blocks under LocalityAware. Zero means Ways-1, the minimum slack
 	// that keeps at least one way available to implicit fills.
 	MaxExplicitWays int
+	// InterleaveBits is how many line-address bits directly above the
+	// line offset choose this cache among caches that interleave lines,
+	// as the L3 tiles do. Every line the cache sees has the same value
+	// there, so the set index skips those bits; indexing with them would
+	// leave all but one in 2^InterleaveBits sets unused.
+	InterleaveBits uint
 }
 
 func (c Config) validate() error {
@@ -78,6 +84,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("cache %s: size %d not divisible by ways*line %d", c.Name, c.SizeBytes, c.LineBytes*c.Ways)
 	case c.MaxExplicitWays < 0 || c.MaxExplicitWays > c.Ways:
 		return fmt.Errorf("cache %s: max explicit ways %d out of range", c.Name, c.MaxExplicitWays)
+	case c.InterleaveBits > 32:
+		return fmt.Errorf("cache %s: interleave bits %d exceed 32", c.Name, c.InterleaveBits)
 	case c.Policy == LocalityAware && c.MaxExplicitWays == c.Ways:
 		return fmt.Errorf("cache %s: explicit ways must be smaller than associativity (paper constraint II-B5)", c.Name)
 	}
@@ -147,6 +155,8 @@ const (
 type Cache struct {
 	cfg  Config
 	ways int
+	// arena backs every chunk, the first and the materialized ones.
+	arena *arena.Arena
 	// chunks[s>>chunkShift] holds set s; nil until its first fill.
 	chunks []*chunk
 	// live lists the materialized chunks, so whole-cache walks (Reset,
@@ -156,6 +166,8 @@ type Cache struct {
 	waysMask  uint64
 	setMask   uint64
 	lineShift uint
+	// setShift is lineShift plus the interleave bits the set index skips.
+	setShift uint
 	// tick is the recency clock; it stays at most maxStamp (see advance).
 	tick    uint32
 	stats   Stats
@@ -208,10 +220,13 @@ func New(cfg Config) (*Cache, error) {
 	return NewIn(nil, cfg)
 }
 
-// NewIn is New with the first metadata chunk carved from the arena (nil
-// falls back to the ordinary heap). Sweep workers build their simulators
-// out of one arena so construction batches into a few slab allocations.
-// Later chunks come from the heap when first filled.
+// NewIn is New with the metadata chunks carved from the arena (nil
+// falls back to the ordinary heap): the first at construction, later
+// ones when first filled. The cache carves from the arena for its whole
+// life, so it must run on the goroutine that owns the arena, and the
+// arena may be Reset only once the cache is dropped. Sweep workers build
+// each simulator out of one arena and rewind it between design points,
+// so a point's directory chunks reuse the previous point's slabs.
 func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -220,16 +235,21 @@ func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	// Sizes and ways are powers of two, so a cache larger than one chunk
 	// is a whole number of chunks.
 	first := newChunk(a, min(numSets, chunkSets), cfg.Ways)
-	chunks := make([]*chunk, max(1, numSets/chunkSets))
+	chunks := arena.Make[*chunk](a, max(1, numSets/chunkSets))
 	chunks[0] = first
+	live := arena.Grow[*chunk](a, nil, 1)
+	live[0] = first
+	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	c := &Cache{
 		cfg:       cfg,
 		ways:      cfg.Ways,
+		arena:     a,
 		chunks:    chunks,
-		live:      []*chunk{first},
+		live:      live,
 		waysMask:  uint64(1)<<uint(cfg.Ways) - 1, // Ways == 64 wraps the shift to 0, so this is all-ones there too
 		setMask:   uint64(numSets - 1),
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		lineShift: lineShift,
+		setShift:  lineShift + cfg.InterleaveBits,
 		maxExpl:   cfg.MaxExplicitWays,
 	}
 	if c.maxExpl == 0 {
@@ -268,7 +288,7 @@ func (c *Cache) LineFor(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
 }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
+func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.setShift) & c.setMask }
 func (c *Cache) tagOf(addr uint64) uint64    { return addr >> c.lineShift }
 
 // locate returns the chunk holding addr's set, nil if it was never
@@ -436,9 +456,10 @@ func (c *Cache) renumber() {
 
 // materialize builds the chunk holding addr's set on its first fill.
 func (c *Cache) materialize(addr uint64) *chunk {
-	ch := newChunk(nil, chunkSets, c.ways)
+	ch := newChunk(c.arena, chunkSets, c.ways)
 	c.chunks[c.setIndex(addr)>>chunkShift] = ch
-	c.live = append(c.live, ch)
+	c.live = arena.Grow(c.arena, c.live, len(c.live)+1)
+	c.live[len(c.live)-1] = ch
 	return ch
 }
 

@@ -18,8 +18,10 @@ import (
 // path of every access.
 type MSHR struct {
 	capacity int
-	lines    []uint64
-	readys   []clock.Time // fill-complete time, parallel to lines
+	// arena backs the registers, including an uncapped file's growth.
+	arena  *arena.Arena
+	lines  []uint64
+	readys []clock.Time // fill-complete time, parallel to lines
 	// minReady is the earliest outstanding fill time (zero when the
 	// file is empty), so expire only walks the file when an entry can
 	// actually retire instead of on every access.
@@ -37,8 +39,9 @@ func NewMSHR(capacity int) *MSHR {
 
 // NewMSHRIn is NewMSHR with the register file's parallel arrays carved
 // from the arena (nil falls back to the heap). An uncapped file (capacity
-// <= 0) that outgrows its initial registers escapes to the heap via
-// append, which is safe — only the batching is lost.
+// <= 0) that outgrows its initial registers grows from the arena too, so
+// the file must run on the goroutine that owns the arena, and the arena
+// may be Reset only once the file is dropped.
 func NewMSHRIn(a *arena.Arena, capacity int) *MSHR {
 	n := capacity
 	if n <= 0 {
@@ -46,6 +49,7 @@ func NewMSHRIn(a *arena.Arena, capacity int) *MSHR {
 	}
 	return &MSHR{
 		capacity: capacity,
+		arena:    a,
 		lines:    arena.Make[uint64](a, n)[:0],
 		readys:   arena.Make[clock.Time](a, n)[:0],
 	}
@@ -134,6 +138,12 @@ func (m *MSHR) Allocate(line uint64, now, ready clock.Time) clock.Time {
 	if i := m.find(line); i >= 0 {
 		m.readys[i] = ready
 	} else {
+		if n := len(m.lines); n == cap(m.lines) {
+			// Only an uncapped file gets here: a capped one expired an
+			// entry above.
+			m.lines = arena.Grow(m.arena, m.lines, n+1)[:n]
+			m.readys = arena.Grow(m.arena, m.readys, n+1)[:n]
+		}
 		m.lines = append(m.lines, line)
 		m.readys = append(m.readys, ready)
 	}

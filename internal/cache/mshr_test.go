@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 )
 
@@ -51,6 +52,28 @@ func TestMSHRUnlimited(t *testing.T) {
 	}
 	if m.Stalls() != 0 {
 		t.Fatal("unlimited MSHR recorded stalls")
+	}
+}
+
+// An uncapped file built from an arena grows from it: on a rewound
+// arena that has seen the growth once, building the file and filling it
+// with 100 outstanding misses takes at most the file's own header from
+// the heap.
+func TestMSHRUnlimitedGrowsFromArena(t *testing.T) {
+	a := arena.New()
+	fill := func() {
+		a.Reset()
+		m := NewMSHRIn(a, 0)
+		for i := 0; i < 100; i++ {
+			m.Allocate(uint64(i)*64, 0, clock.Time(100+i))
+		}
+		if n := m.InFlight(0); n != 100 {
+			t.Fatalf("in flight = %d, want 100", n)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, fill); allocs > 1 {
+		t.Errorf("recycled uncapped file made %.0f heap allocations, want at most 1", allocs)
 	}
 }
 

@@ -104,9 +104,9 @@ func New(cfg config.CoreConfig, memory Memory, comm CommCoster) *Core {
 	return NewIn(nil, cfg, memory, comm)
 }
 
-// NewIn is New with the completion rings and trace lookahead buffer
-// carved from the arena (nil falls back to the heap); the core keeps no
-// reference to the arena.
+// NewIn is New with the completion rings, trace lookahead buffer and
+// branch-predictor table carved from the arena (nil falls back to the
+// heap); the core keeps no reference to the arena.
 func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster) *Core {
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 1
@@ -127,7 +127,7 @@ func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster
 		srcBuf: arena.Make[trace.Inst](a, srcBatch),
 	}
 	if cfg.PredictorTableBits > 0 {
-		c.pred = bpred.NewGshare(cfg.PredictorTableBits, cfg.PredictorHistoryBits)
+		c.pred = bpred.NewGshareIn(a, cfg.PredictorTableBits, cfg.PredictorHistoryBits)
 	}
 	return c
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 	"heteromem/internal/obs"
 )
@@ -160,7 +161,9 @@ type Controller struct {
 	// Scratch buffers reused across SubmitBatch/TransferTime calls so
 	// batch scheduling allocates nothing in steady state: doneBuf backs
 	// the returned completion times, reqBuf the synthetic request list
-	// of a block transfer, and sched the FR-FCFS scheduler's index.
+	// of a block transfer, and sched the FR-FCFS scheduler's index. They
+	// grow from arena to the largest batch seen.
+	arena   *arena.Arena
 	doneBuf []clock.Time
 	reqBuf  []Request
 	sched   batchIndex
@@ -182,10 +185,19 @@ func (c *Controller) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) 
 
 // New returns a controller with all banks closed.
 func New(cfg Config) (*Controller, error) {
+	return NewIn(nil, cfg)
+}
+
+// NewIn is New with the batch scheduler's scratch carved from the arena
+// (nil falls back to the heap) as batches outgrow it. The controller
+// carves from the arena for its whole life, so it must run on the
+// goroutine that owns the arena, and the arena may be Reset only once
+// the controller is dropped.
+func NewIn(a *arena.Arena, cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, channels: make([]channel, cfg.Channels)}
+	c := &Controller{cfg: cfg, arena: a, channels: make([]channel, cfg.Channels)}
 	for i := range c.channels {
 		c.channels[i] = channel{
 			banks: make([]bank, cfg.BanksPerChannel),
@@ -298,10 +310,8 @@ func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time
 // The returned slice is the controller's scratch buffer: it is valid
 // until the next SubmitBatch or TransferTime call.
 func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
-	if cap(c.doneBuf) < len(reqs) {
-		c.doneBuf = make([]clock.Time, len(reqs))
-	}
-	done := c.doneBuf[:len(reqs)]
+	c.doneBuf = grow(c.arena, c.doneBuf, len(reqs))
+	done := c.doneBuf
 	if len(reqs) == 0 {
 		return done
 	}
@@ -331,7 +341,8 @@ func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
 // over all requests sorted by (arrival, index) yields the first-come
 // pick when no bank has a candidate. The address decomposition is
 // static, so it is computed once per request. Every slice is scratch,
-// grown to the largest batch seen and reused.
+// grown from the controller's arena to the largest batch seen and
+// reused.
 type batchIndex struct {
 	ch, bk []int32  // request -> channel, bank within the channel
 	row    []uint64 // request -> row
@@ -349,23 +360,23 @@ type batchIndex struct {
 	fc   int     // first-come cursor, into fcfs or the request indices
 }
 
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+// grow resizes scratch to n from the arena, dropping its contents: build
+// rewrites every element it reads.
+func grow[T any](a *arena.Arena, s []T, n int) []T { return arena.Grow(a, s[:0], n) }
 
 func (x *batchIndex) build(c *Controller, reqs []Request) {
 	n, perCh := len(reqs), c.cfg.BanksPerChannel
 	banks := c.cfg.Channels * perCh
-	x.ch, x.bk, x.row, x.done = grow(x.ch, n), grow(x.bk, n), grow(x.row, n), grow(x.done, n)
-	x.run, x.order = grow(x.run, n), grow(x.order, n)
+	a := c.arena
+	x.ch, x.bk, x.row, x.done = grow(a, x.ch, n), grow(a, x.bk, n), grow(a, x.row, n), grow(a, x.done, n)
+	x.run, x.order = grow(a, x.run, n), grow(a, x.order, n)
 	// cursor doubles as the counting sort's per-bank fill pointers.
-	x.cursor = grow(x.cursor, max(n, banks))
-	x.bankStart = grow(x.bankStart, banks+1)
+	x.cursor = grow(a, x.cursor, max(n, banks))
+	x.bankStart = grow(a, x.bankStart, banks+1)
 	clear(x.bankStart)
-	x.heap, x.fcfs, x.fc = x.heap[:0], x.fcfs[:0], 0
+	// A bank offers at most one candidate, so the heap never outgrows
+	// banks and push's append never reallocates.
+	x.heap, x.fcfs, x.fc = grow(a, x.heap, banks)[:0], x.fcfs[:0], 0
 
 	arrivalOrder := true
 	for i, r := range reqs {
@@ -377,7 +388,7 @@ func (x *batchIndex) build(c *Controller, reqs []Request) {
 		}
 	}
 	if !arrivalOrder {
-		x.fcfs = grow(x.fcfs, n)
+		x.fcfs = grow(a, x.fcfs, n)
 		for i := range x.fcfs {
 			x.fcfs[i] = int32(i)
 		}
@@ -519,10 +530,8 @@ func (c *Controller) TransferTime(size uint64, now clock.Time) clock.Time {
 		return now
 	}
 	lines := (size + uint64(c.cfg.LineBytes) - 1) / uint64(c.cfg.LineBytes)
-	if uint64(cap(c.reqBuf)) < lines {
-		c.reqBuf = make([]Request, lines)
-	}
-	reqs := c.reqBuf[:lines]
+	c.reqBuf = grow(c.arena, c.reqBuf, int(lines))
+	reqs := c.reqBuf
 	for i := range reqs {
 		reqs[i] = Request{Addr: uint64(i) * uint64(c.cfg.LineBytes), Arrival: now}
 	}

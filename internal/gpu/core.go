@@ -70,8 +70,9 @@ type Core struct {
 	// comp holds the completion times of the last len(comp)
 	// instructions. It starts at ringMin entries and grows (see record)
 	// only while a replay would drop an entry still in flight; a grown
-	// ring stays here for later replays.
-	comp []clock.Time
+	// ring, carved from arena, stays here for later replays.
+	arena *arena.Arena
+	comp  []clock.Time
 	// srcBuf is the lookahead batch of the live Execution; it lives here
 	// so starting a replay allocates nothing.
 	srcBuf []trace.Inst
@@ -116,8 +117,10 @@ func New(cfg config.CoreConfig, memory Memory, comm CommCoster, swLat clock.Dura
 }
 
 // NewIn is New with the completion ring and trace lookahead buffer
-// carved from the arena (nil falls back to the heap); the core keeps no
-// reference to the arena.
+// carved from the arena (nil falls back to the heap). A ring that grows
+// mid-replay is carved from the arena too, so the core must run on the
+// goroutine that owns the arena, and the arena may be Reset only once
+// the core is dropped.
 func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster, swLat clock.Duration) *Core {
 	if cfg.SIMDWidth <= 0 {
 		cfg.SIMDWidth = 8
@@ -131,6 +134,7 @@ func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster
 		comm:     comm,
 		swLat:    swLat,
 		Coalesce: true,
+		arena:    a,
 		comp:     arena.Make[clock.Time](a, ringMin),
 		srcBuf:   arena.Make[trace.Inst](a, srcBatch),
 	}
@@ -331,7 +335,7 @@ func (e *Execution) record(i int, done clock.Time) {
 // slots.
 func (c *Core) grow(i int) {
 	old := c.comp
-	ring := make([]clock.Time, 2*len(old))
+	ring := arena.Make[clock.Time](c.arena, 2*len(old))
 	for k := i - len(old); k < i; k++ {
 		ring[k&(len(ring)-1)] = old[k&(len(old)-1)]
 	}

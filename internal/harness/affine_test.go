@@ -22,6 +22,11 @@ import (
 // simulator dirtied, and then by a DRAM cache of the same geometry.
 // Construction carves the same sizes in the same order up to the
 // directory, so the third point's directory lands on the first one's.
+// The last four points run on the memory-controller fabric, whose block
+// transfers go through the DRAM controller's FR-FCFS scheduler: a
+// full-size DRAM cache materializes directory chunks as it runs, a DRAM
+// and an HBM point then re-carve those slabs as FR-FCFS scratch, and a
+// second full-size DRAM cache carves its chunks from them again.
 func mixedGrid() []systems.System {
 	small := memtech.DefaultDRAMCache()
 	small.SizeBytes, small.Ways = 256<<10, 8
@@ -38,6 +43,10 @@ func mixedGrid() []systems.System {
 		{systems.IdealHetero(), memtech.Spec{}, "2m"},
 		{systems.CPUGPU(), memtech.Spec{Kind: memtech.DRAMCache}, "2m"},
 		{systems.Fusion(), memtech.Spec{Kind: memtech.NVM}, "4k"},
+		{systems.Fusion(), memtech.Spec{Kind: memtech.DRAMCache}, "4k"},
+		{systems.Fusion(), memtech.Spec{}, "4k"},
+		{systems.Fusion(), memtech.Spec{Kind: memtech.HBM}, "4k"},
+		{systems.Fusion(), memtech.Spec{Kind: memtech.DRAMCache}, "2m"},
 	}
 	out := make([]systems.System, len(points))
 	for i, p := range points {
@@ -51,9 +60,10 @@ func mixedGrid() []systems.System {
 }
 
 // TestAffineExecutorMatchesFreshSimulators is the differential test of
-// system-affine scheduling and arena recycling: every worker count must
-// return exactly the cells a fresh, arena-free simulator per cell
-// produces, in kernel-major order.
+// system-affine scheduling and arena recycling, construction-time and
+// run-time carvings alike: every worker count must return exactly the
+// cells a fresh, arena-free simulator per cell produces, in kernel-major
+// order.
 func TestAffineExecutorMatchesFreshSimulators(t *testing.T) {
 	sysList := mixedGrid()
 	kernels := []string{"reduction", "merge-sort"}

@@ -61,8 +61,8 @@ func RunAddressSpaces(kernels []string) ([]Cell, error) {
 // Executor runs sweep cells on a fixed-size worker pool, scheduled
 // system-affine: a worker claims one system and runs that system's cells
 // on one simulator, Reset between cells. When it moves to another system
-// it drops the simulator and rewinds its arena, so the next simulator is
-// carved from the same slabs. A worker therefore holds at most one live
+// it drops the simulator and rewinds its arena, so the next simulator,
+// and everything it grows while it runs, is carved from the same slabs. A worker therefore holds at most one live
 // simulator, a sweep's memory grows with its workers rather than with
 // its systems, and it never has more goroutines than workers.
 type Executor struct {

@@ -14,6 +14,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"heteromem/internal/arena"
@@ -343,12 +344,14 @@ func New(cfg Config) (*Hierarchy, error) {
 	return NewIn(nil, cfg)
 }
 
-// NewIn is New with the hierarchy's cache metadata arrays and MSHR files
-// carved from the arena (nil falls back to the heap). The arena is used
-// only during construction — the hierarchy keeps no reference to it — so
-// the caller decides the lifecycle: a sweep worker builds its simulator
-// out of one arena and rewinds it when it drops that simulator for the
-// next system's.
+// NewIn is New with the hierarchy's cache metadata arrays, MSHR files and
+// DRAM scheduler scratch carved from the arena (nil falls back to the
+// heap). The hierarchy carves from the arena for its whole life —
+// directory chunks as they are first filled, FR-FCFS scratch as batches
+// grow — so it must run on the goroutine that owns the arena, and the
+// arena may be Reset only once the hierarchy is dropped: a sweep worker
+// builds its simulator out of one arena and rewinds it when it drops
+// that simulator for the next system's.
 func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -365,8 +368,12 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h.l3 = make([]*cache.Cache, cfg.L3Tiles)
+	// Tiles interleave lines modulo L3Tiles (memsys.Topology.TileFor),
+	// which fixes a tile's low TrailingZeros(L3Tiles) line-address bits,
+	// so each tile indexes its sets above them.
+	tileCfg := cfg.L3Tile
+	tileCfg.InterleaveBits = uint(bits.TrailingZeros(uint(cfg.L3Tiles)))
 	for i := range h.l3 {
-		tileCfg := cfg.L3Tile
 		tileCfg.Name = fmt.Sprintf("l3.t%d", i)
 		if h.l3[i], err = cache.NewIn(a, tileCfg); err != nil {
 			return nil, err
@@ -375,7 +382,7 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	if h.ring, err = noc.New(cfg.Ring); err != nil {
 		return nil, err
 	}
-	if h.dram, err = dram.New(cfg.DRAM); err != nil {
+	if h.dram, err = dram.NewIn(a, cfg.DRAM); err != nil {
 		return nil, err
 	}
 	for p := PU(0); p < NumPUs; p++ {
@@ -454,7 +461,8 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 }
 
 // buildBackend constructs the memory technology cfg.Tech selects,
-// carving the DRAM cache's tag directory from a.
+// carving the HBM controller's scratch and the DRAM cache's tag
+// directory from a.
 func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 	cfg := h.cfg
 	switch cfg.Tech.Kind {
@@ -462,7 +470,7 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		h.backend = &memsys.DRAMStage{Ctrl: h.dram}
 	case memtech.HBM:
 		p := cfg.Tech.ResolvedHBM()
-		ctrl, err := dram.New(p.DRAMConfig(cfg.L3Tile.LineBytes))
+		ctrl, err := dram.NewIn(a, p.DRAMConfig(cfg.L3Tile.LineBytes))
 		if err != nil {
 			return fmt.Errorf("mem: mem_tech.hbm: %w", err)
 		}

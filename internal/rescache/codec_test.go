@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -280,7 +281,7 @@ func TestJSONStoreRefillsOnce(t *testing.T) {
 	if got, ok := fresh.Get(k); !ok || got != res {
 		t.Fatalf("after refill: Get = %+v, %v", got, ok)
 	}
-	if filepath.Ext(fresh.blobPath(digest)) != ".bin" || !strings.Contains(fresh.blobPath(digest), "v2") {
-		t.Fatalf("blob path %s, want v2/<dd>/<digest>.bin", fresh.blobPath(digest))
+	if v := fmt.Sprintf("v%d", SchemaVersion); filepath.Ext(fresh.blobPath(digest)) != ".bin" || !strings.Contains(fresh.blobPath(digest), v) {
+		t.Fatalf("blob path %s, want %s/<dd>/<digest>.bin", fresh.blobPath(digest), v)
 	}
 }

@@ -23,7 +23,8 @@
 // corrupt blob, or a digest collision all read back as a clean miss —
 // never as a wrong result — and the next Put rewrites the entry. Stores
 // written by the JSON-envelope format (v1/<dd>/<digest>.json) are not
-// read at all: every cell misses once and refills under v2.
+// read at all, nor are binary stores of an older schema: every cell
+// misses once and refills under the current v<schema>.
 package rescache
 
 import (
@@ -46,8 +47,10 @@ import (
 // design-point spec: stale entries then miss cleanly instead of serving
 // pre-change results. A change to sim.Result's fields needs no bump:
 // the layout digest in every blob retires the old entries. Version 1
-// was the JSON envelope; version 2 is the binary one.
-const SchemaVersion = 2
+// was the JSON envelope; version 2 the binary one; version 3 retires
+// results simulated while each L3 tile reached only a quarter of its
+// sets.
+const SchemaVersion = 3
 
 // Key identifies one simulation exactly: two cells collide iff they are
 // bit-identically the same simulation. Spec is the canonical design-point

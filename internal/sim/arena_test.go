@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"heteromem/internal/arena"
+	"heteromem/internal/memtech"
 	"heteromem/internal/systems"
+	"heteromem/internal/workload"
 )
 
 // TestConstructionArenaBudget bounds what building one Table II
@@ -21,4 +24,41 @@ func TestConstructionArenaBudget(t *testing.T) {
 		t.Errorf("building CPU+GPU retained %d KiB of arena slabs, budget %d KiB", got>>10, budget>>10)
 	}
 	t.Logf("arena retains %d KiB", a.Bytes()>>10)
+}
+
+// TestRecycledArenaHeapBudget bounds the heap a sweep worker spends on a
+// design point it has visited before: rewinding the worker's arena,
+// building a Fusion simulator with a DRAM-cache backend and running
+// reduction must take its run-time growth (directory chunks, FR-FCFS
+// scratch, the predictor table) from the arena's retained slabs. A
+// buffer that grows lazily on the heap instead shows up here.
+func TestRecycledArenaHeapBudget(t *testing.T) {
+	sys := systems.Fusion()
+	sys.MemTech = memtech.Spec{Kind: memtech.DRAMCache}
+	p, err := workload.Open("reduction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arena.New()
+	point := func() {
+		a.Reset()
+		s, err := NewWithOptions(sys, Options{Arena: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	point() // warm-up: the arena grows its slabs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	point()
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > budget {
+		t.Errorf("recycled DRAM-cache Fusion point allocated %d KiB of heap, budget %d KiB", got>>10, budget>>10)
+	}
+	t.Logf("recycled point allocates %d KiB of heap", got>>10)
 }
