@@ -253,7 +253,7 @@ func (s *Space) Reset() {
 	s.next[CPUPrivate] = CPUPrivateBase + s.pageSize
 	s.next[GPUPrivate] = GPUPrivateBase
 	s.next[Shared] = SharedBase
-	s.objects = nil
+	s.objects = s.objects[:0]
 	s.nextFrame = [mem.NumPUs]uint64{}
 	clear(s.owner)
 	for p := mem.PU(0); p < mem.NumPUs; p++ {

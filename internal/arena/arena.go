@@ -1,9 +1,9 @@
 // Package arena provides a typed bump allocator for simulator memory.
 // Building a simulator carves dozens of metadata slices — cache tag
 // arrays, MSHR files, core replay rings, trace buffers — and running it
-// grows a few more lazily: DRAM-cache directory chunks, FR-FCFS batch
-// scratch, a GPU replay ring that outgrows its first size. A sweep
-// harness builds one simulator per (worker, design point). The arena
+// grows a few more lazily: DRAM-cache directory chunks, a GPU replay
+// ring that outgrows its first size. A sweep harness builds one
+// simulator per (worker, design point). The arena
 // batches those allocations into large per-type slabs, so a simulator's
 // whole life costs a handful of slab allocations instead of hundreds of
 // individual ones, and the garbage collector sees a few long-lived

@@ -129,7 +129,7 @@ func TestDomainRoundTripProperty(t *testing.T) {
 }
 
 func TestResourceSerialisation(t *testing.T) {
-	r := NewResource("bus")
+	r := new(Resource)
 	s1, f1 := r.Acquire(0, 100)
 	if s1 != 0 || f1 != 100 {
 		t.Fatalf("first acquire: start=%v free=%v", s1, f1)
@@ -144,19 +144,16 @@ func TestResourceSerialisation(t *testing.T) {
 	if s3 != 500 {
 		t.Fatalf("third acquire start=%v, want 500", s3)
 	}
-	if r.Requests() != 3 {
-		t.Fatalf("requests = %d, want 3", r.Requests())
-	}
-	if r.BusyTime() != 210 {
-		t.Fatalf("busy time = %d, want 210", uint64(r.BusyTime()))
+	if r.FreeAt() != 510 {
+		t.Fatalf("free at %v, want 510", r.FreeAt())
 	}
 }
 
 func TestResourceReset(t *testing.T) {
-	r := NewResource("bus")
+	r := new(Resource)
 	r.Acquire(0, 100)
 	r.Reset()
-	if r.FreeAt() != 0 || r.Requests() != 0 || r.BusyTime() != 0 {
+	if r.FreeAt() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -165,7 +162,7 @@ func TestResourceMonotonicProperty(t *testing.T) {
 	// For any sequence of acquires with nondecreasing arrival times, start
 	// times must be nondecreasing and every start >= its arrival.
 	f := func(arrivalDeltas []uint16, occupancies []uint16) bool {
-		r := NewResource("x")
+		r := new(Resource)
 		var at Time
 		var lastStart Time
 		n := len(arrivalDeltas)

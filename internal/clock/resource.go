@@ -8,19 +8,10 @@ package clock
 // This is the standard trace-driven-simulator compromise between a fixed
 // latency (no contention at all) and a full micro-event model: it
 // serialises conflicting requests exactly, costs O(1) per request, and is
-// deterministic.
+// deterministic. The zero Resource is idle at time zero.
 type Resource struct {
-	name      string
 	busyUntil Time
-	requests  uint64
-	busyTime  Duration
 }
-
-// NewResource returns an idle resource with the given name.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for occupancy starting no earlier than
 // at. It returns the time the request actually starts (>= at) and the
@@ -32,24 +23,11 @@ func (r *Resource) Acquire(at Time, occupancy Duration) (start, free Time) {
 	start = Max(at, r.busyUntil)
 	free = start.Add(occupancy)
 	r.busyUntil = free
-	r.requests++
-	r.busyTime += occupancy
 	return start, free
 }
 
 // FreeAt returns the earliest time a new request could start.
 func (r *Resource) FreeAt() Time { return r.busyUntil }
 
-// Requests returns the number of Acquire calls so far.
-func (r *Resource) Requests() uint64 { return r.requests }
-
-// BusyTime returns the total occupancy accumulated so far, for
-// utilisation reporting.
-func (r *Resource) BusyTime() Duration { return r.busyTime }
-
-// Reset returns the resource to idle at time zero, clearing statistics.
-func (r *Resource) Reset() {
-	r.busyUntil = 0
-	r.requests = 0
-	r.busyTime = 0
-}
+// Reset returns the resource to idle at time zero.
+func (r *Resource) Reset() { r.busyUntil = 0 }

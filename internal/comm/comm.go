@@ -74,7 +74,7 @@ type PCIe struct {
 // GMAC behaviour (asynchronous copies the runtime overlaps with
 // computation).
 func NewPCIe(params config.CommParams, async bool) *PCIe {
-	return &PCIe{params: params, link: clock.NewResource("pcie"), async: async}
+	return &PCIe{params: params, link: new(clock.Resource), async: async}
 }
 
 // Name implements Fabric.
@@ -135,7 +135,7 @@ type Aperture struct {
 
 // NewAperture returns a PCI-aperture fabric with Table IV costs.
 func NewAperture(params config.CommParams) *Aperture {
-	return &Aperture{params: params, link: clock.NewResource("aperture")}
+	return &Aperture{params: params, link: new(clock.Resource)}
 }
 
 // Name implements Fabric.
@@ -206,7 +206,8 @@ func (m *MemController) Instrument(b *obs.Batch, reg *obs.Registry) { m.stats.bi
 func (m *MemController) Reset() { m.stats = Stats{} }
 
 // Transfer implements Fabric: read every source line and write every
-// destination line through the controllers.
+// destination line through the controllers. Program validation bounds
+// bytes by workload.MaxTransferBytes, so doubling it cannot wrap.
 func (m *MemController) Transfer(bytes uint64, now clock.Time) clock.Time {
 	done := m.ctrl.TransferTime(2*bytes, now)
 	m.stats.Transfers++

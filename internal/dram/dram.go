@@ -13,11 +13,8 @@
 package dram
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
-	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 	"heteromem/internal/obs"
 )
@@ -158,15 +155,9 @@ type Controller struct {
 	// bytes is the data moved: one line per serviced request.
 	bytes uint64
 
-	// Scratch buffers reused across SubmitBatch/TransferTime calls so
-	// batch scheduling allocates nothing in steady state: doneBuf backs
-	// the returned completion times, reqBuf the synthetic request list
-	// of a block transfer, and sched the FR-FCFS scheduler's index. They
-	// grow from arena to the largest batch seen.
-	arena   *arena.Arena
-	doneBuf []clock.Time
-	reqBuf  []Request
-	sched   batchIndex
+	// held is TransferTime's per-bank scratch, one entry per bank of a
+	// channel.
+	held []uint64
 }
 
 // Instrument binds the controller's counts into b as registry counters
@@ -185,24 +176,16 @@ func (c *Controller) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) 
 
 // New returns a controller with all banks closed.
 func New(cfg Config) (*Controller, error) {
-	return NewIn(nil, cfg)
-}
-
-// NewIn is New with the batch scheduler's scratch carved from the arena
-// (nil falls back to the heap) as batches outgrow it. The controller
-// carves from the arena for its whole life, so it must run on the
-// goroutine that owns the arena, and the arena may be Reset only once
-// the controller is dropped.
-func NewIn(a *arena.Arena, cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, arena: a, channels: make([]channel, cfg.Channels)}
+	c := &Controller{
+		cfg:      cfg,
+		channels: make([]channel, cfg.Channels),
+		held:     make([]uint64, cfg.BanksPerChannel),
+	}
 	for i := range c.channels {
-		c.channels[i] = channel{
-			banks: make([]bank, cfg.BanksPerChannel),
-			bus:   clock.NewResource(fmt.Sprintf("dram.ch%d.bus", i)),
-		}
+		c.channels[i] = channel{banks: make([]bank, cfg.BanksPerChannel), bus: new(clock.Resource)}
 	}
 	return c, nil
 }
@@ -301,245 +284,175 @@ func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time
 }
 
 // SubmitBatch schedules a batch of requests that are simultaneously
-// visible to the controller (e.g. a coalesced GPU burst or a DMA block
-// transfer) and returns each request's completion time, in the order the
-// requests were given. Under FRFCFS the controller reorders within the
-// batch: at each step it picks the lowest-indexed request whose target
-// row is open in its bank; if none, the oldest request (lowest index on
-// equal arrivals).
-// The returned slice is the controller's scratch buffer: it is valid
-// until the next SubmitBatch or TransferTime call.
+// visible to the controller and returns each request's completion time,
+// in the order the requests were given. Under FRFCFS the controller
+// reorders within the batch: at each step it picks the lowest-indexed
+// request whose target row is open in its bank; if none, the oldest
+// request (lowest index on equal arrivals). Each pick rescans the
+// pending requests, so a batch costs time quadratic in its size: this is
+// the scheduler's plain statement, used by the scheduling ablation and
+// as the oracle TransferTime is checked against.
 func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
-	c.doneBuf = grow(c.arena, c.doneBuf, len(reqs))
-	done := c.doneBuf
-	if len(reqs) == 0 {
-		return done
-	}
+	done := make([]clock.Time, len(reqs))
 	if c.cfg.Scheduling == FCFS {
 		for i, r := range reqs {
 			done[i] = c.service(r.Addr, r.Arrival)
 		}
 		return done
 	}
-	x := &c.sched
-	x.build(c, reqs)
-	for range reqs {
-		i := x.next()
-		done[i] = c.serviceAt(&c.channels[x.ch[i]], int(x.bk[i]), x.row[i], reqs[i].Arrival)
-		x.serviced(i)
+	type target struct {
+		bank *bank
+		row  uint64
+	}
+	pending, to := make([]int, len(reqs)), make([]target, len(reqs))
+	for i, r := range reqs {
+		ch, bk, row := c.mapAddr(r.Addr)
+		pending[i], to[i] = i, target{&c.channels[ch].banks[bk], row}
+	}
+	for len(pending) > 0 {
+		pick := -1
+		for pi, idx := range pending {
+			if b := to[idx].bank; b.rowValid && b.openRow == to[idx].row {
+				pick = pi
+				break
+			}
+		}
+		if pick < 0 {
+			pick = 0
+			for pi := 1; pi < len(pending); pi++ {
+				if reqs[pending[pi]].Arrival < reqs[pending[pick]].Arrival {
+					pick = pi
+				}
+			}
+		}
+		idx := pending[pick]
+		pending = append(pending[:pick], pending[pick+1:]...)
+		done[idx] = c.service(reqs[idx].Addr, reqs[idx].Arrival)
 	}
 	return done
 }
 
-// batchIndex makes each FR-FCFS pick in O(log banks) instead of
-// rescanning the pending requests. Servicing a request changes the open
-// row of its own bank only, so each bank has at most one candidate, its
-// lowest-indexed pending request to the row it has open, and a min-heap
-// of the candidates yields the first-ready pick. To find a bank's next
-// candidate, its requests are sorted by (row, index) into runs of one
-// row, and a cursor per run skips requests already serviced. A cursor
-// over all requests sorted by (arrival, index) yields the first-come
-// pick when no bank has a candidate. The address decomposition is
-// static, so it is computed once per request. Every slice is scratch,
-// grown from the controller's arena to the largest batch seen and
-// reused.
-type batchIndex struct {
-	ch, bk []int32  // request -> channel, bank within the channel
-	row    []uint64 // request -> row
-	done   []bool   // request -> serviced
-	run    []int32  // request -> end of its run in order
-
-	order []int32 // requests grouped by bank, each bank sorted by (row, index)
-	// cursor, at a run's last position, is the run's first position
-	// that may still be pending.
-	cursor    []int32
-	bankStart []int32 // flat bank -> first position in order; len banks+1
-
-	heap []int32 // candidates, a min-heap of request indices
-	fcfs []int32 // requests sorted by (arrival, index); empty if in index order
-	fc   int     // first-come cursor, into fcfs or the request indices
-}
-
-// grow resizes scratch to n from the arena, dropping its contents: build
-// rewrites every element it reads.
-func grow[T any](a *arena.Arena, s []T, n int) []T { return arena.Grow(a, s[:0], n) }
-
-func (x *batchIndex) build(c *Controller, reqs []Request) {
-	n, perCh := len(reqs), c.cfg.BanksPerChannel
-	banks := c.cfg.Channels * perCh
-	a := c.arena
-	x.ch, x.bk, x.row, x.done = grow(a, x.ch, n), grow(a, x.bk, n), grow(a, x.row, n), grow(a, x.done, n)
-	x.run, x.order = grow(a, x.run, n), grow(a, x.order, n)
-	// cursor doubles as the counting sort's per-bank fill pointers.
-	x.cursor = grow(a, x.cursor, max(n, banks))
-	x.bankStart = grow(a, x.bankStart, banks+1)
-	clear(x.bankStart)
-	// A bank offers at most one candidate, so the heap never outgrows
-	// banks and push's append never reallocates.
-	x.heap, x.fcfs, x.fc = grow(a, x.heap, banks)[:0], x.fcfs[:0], 0
-
-	arrivalOrder := true
-	for i, r := range reqs {
-		ch, bk, row := c.mapAddr(r.Addr)
-		x.ch[i], x.bk[i], x.row[i], x.done[i] = int32(ch), int32(bk), row, false
-		x.bankStart[ch*perCh+bk+1]++
-		if i > 0 && r.Arrival < reqs[i-1].Arrival {
-			arrivalOrder = false
-		}
-	}
-	if !arrivalOrder {
-		x.fcfs = grow(a, x.fcfs, n)
-		for i := range x.fcfs {
-			x.fcfs[i] = int32(i)
-		}
-		slices.SortFunc(x.fcfs, func(a, b int32) int {
-			if c := cmp.Compare(reqs[a].Arrival, reqs[b].Arrival); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-	}
-	// Counting sort by bank, stable, so each bank's requests are in
-	// index order.
-	for b := 1; b <= banks; b++ {
-		x.bankStart[b] += x.bankStart[b-1]
-	}
-	fill := x.cursor[:banks]
-	copy(fill, x.bankStart)
-	for i := range reqs {
-		b := x.ch[i]*int32(perCh) + x.bk[i]
-		x.order[fill[b]] = int32(i)
-		fill[b]++
-	}
-	for ch := range c.channels {
-		for bk := range c.channels[ch].banks {
-			b := ch*perCh + bk
-			if lo, hi := x.bankStart[b], x.bankStart[b+1]; lo < hi {
-				x.indexBank(x.order[lo:hi], lo, &c.channels[ch].banks[bk])
-			}
-		}
-	}
-}
-
-// indexBank sorts one bank's requests sec (at position lo of order) by
-// (row, index), splits them into runs and offers the run of the bank's
-// open row as the bank's candidate.
-func (x *batchIndex) indexBank(sec []int32, lo int32, bk *bank) {
-	for k := 1; k < len(sec); k++ {
-		if x.row[sec[k]] < x.row[sec[k-1]] {
-			slices.SortStableFunc(sec, func(a, b int32) int { return cmp.Compare(x.row[a], x.row[b]) })
-			break
-		}
-	}
-	end := lo + int32(len(sec))
-	for k := len(sec) - 1; k >= 0; k-- {
-		i, p := sec[k], lo+int32(k)
-		if k < len(sec)-1 && x.row[i] != x.row[sec[k+1]] {
-			end = p + 1
-		}
-		x.run[i] = end
-		x.cursor[end-1] = p
-		if (k == 0 || x.row[i] != x.row[sec[k-1]]) && bk.rowValid && bk.openRow == x.row[i] {
-			x.push(i)
-		}
-	}
-}
-
-// next returns the request FR-FCFS services next.
-func (x *batchIndex) next() int32 {
-	if len(x.heap) > 0 {
-		return x.heap[0]
-	}
-	for ; ; x.fc++ {
-		i := int32(x.fc)
-		if len(x.fcfs) > 0 {
-			i = x.fcfs[x.fc]
-		}
-		if !x.done[i] {
-			return i
-		}
-	}
-}
-
-// serviced retires request i. Its bank now has i's row open, so the
-// bank's candidate becomes the first pending request of i's run. With
-// candidates pending, i was the heap's minimum, its bank's candidate;
-// otherwise i was a first-come pick and its bank had none.
-func (x *batchIndex) serviced(i int32) {
-	x.done[i] = true
-	end := x.run[i]
-	p := x.cursor[end-1]
-	for p < end && x.done[x.order[p]] {
-		p++
-	}
-	x.cursor[end-1] = p
-	switch {
-	case len(x.heap) == 0:
-		if p < end {
-			x.push(x.order[p])
-		}
-	case p < end:
-		x.heap[0] = x.order[p]
-		x.down()
-	default:
-		last := len(x.heap) - 1
-		x.heap[0] = x.heap[last]
-		x.heap = x.heap[:last]
-		x.down()
-	}
-}
-
-func (x *batchIndex) push(i int32) {
-	x.heap = append(x.heap, i)
-	h := x.heap
-	for k := len(h) - 1; k > 0; {
-		parent := (k - 1) / 2
-		if h[parent] <= h[k] {
-			return
-		}
-		h[k], h[parent] = h[parent], h[k]
-		k = parent
-	}
-}
-
-// down restores the heap after its root changed.
-func (x *batchIndex) down() {
-	h, k := x.heap, 0
-	for {
-		m := 2*k + 1
-		if m >= len(h) {
-			return
-		}
-		if m+1 < len(h) && h[m+1] < h[m] {
-			m++
-		}
-		if h[k] <= h[m] {
-			return
-		}
-		h[k], h[m] = h[m], h[k]
-		k = m
-	}
-}
-
-// TransferTime returns how long a size-byte block transfer takes through
-// the controller, assuming ideal streaming across all channels starting
-// at now. Used to cost DMA-style copies through the memory controllers
-// (the Fusion communication path).
+// TransferTime returns when a size-byte block transfer through the
+// controller, starting at now, completes: the DMA-style copy of the
+// Fusion communication path. The transfer is the request list of lines
+// 0 … n−1, all arriving at now, and TransferTime services it exactly as
+// SubmitBatch would, keeping only per-bank state, so a transfer of any
+// size allocates nothing.
+//
+// Three properties of that list make this possible. Channels share no
+// state, so each channel's share is scheduled on its own. Under mapAddr a
+// line's row never decreases with its index, so each bank's requests
+// form one run per row. And with every request arriving at once, FR-FCFS
+// first serves, in index order, the runs of the rows the banks hold open
+// as the transfer begins; after that no bank has a row hit until a
+// first-come pick opens a row, and then only that bank has one, so the
+// pick's whole run follows it. FCFS serves the lines in index order.
 func (c *Controller) TransferTime(size uint64, now clock.Time) clock.Time {
 	if size == 0 {
 		return now
 	}
-	lines := (size + uint64(c.cfg.LineBytes) - 1) / uint64(c.cfg.LineBytes)
-	c.reqBuf = grow(c.arena, c.reqBuf, int(lines))
-	reqs := c.reqBuf
-	for i := range reqs {
-		reqs[i] = Request{Addr: uint64(i) * uint64(c.cfg.LineBytes), Arrival: now}
+	lines := (size-1)/uint64(c.cfg.LineBytes) + 1
+	done := now
+	for ch := range c.channels {
+		done = clock.Max(done, c.transfer(ch, lines, now))
 	}
-	latest := now
-	for _, t := range c.SubmitBatch(reqs) {
-		latest = clock.Max(latest, t)
+	return done
+}
+
+// transfer services channel chIdx's share of a transfer of lines
+// 0 … lines−1 arriving at now and returns when the last one is done. The
+// share's j-th line is transfer line chIdx+j·Channels; it lies in row
+// j/perRow and in bank j mod stride, or that plus half when the bank
+// partition bit of its address is set.
+func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Time {
+	chans := uint64(c.cfg.Channels)
+	if uint64(chIdx) >= lines {
+		return now
 	}
-	return latest
+	ch := &c.channels[chIdx]
+	n := (lines-1-uint64(chIdx))/chans + 1
+	stride, half := uint64(len(ch.banks)), uint64(0)
+	if c.cfg.PartitionRegionBit != 0 && stride >= 2 {
+		stride /= 2
+		half = stride
+	}
+	perRow := stride * uint64(c.cfg.RowBytes/c.cfg.LineBytes)
+	rows := (n-1)/perRow + 1
+	// bank maps line j, at position b0 of its stride, to its bank.
+	bank := func(j, b0 uint64) int {
+		if half != 0 {
+			addr := (uint64(chIdx) + j*chans) * uint64(c.cfg.LineBytes)
+			b0 += half * (addr >> c.cfg.PartitionRegionBit & 1)
+		}
+		return int(b0)
+	}
+	done := now
+	// eachLine calls visit on every line of row r in index order.
+	eachLine := func(r uint64, visit func(j, b0 uint64)) {
+		b0 := uint64(0)
+		for j, hi := r*perRow, min(n, (r+1)*perRow); j < hi; j++ {
+			visit(j, b0)
+			if b0++; b0 == stride {
+				b0 = 0
+			}
+		}
+	}
+	serve := func(b int, r uint64) {
+		done = clock.Max(done, c.serviceAt(ch, b, r, now))
+	}
+	if c.cfg.Scheduling == FCFS {
+		for r := uint64(0); r < rows; r++ {
+			eachLine(r, func(j, b0 uint64) { serve(bank(j, b0), r) })
+		}
+		return done
+	}
+
+	// held[b] is one more than the row bank b holds open as the transfer
+	// begins, if the transfer reaches that row, else 0.
+	held := c.held
+	for b := range ch.banks {
+		held[b] = 0
+		if bk := &ch.banks[b]; bk.rowValid && bk.openRow < rows {
+			held[b] = bk.openRow + 1
+		}
+	}
+	// First the runs of the held rows, lowest row first. They are row
+	// hits, which leave every bank's open row as it is.
+	for r := uint64(0); ; r++ {
+		next := rows
+		for _, h := range held {
+			if h > r && h-1 < next {
+				next = h - 1
+			}
+		}
+		if next == rows {
+			break
+		}
+		r = next
+		eachLine(r, func(j, b0 uint64) {
+			if b := bank(j, b0); held[b] == r+1 {
+				serve(b, r)
+			}
+		})
+	}
+	// Then row by row: the first pending line opens its bank's row, and
+	// the rest of the bank's run in that row follows it. A bank whose run
+	// is done holds this row open, or held it when the transfer began.
+	for r := uint64(0); r < rows; r++ {
+		hi := min(n, (r+1)*perRow)
+		eachLine(r, func(j, b0 uint64) {
+			b := bank(j, b0)
+			if bk := &ch.banks[b]; held[b] == r+1 || bk.rowValid && bk.openRow == r {
+				return
+			}
+			for k := j; k < hi; k += stride {
+				if bank(k, b0) == b {
+					serve(b, r)
+				}
+			}
+		})
+	}
+	return done
 }
 
 // Reset closes every row and idles every bus, clearing statistics.

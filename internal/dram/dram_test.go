@@ -155,20 +155,20 @@ func TestSubmitBatchResultsAligned(t *testing.T) {
 	}
 }
 
-// TestTransferTimeAllocFree pins the reused completion buffer: once a
-// controller has served a transfer of a given size, repeating it (as
-// every Fusion DMA copy does) allocates nothing, and the reused buffer
-// does not change the answer.
+// TestTransferTimeAllocFree pins that a transfer keeps only per-bank
+// state: no size of transfer allocates, and repeating one after a Reset
+// gives the same answer.
 func TestTransferTimeAllocFree(t *testing.T) {
 	c := MustNew(DDR3_1333())
 	want := c.TransferTime(64<<10, 0)
-	c.Reset()
-	if allocs := testing.AllocsPerRun(10, func() { c.TransferTime(64<<10, 0) }); allocs != 0 {
-		t.Fatalf("TransferTime allocated %.0f times per call, want 0", allocs)
+	for _, size := range []uint64{64 << 10, 1, 3 << 20} {
+		if allocs := testing.AllocsPerRun(10, func() { c.TransferTime(size, 0) }); allocs != 0 {
+			t.Fatalf("%d-byte TransferTime allocated %.0f times per call, want 0", size, allocs)
+		}
 	}
 	c.Reset()
 	if got := c.TransferTime(64<<10, 0); got != want {
-		t.Fatalf("TransferTime on a reused buffer = %v, want %v", got, want)
+		t.Fatalf("TransferTime after Reset = %v, want %v", got, want)
 	}
 }
 

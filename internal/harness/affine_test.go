@@ -23,10 +23,10 @@ import (
 // Construction carves the same sizes in the same order up to the
 // directory, so the third point's directory lands on the first one's.
 // The last four points run on the memory-controller fabric, whose block
-// transfers go through the DRAM controller's FR-FCFS scheduler: a
-// full-size DRAM cache materializes directory chunks as it runs, a DRAM
-// and an HBM point then re-carve those slabs as FR-FCFS scratch, and a
-// second full-size DRAM cache carves its chunks from them again.
+// transfers go through the DRAM controllers: a full-size DRAM cache
+// materializes directory chunks as it runs, a DRAM and an HBM point
+// then build their simulators from those slabs, and a second full-size
+// DRAM cache carves its chunks from them again.
 func mixedGrid() []systems.System {
 	small := memtech.DefaultDRAMCache()
 	small.SizeBytes, small.Ways = 256<<10, 8

@@ -344,11 +344,11 @@ func New(cfg Config) (*Hierarchy, error) {
 	return NewIn(nil, cfg)
 }
 
-// NewIn is New with the hierarchy's cache metadata arrays, MSHR files and
-// DRAM scheduler scratch carved from the arena (nil falls back to the
-// heap). The hierarchy carves from the arena for its whole life —
-// directory chunks as they are first filled, FR-FCFS scratch as batches
-// grow — so it must run on the goroutine that owns the arena, and the
+// NewIn is New with the hierarchy's cache metadata arrays and MSHR files
+// carved from the arena (nil falls back to the heap). The hierarchy
+// carves from the arena for its whole life — DRAM-cache directory chunks
+// as they are first filled, an uncapped MSHR file's registers as it
+// grows — so it must run on the goroutine that owns the arena, and the
 // arena may be Reset only once the hierarchy is dropped: a sweep worker
 // builds its simulator out of one arena and rewinds it when it drops
 // that simulator for the next system's.
@@ -382,7 +382,7 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	if h.ring, err = noc.New(cfg.Ring); err != nil {
 		return nil, err
 	}
-	if h.dram, err = dram.NewIn(a, cfg.DRAM); err != nil {
+	if h.dram, err = dram.New(cfg.DRAM); err != nil {
 		return nil, err
 	}
 	for p := PU(0); p < NumPUs; p++ {
@@ -461,8 +461,7 @@ func (h *Hierarchy) buildPipelines(a *arena.Arena) error {
 }
 
 // buildBackend constructs the memory technology cfg.Tech selects,
-// carving the HBM controller's scratch and the DRAM cache's tag
-// directory from a.
+// carving the DRAM cache's tag directory from a.
 func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 	cfg := h.cfg
 	switch cfg.Tech.Kind {
@@ -470,7 +469,7 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		h.backend = &memsys.DRAMStage{Ctrl: h.dram}
 	case memtech.HBM:
 		p := cfg.Tech.ResolvedHBM()
-		ctrl, err := dram.NewIn(a, p.DRAMConfig(cfg.L3Tile.LineBytes))
+		ctrl, err := dram.New(p.DRAMConfig(cfg.L3Tile.LineBytes))
 		if err != nil {
 			return fmt.Errorf("mem: mem_tech.hbm: %w", err)
 		}
@@ -479,7 +478,7 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		p := cfg.Tech.ResolvedNVM()
 		chans := make([]*clock.Resource, p.Channels)
 		for i := range chans {
-			chans[i] = clock.NewResource(fmt.Sprintf("nvm.ch%d", i))
+			chans[i] = new(clock.Resource)
 		}
 		h.backend = &memsys.NVMStage{
 			Chans:      chans,
@@ -502,11 +501,11 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		}
 		near := make([]*clock.Resource, p.NearChannels)
 		for i := range near {
-			near[i] = clock.NewResource(fmt.Sprintf("dram_cache.near%d", i))
+			near[i] = new(clock.Resource)
 		}
 		far := make([]*clock.Resource, p.FarChannels)
 		for i := range far {
-			far[i] = clock.NewResource(fmt.Sprintf("dram_cache.far%d", i))
+			far[i] = new(clock.Resource)
 		}
 		h.backend = &memsys.DRAMCacheStage{
 			Dir:       dir,

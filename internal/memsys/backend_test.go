@@ -49,7 +49,7 @@ func TestHBMStageServesMiss(t *testing.T) {
 
 func TestNVMReadWriteAsymmetry(t *testing.T) {
 	s := &NVMStage{
-		Chans:   []*clock.Resource{clock.NewResource("ch0")},
+		Chans:   []*clock.Resource{new(clock.Resource)},
 		ReadLat: 100, WriteLat: 1000, Bus: 10, QueueDepth: 2, LineBytes: 64,
 	}
 
@@ -67,7 +67,7 @@ func TestNVMReadWriteAsymmetry(t *testing.T) {
 
 func TestNVMWriteQueueStallsReads(t *testing.T) {
 	s := &NVMStage{
-		Chans:   []*clock.Resource{clock.NewResource("ch0")},
+		Chans:   []*clock.Resource{new(clock.Resource)},
 		ReadLat: 100, WriteLat: 1000, Bus: 0, QueueDepth: 2, LineBytes: 64,
 	}
 
@@ -103,8 +103,8 @@ func TestDRAMCacheHitMissFill(t *testing.T) {
 	}
 	s := &DRAMCacheStage{
 		Dir:       dir,
-		NearChans: []*clock.Resource{clock.NewResource("near0")},
-		FarChans:  []*clock.Resource{clock.NewResource("far0")},
+		NearChans: []*clock.Resource{new(clock.Resource)},
+		FarChans:  []*clock.Resource{new(clock.Resource)},
 		NearLat:   50, NearBus: 0, FarRead: 500, FarWrite: 800, FarBus: 0,
 		LineBytes: 64,
 	}
@@ -151,10 +151,10 @@ func TestDRAMCacheDirtyVictimGoesFar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	far := clock.NewResource("far0")
+	far := new(clock.Resource)
 	s := &DRAMCacheStage{
 		Dir:       dir,
-		NearChans: []*clock.Resource{clock.NewResource("near0")},
+		NearChans: []*clock.Resource{new(clock.Resource)},
 		FarChans:  []*clock.Resource{far},
 		NearLat:   50, NearBus: 0, FarRead: 500, FarWrite: 800, FarBus: 10,
 		LineBytes: 64,
@@ -165,9 +165,10 @@ func TestDRAMCacheDirtyVictimGoesFar(t *testing.T) {
 	if s.writebacks != 1 {
 		t.Errorf("far writebacks = %d, want 1", s.writebacks)
 	}
-	// Far channel served the eviction's transfer (plus nothing else).
-	if far.Requests() != 1 {
-		t.Errorf("far channel requests = %d, want 1", far.Requests())
+	// Far channel served the eviction's transfer (plus nothing else): one
+	// FarBus occupancy from when the second write's fill lands near.
+	if got, want := far.FreeAt(), clock.Time(100).Add(s.NearLat+s.FarBus); got != want {
+		t.Errorf("far channel free at %v, want %v", got, want)
 	}
 }
 

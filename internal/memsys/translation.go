@@ -76,11 +76,11 @@ func NewTranslationStage(spec xlat.Spec) (*TranslationStage, error) {
 	}
 	s.IOMMU[GPU] = spec.IOMMU == xlat.IOMMUOn
 	if s.shared {
-		w := clock.NewResource("xlat.mmu")
+		w := new(clock.Resource)
 		s.Walker[CPU], s.Walker[GPU] = w, w
 	} else {
-		s.Walker[CPU] = clock.NewResource("xlat.mmu.cpu")
-		s.Walker[GPU] = clock.NewResource("xlat.mmu.gpu")
+		s.Walker[CPU] = new(clock.Resource)
+		s.Walker[GPU] = new(clock.Resource)
 	}
 	for pu, params := range [NumPUs]xlat.TLBParams{CPU: spec.ResolvedCPU(), GPU: spec.ResolvedGPU()} {
 		tlb, err := xlat.NewTLB(params.Entries, params.Ways, params.PageBytes)

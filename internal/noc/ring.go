@@ -92,8 +92,8 @@ func New(cfg Config) (*Ring, error) {
 	r.cw = make([]*clock.Resource, cfg.Stops)
 	r.ccw = make([]*clock.Resource, cfg.Stops)
 	for i := 0; i < cfg.Stops; i++ {
-		r.cw[i] = clock.NewResource(fmt.Sprintf("ring.cw%d", i))
-		r.ccw[i] = clock.NewResource(fmt.Sprintf("ring.ccw%d", i))
+		r.cw[i] = new(clock.Resource)
+		r.ccw[i] = new(clock.Resource)
 	}
 	if w := cfg.LinkBytesPerCycle; w&(w-1) == 0 {
 		r.lbcShift = bits.TrailingZeros(uint(w))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"heteromem/internal/isa"
@@ -19,6 +20,12 @@ const (
 	// fuzzMaxPushBytes bounds the bytes all push records move: a push
 	// walks its range line by line.
 	fuzzMaxPushBytes = 1 << 20
+	// fuzzMaxTransferBytes bounds the bytes all transfer phases move: the
+	// memory-controller fabric times a transfer line by line.
+	fuzzMaxTransferBytes = 16 << 20
+	// fuzzMaxObjectBytes bounds the program's objects together: the
+	// address space maps every page of an object when it is allocated.
+	fuzzMaxObjectBytes = 64 << 20
 )
 
 // fuzzProgram is the reduction kernel with every trace cut to its first
@@ -48,6 +55,16 @@ func wrappedPushProgram(tb testing.TB) []byte {
 	})
 }
 
+// hugeTransferProgram moves 1 TB in one transfer phase, which Fusion's
+// memory-controller fabric would time line by line for over ten
+// minutes, so validation must reject it.
+func hugeTransferProgram() *workload.Program {
+	return &workload.Program{
+		Name:   "huge-transfer",
+		Phases: []workload.Phase{{Kind: workload.Transfer, Dir: workload.HostToDevice, Bytes: 1 << 40}},
+	}
+}
+
 func saveProgram(tb testing.TB, p *workload.Program) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -58,18 +75,23 @@ func saveProgram(tb testing.TB, p *workload.Program) []byte {
 }
 
 // FuzzSimulateProgram runs every program the loader accepts, within the
-// budgets above, on the LRB case study. The simulator must return, with
-// a result or an error, and never panic or hang; a result must account
-// for every instruction of the program.
+// budgets above, on the case study the first input chooses (LRB's
+// aperture and Fusion's memory controllers among them). The simulator
+// must return, with a result or an error, and never panic or hang; a
+// result must account for every instruction of the program.
 func FuzzSimulateProgram(f *testing.F) {
+	const lrb, fusion = 1, 3 // indices into systems.CaseStudies
 	wrapped := wrappedPushProgram(f)
 	if _, err := workload.LoadProgram(bytes.NewReader(wrapped)); err == nil {
 		f.Fatal("program with a wrapping push range accepted")
 	}
-	f.Add(wrapped)
-	f.Add(fuzzProgram(f))
+	f.Add(byte(lrb), wrapped)
+	f.Add(byte(lrb), fuzzProgram(f))
+	f.Add(byte(fusion), fuzzProgram(f))
+	f.Add(byte(fusion), saveProgram(f, hugeTransferProgram()))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	studies := systems.CaseStudies()
+	f.Fuzz(func(t *testing.T, study byte, data []byte) {
 		p, err := workload.LoadProgram(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -77,8 +99,9 @@ func FuzzSimulateProgram(f *testing.F) {
 		if p.TotalInstructions() > fuzzMaxInsts {
 			t.Skip("over the instruction budget")
 		}
-		var pushBytes uint64
+		var pushBytes, transferBytes uint64
 		for i := range p.Phases {
+			transferBytes += p.Phases[i].Bytes
 			for _, s := range []trace.Stream{p.Phases[i].CPU, p.Phases[i].GPU} {
 				for _, in := range s {
 					if in.Kind == isa.Push {
@@ -90,7 +113,17 @@ func FuzzSimulateProgram(f *testing.F) {
 		if pushBytes > fuzzMaxPushBytes {
 			t.Skip("over the push-byte budget")
 		}
-		s := MustNew(systems.LRB())
+		if transferBytes > fuzzMaxTransferBytes {
+			t.Skip("over the transfer-byte budget")
+		}
+		var objectBytes uint64
+		for _, o := range p.Objects {
+			objectBytes += uint64(o.Size)
+		}
+		if objectBytes > fuzzMaxObjectBytes {
+			t.Skip("over the object-byte budget")
+		}
+		s := MustNew(studies[int(study)%len(studies)])
 		res, err := s.Run(p)
 		if err != nil {
 			return
@@ -101,4 +134,19 @@ func FuzzSimulateProgram(f *testing.F) {
 			t.Fatalf("result counts %d instructions, program has %d", got, p.TotalInstructions())
 		}
 	})
+}
+
+// TestHugeTransferRejected pins the bound on transfer phases: a saved
+// program moving 1 TB fails to load, and running it on Fusion, whose
+// memory-controller fabric times every line, returns the same error
+// instead of exhausting memory or time.
+func TestHugeTransferRejected(t *testing.T) {
+	p := hugeTransferProgram()
+	_, err := workload.LoadProgram(bytes.NewReader(saveProgram(t, p)))
+	if err == nil || !strings.Contains(err.Error(), "phase 0") {
+		t.Fatalf("LoadProgram error = %v, want one naming phase 0", err)
+	}
+	if _, err := MustNew(systems.Fusion()).Run(p); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Run on Fusion error = %v, want the transfer bound", err)
+	}
 }

@@ -101,9 +101,9 @@ type Options struct {
 	// Arena, when non-nil, backs the simulator's metadata with
 	// bump-allocated slabs instead of individual heap allocations: at
 	// construction the cache tag/state arrays, MSHR files, core replay
-	// rings and predictor table, and while it runs the
-	// DRAM-cache directory chunks, FR-FCFS batch scratch, a grown GPU
-	// replay ring and an uncapped MSHR file's registers. The simulator carves from the arena for its whole
+	// rings and predictor table, and while it runs the DRAM-cache
+	// directory chunks, a grown GPU replay ring and an uncapped MSHR
+	// file's registers. The simulator carves from the arena for its whole
 	// life, so it must run on the goroutine that owns the arena, and the
 	// caller must not Reset the arena while simulators built from it are
 	// still in use. Each sweep worker builds its simulators out of one

@@ -76,9 +76,9 @@ type Phase struct {
 	// empty for Sequential). Empty for streaming programs built by Open.
 	CPU trace.Stream
 	GPU trace.Stream
-	// Dir and Bytes describe a Transfer phase. Addr is the base of the
-	// moved object, so address-space models can track ownership and
-	// first-touch state.
+	// Dir and Bytes describe a Transfer phase; Bytes is at most
+	// MaxTransferBytes. Addr is the base of the moved object, so
+	// address-space models can track ownership and first-touch state.
 	Dir   Direction
 	Bytes uint64
 	Addr  uint64
@@ -178,6 +178,12 @@ func (p *Program) Characteristics() Characteristics {
 	return c
 }
 
+// MaxTransferBytes bounds one transfer phase. Data objects are sized in
+// 32 bits, and the largest shipped transfer (matrix-mul scaled 16x) is
+// 8 MiB; a transfer is simulated line by line, so the bound also keeps a
+// loaded program's run time finite.
+const MaxTransferBytes = 1 << 32
+
 // Validate checks the program's structure and every materialized trace.
 // Generator-backed phases carry no records to check here: their output is
 // pinned instruction-for-instruction against the materialized form by the
@@ -200,6 +206,9 @@ func (p *Program) Validate() error {
 		case Transfer:
 			if ph.Bytes == 0 {
 				return fmt.Errorf("%s phase %d: zero-byte transfer", p.Name, i)
+			}
+			if ph.Bytes > MaxTransferBytes {
+				return fmt.Errorf("%s phase %d: %d-byte transfer exceeds %d (4 GiB)", p.Name, i, ph.Bytes, uint64(MaxTransferBytes))
 			}
 			if ph.CPULen() != 0 || ph.GPULen() != 0 {
 				return fmt.Errorf("%s phase %d: transfer phase has compute work", p.Name, i)

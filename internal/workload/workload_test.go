@@ -194,6 +194,9 @@ func TestValidateRejectsMalformedPhases(t *testing.T) {
 		{"zero-byte transfer", Program{Name: "x", Phases: []Phase{{
 			Kind: Transfer, Dir: HostToDevice,
 		}}}},
+		{"transfer over 4 GiB", Program{Name: "x", Phases: []Phase{{
+			Kind: Transfer, Dir: HostToDevice, Bytes: MaxTransferBytes + 1,
+		}}}},
 		{"compute in transfer", Program{Name: "x", Phases: []Phase{{
 			Kind: Transfer, Bytes: 64, CPU: trace.Stream{{Kind: isa.ALU}},
 		}}}},
