@@ -123,6 +123,10 @@ const (
 	SharedBase     uint64 = 2 << regionBits
 )
 
+// regionEnd is each region's exclusive end address; the shared region's,
+// 2^64, wraps to 0.
+var regionEnd = [NumRegions]uint64{GPUPrivateBase, SharedBase, 0}
+
 // RegionOf returns the region containing the virtual address addr.
 func RegionOf(addr uint64) Region {
 	switch addr >> regionBits {
@@ -187,10 +191,13 @@ type Space struct {
 	pageSize uint64
 	next     [NumRegions]uint64
 	objects  []Object
-	// pt[pu] maps virtual page number to a physical frame in pu's memory;
-	// nextFrame[pu] allocates frames sequentially.
-	pt        [mem.NumPUs]map[uint64]uint64
+	// pt[pu] is pu's page table. An allocation maps its pages onto
+	// consecutive frames, so the table holds one run per mapped object;
+	// nextFrame[pu] allocates frames sequentially and mapped[pu] counts
+	// the pages pt[pu] maps.
+	pt        [mem.NumPUs][]frameRun
 	nextFrame [mem.NumPUs]uint64
+	mapped    [mem.NumPUs]uint64
 	// owner maps a shared object base to the PU currently holding
 	// ownership (PartiallyShared only).
 	owner map[uint64]mem.PU
@@ -198,6 +205,12 @@ type Space struct {
 	// fault modeling (LRB's lib-pf).
 	touched [mem.NumPUs]map[uint64]bool
 	stats   Stats
+}
+
+// frameRun maps the pages virtual page vpn0 onwards onto the frames
+// frame0 onwards.
+type frameRun struct {
+	vpn0, pages, frame0 uint64
 }
 
 // Instrument binds the space's counts into b as registry counters under
@@ -221,6 +234,9 @@ func New(model Model, pageSize uint64) (*Space, error) {
 	if pageSize == 0 || pageSize&(pageSize-1) != 0 {
 		return nil, fmt.Errorf("addrspace: page size %d not a power of two", pageSize)
 	}
+	if pageSize > GPUPrivateBase {
+		return nil, fmt.Errorf("addrspace: page size %d larger than a region", pageSize)
+	}
 	s := &Space{
 		model:    model,
 		pageSize: pageSize,
@@ -230,7 +246,6 @@ func New(model Model, pageSize uint64) (*Space, error) {
 	s.next[GPUPrivate] = GPUPrivateBase
 	s.next[Shared] = SharedBase
 	for p := mem.PU(0); p < mem.NumPUs; p++ {
-		s.pt[p] = make(map[uint64]uint64)
 		s.touched[p] = make(map[uint64]bool)
 	}
 	return s, nil
@@ -255,9 +270,10 @@ func (s *Space) Reset() {
 	s.next[Shared] = SharedBase
 	s.objects = s.objects[:0]
 	s.nextFrame = [mem.NumPUs]uint64{}
+	s.mapped = [mem.NumPUs]uint64{}
 	clear(s.owner)
 	for p := mem.PU(0); p < mem.NumPUs; p++ {
-		clear(s.pt[p])
+		s.pt[p] = s.pt[p][:0]
 		clear(s.touched[p])
 	}
 	s.stats = Stats{}
@@ -329,7 +345,9 @@ func (s *Space) mappedPUs(r Region) []mem.PU {
 }
 
 // Alloc reserves size bytes in region r and maps the pages in every PU
-// that must see them under the model.
+// that must see them under the model. Each page counts one map update,
+// but the pages are mapped as one run, so the cost does not grow with
+// the object's size.
 func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	if r >= NumRegions {
 		return Object{}, fmt.Errorf("addrspace: invalid region %d", r)
@@ -340,19 +358,21 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	if size == 0 {
 		return Object{}, errors.New("addrspace: zero-size allocation")
 	}
-	pages := (size + s.pageSize - 1) / s.pageSize
+	// Objects never overlap, so neither do the runs of a page table.
 	base := s.next[r]
+	if size > regionEnd[r]-base {
+		return Object{}, fmt.Errorf("addrspace: %d bytes overflow the %v region", size, r)
+	}
+	pages := (size + s.pageSize - 1) / s.pageSize
 	s.next[r] += pages * s.pageSize
 	o := Object{Base: base, Size: size, Region: r}
 	s.objects = append(s.objects, o)
 	s.stats.Allocs++
 	for _, pu := range s.mappedPUs(r) {
-		for p := uint64(0); p < pages; p++ {
-			vpn := (base + p*s.pageSize) / s.pageSize
-			s.pt[pu][vpn] = s.nextFrame[pu]
-			s.nextFrame[pu]++
-			s.stats.MapUpdates[pu]++
-		}
+		s.pt[pu] = append(s.pt[pu], frameRun{vpn0: base / s.pageSize, pages: pages, frame0: s.nextFrame[pu]})
+		s.nextFrame[pu] += pages
+		s.mapped[pu] += pages
+		s.stats.MapUpdates[pu] += pages
 	}
 	if s.model == PartiallyShared && r == Shared {
 		// Shared objects start CPU-owned: the host initialises data.
@@ -362,6 +382,8 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 }
 
 // Free releases the object's pages from every page table that held them.
+// The PUs are those o.Region maps under the model, as for Alloc; each
+// counts one map update per page.
 func (s *Space) Free(o Object) error {
 	idx := -1
 	for i, obj := range s.objects {
@@ -376,11 +398,11 @@ func (s *Space) Free(o Object) error {
 	s.objects = append(s.objects[:idx], s.objects[idx+1:]...)
 	pages := (o.Size + s.pageSize - 1) / s.pageSize
 	for _, pu := range s.mappedPUs(o.Region) {
-		for p := uint64(0); p < pages; p++ {
-			vpn := (o.Base + p*s.pageSize) / s.pageSize
-			delete(s.pt[pu], vpn)
-			s.stats.MapUpdates[pu]++
+		if i := s.runAt(pu, o.Base/s.pageSize); i >= 0 {
+			s.mapped[pu] -= s.pt[pu][i].pages
+			s.pt[pu] = append(s.pt[pu][:i], s.pt[pu][i+1:]...)
 		}
+		s.stats.MapUpdates[pu] += pages
 	}
 	delete(s.owner, o.Base)
 	s.stats.Frees++
@@ -516,15 +538,26 @@ func (s *Space) Translate(pu mem.PU, addr uint64) (uint64, error) {
 		return 0, err
 	}
 	vpn := addr / s.pageSize
-	frame, ok := s.pt[pu][vpn]
-	if !ok {
+	i := s.runAt(pu, vpn)
+	if i < 0 {
 		return 0, fmt.Errorf("%w: no mapping for %v page %#x", ErrNotAllocated, pu, vpn)
 	}
+	frame := s.pt[pu][i].frame0 + vpn - s.pt[pu][i].vpn0
 	return frame*s.pageSize + addr%s.pageSize, nil
 }
 
+// runAt returns the index of pu's run that maps vpn, or -1.
+func (s *Space) runAt(pu mem.PU, vpn uint64) int {
+	for i, r := range s.pt[pu] {
+		if vpn >= r.vpn0 && vpn-r.vpn0 < r.pages {
+			return i
+		}
+	}
+	return -1
+}
+
 // MappedPages returns how many pages pu currently has mapped.
-func (s *Space) MappedPages(pu mem.PU) int { return len(s.pt[pu]) }
+func (s *Space) MappedPages(pu mem.PU) int { return int(s.mapped[pu]) }
 
 // LiveObjects returns the number of live allocations.
 func (s *Space) LiveObjects() int { return len(s.objects) }

@@ -38,6 +38,7 @@ var (
 	errLayout = errors.New("written under another sim.Result layout")
 	errShort  = errors.New("truncated or malformed blob")
 	errExtra  = errors.New("trailing bytes after the result")
+	errStale  = errors.New("written under another schema or key")
 )
 
 // layoutDigest walks t and digests its leaves' paths and kinds.
@@ -108,34 +109,43 @@ func appendValue(buf []byte, v reflect.Value) []byte {
 	return buf
 }
 
-// decodeEnvelope decodes a blob. It never panics: every length is
-// bounded by the bytes that remain, and any malformed input is an
-// error. errMagic and errLayout report a blob of another format or
-// layout; the schema and key are left to the caller to check.
-func decodeEnvelope(data []byte) (envelope, error) {
-	var env envelope
+// decodeResult decodes the result of a blob probed under schema and
+// key. It never panics: every length is bounded by the bytes that
+// remain, and any malformed input is an error. errMagic and errLayout
+// report a blob of another format or layout. The blob's schema and key
+// strings are compared in place, without copying them out, and a blob
+// of another schema or key fails with errStale before its result is
+// decoded.
+func decodeResult(data []byte, schema int, key Key) (sim.Result, error) {
+	d, err := openBlob(data)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if d.schema() != schema || !d.match(key.Spec) || !d.match(key.Kernel) ||
+		!d.match(key.Workload) || !d.match(key.Options) {
+		if d.bad {
+			return sim.Result{}, errShort
+		}
+		return sim.Result{}, errStale
+	}
+	var res sim.Result
+	if err := d.result(&res); err != nil {
+		return sim.Result{}, err
+	}
+	return res, nil
+}
+
+// openBlob checks data's magic number and layout digest and returns a
+// decoder positioned at the schema version.
+func openBlob(data []byte) (decoder, error) {
 	if len(data) < len(magic) || [len(magic)]byte(data) != magic {
-		return env, errMagic
+		return decoder{}, errMagic
 	}
 	data = data[len(magic):]
 	if len(data) < layoutLen || [layoutLen]byte(data) != resultLayout {
-		return env, errLayout
+		return decoder{}, errLayout
 	}
-	d := decoder{data: data[layoutLen:]}
-	if schema := d.uvarint(); schema <= math.MaxInt32 {
-		env.Schema = int(schema)
-	} else {
-		d.fail()
-	}
-	env.Key = Key{Spec: d.string(), Kernel: d.string(), Workload: d.string(), Options: d.string()}
-	d.value(reflect.ValueOf(&env.Result).Elem())
-	switch {
-	case d.bad:
-		return envelope{}, errShort
-	case len(d.data) > 0:
-		return envelope{}, errExtra
-	}
-	return env, nil
+	return decoder{data: data[layoutLen:]}, nil
 }
 
 // decoder consumes data; after the first malformed field it sets bad
@@ -177,6 +187,38 @@ func (d *decoder) string() string {
 	s := string(d.data[:n])
 	d.data = d.data[n:]
 	return s
+}
+
+// match reads a string and reports whether it equals s, without
+// copying it out of the blob.
+func (d *decoder) match(s string) bool {
+	n := d.uvarint()
+	if d.bad || n != uint64(len(s)) || n > uint64(len(d.data)) || string(d.data[:n]) != s {
+		return false
+	}
+	d.data = d.data[n:]
+	return true
+}
+
+func (d *decoder) schema() int {
+	x := d.uvarint()
+	if x > math.MaxInt32 {
+		d.fail()
+		return 0
+	}
+	return int(x)
+}
+
+// result decodes the sim.Result that ends the blob.
+func (d *decoder) result(res *sim.Result) error {
+	d.value(reflect.ValueOf(res).Elem())
+	switch {
+	case d.bad:
+		return errShort
+	case len(d.data) > 0:
+		return errExtra
+	}
+	return nil
 }
 
 func (d *decoder) value(v reflect.Value) {

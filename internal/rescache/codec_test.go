@@ -167,6 +167,12 @@ func TestDecodeRejectsMalformedBlobs(t *testing.T) {
 		if _, err := decodeEnvelope(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded", n, len(blob))
 		}
+		if _, err := decodeResult(blob[:n], SchemaVersion, testKey("m")); err == nil {
+			t.Fatalf("probe decoded a truncation to %d of %d bytes", n, len(blob))
+		}
+	}
+	if _, err := decodeResult(append(bytes.Clone(blob), 0), SchemaVersion, testKey("m")); !errors.Is(err, errExtra) {
+		t.Fatalf("probe of a trailing byte: err = %v, want %v", err, errExtra)
 	}
 	if _, err := decodeEnvelope(append(bytes.Clone(blob), 0)); !errors.Is(err, errExtra) {
 		t.Fatalf("trailing byte: err = %v, want %v", err, errExtra)

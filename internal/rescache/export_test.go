@@ -2,8 +2,25 @@ package rescache
 
 import "heteromem/internal/sim"
 
-// EncodeBlob and DecodeBlob expose the blob codec to the external test
-// package, whose fuzz target seeds itself from simulated results.
+// decodeEnvelope decodes a blob whatever its schema and key, which it
+// returns with the result. The store decodes with decodeResult, which
+// checks them; tests decode with this to see what a blob holds.
+func decodeEnvelope(data []byte) (envelope, error) {
+	d, err := openBlob(data)
+	if err != nil {
+		return envelope{}, err
+	}
+	env := envelope{Schema: d.schema()}
+	env.Key = Key{Spec: d.string(), Kernel: d.string(), Workload: d.string(), Options: d.string()}
+	if err := d.result(&env.Result); err != nil {
+		return envelope{}, err
+	}
+	return env, nil
+}
+
+// EncodeBlob, DecodeBlob and DecodeResult expose the blob codec to the
+// external test package, whose fuzz target seeds itself from simulated
+// results.
 func EncodeBlob(schema int, key Key, res sim.Result) []byte {
 	return appendEnvelope(nil, &envelope{Schema: schema, Key: key, Result: res})
 }
@@ -11,4 +28,8 @@ func EncodeBlob(schema int, key Key, res sim.Result) []byte {
 func DecodeBlob(data []byte) (schema int, key Key, res sim.Result, err error) {
 	env, err := decodeEnvelope(data)
 	return env.Schema, env.Key, env.Result, err
+}
+
+func DecodeResult(data []byte, schema int, key Key) (sim.Result, error) {
+	return decodeResult(data, schema, key)
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,13 +72,53 @@ type Key struct {
 // envelope, so a schema bump retires old entries without recomputing
 // addresses.
 func (k Key) Digest() string {
-	data, err := json.Marshal(k)
-	if err != nil {
-		// Keys are plain strings; Marshal cannot fail.
-		panic("rescache: marshaling key: " + err.Error())
+	var buf [256]byte
+	data, ok := k.appendJSON(buf[:0])
+	if !ok {
+		var err error
+		if data, err = json.Marshal(k); err != nil {
+			// Keys are plain strings; Marshal cannot fail.
+			panic("rescache: marshaling key: " + err.Error())
+		}
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// appendJSON appends json.Marshal(k) to buf, written by hand, when every
+// byte of k's strings is one that json.Marshal copies verbatim:
+// printable ASCII other than the quote, the backslash and the three
+// characters it escapes for HTML. A string holding any other byte — a
+// control byte, non-ASCII, invalid UTF-8 — reports false, and Digest
+// marshals the key instead, so the digest never depends on which path
+// computed it.
+func (k Key) appendJSON(buf []byte) ([]byte, bool) {
+	if !verbatimJSON(k.Spec) || !verbatimJSON(k.Kernel) || !verbatimJSON(k.Workload) || !verbatimJSON(k.Options) {
+		return buf, false
+	}
+	buf = append(buf, `{"spec":"`...)
+	buf = append(buf, k.Spec...)
+	buf = append(buf, `","kernel":"`...)
+	buf = append(buf, k.Kernel...)
+	buf = append(buf, `","workload":"`...)
+	buf = append(buf, k.Workload...)
+	if k.Options != "" {
+		buf = append(buf, `","options":"`...)
+		buf = append(buf, k.Options...)
+	}
+	return append(buf, `"}`...), true
+}
+
+func verbatimJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // envelope is what a blob carries: the schema version and the full key
@@ -113,6 +154,10 @@ func (s Stats) HitRate() float64 {
 
 const numShards = 64
 
+// blobBufLen is the stack buffer Get reads a blob into: a blob is about
+// 370 bytes, and a larger one grows the buffer on the heap.
+const blobBufLen = 1024
+
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]sim.Result
@@ -123,8 +168,11 @@ type shard struct {
 // always misses without counting, Put is a no-op).
 type Store struct {
 	dir    string // "" = memory-only
-	schema int    // SchemaVersion; tests override to simulate bumps
-	shards [numShards]shard
+	schema int    // SchemaVersion; tests open other schemas to simulate bumps
+	// blobDir is the schema-version directory with a trailing
+	// separator, so a blob path is one concatenation.
+	blobDir string
+	shards  [numShards]shard
 
 	hits, misses      atomic.Uint64
 	memHits, diskHits atomic.Uint64
@@ -140,7 +188,12 @@ type Store struct {
 // An empty dir opens a memory-only store. A sim.Result field the blob
 // codec cannot encode makes every disk store fail to open.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, schema: SchemaVersion}
+	return open(dir, SchemaVersion)
+}
+
+// open is Open for a store of the given schema version.
+func open(dir string, schema int) (*Store, error) {
+	s := &Store{dir: dir, schema: schema}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]sim.Result)
 	}
@@ -148,9 +201,11 @@ func Open(dir string) (*Store, error) {
 		if layoutErr != nil {
 			return nil, layoutErr
 		}
-		if err := os.MkdirAll(s.versionDir(), 0o755); err != nil {
+		versionDir := filepath.Join(dir, "v"+strconv.Itoa(schema))
+		if err := os.MkdirAll(versionDir, 0o755); err != nil {
 			return nil, fmt.Errorf("rescache: %w", err)
 		}
+		s.blobDir = versionDir + string(filepath.Separator)
 	}
 	return s, nil
 }
@@ -163,14 +218,10 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-func (s *Store) versionDir() string {
-	return filepath.Join(s.dir, fmt.Sprintf("v%d", s.schema))
-}
-
 // blobPath fans the CAS out on the digest's first byte so no single
 // directory accumulates the whole design space.
 func (s *Store) blobPath(digest string) string {
-	return filepath.Join(s.versionDir(), digest[:2], digest+".bin")
+	return s.blobDir + digest[:2] + string(filepath.Separator) + digest + ".bin"
 }
 
 func (s *Store) shardFor(digest string) *shard {
@@ -212,14 +263,15 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		s.misses.Add(1)
 		return sim.Result{}, false
 	}
-	data, err := os.ReadFile(s.blobPath(digest))
+	var buf [blobBufLen]byte
+	data, err := readBlob(s.blobPath(digest), buf[:0])
 	if err != nil {
 		s.misses.Add(1)
 		return sim.Result{}, false
 	}
 	s.bytesRead.Add(uint64(len(data)))
-	env, err := decodeEnvelope(data)
-	if err != nil || env.Schema != s.schema || env.Key != key {
+	res, err = decodeResult(data, s.schema, key)
+	if err != nil {
 		if !errors.Is(err, errLayout) {
 			s.corrupt.Add(1)
 		}
@@ -227,11 +279,11 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	sh.mu.Lock()
-	sh.m[digest] = env.Result
+	sh.m[digest] = res
 	sh.mu.Unlock()
 	s.hits.Add(1)
 	s.diskHits.Add(1)
-	return env.Result, true
+	return res, true
 }
 
 // Put stores the result under the key in both tiers. The disk blob is

@@ -117,11 +117,10 @@ func TestSchemaBumpMissesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bumped, err := Open(dir)
+	bumped, err := open(dir, SchemaVersion+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bumped.schema = SchemaVersion + 1
 	if _, ok := bumped.Get(k); ok {
 		t.Fatal("stale-schema entry served as a hit")
 	}

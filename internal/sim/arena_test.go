@@ -81,7 +81,7 @@ func TestRecycledArenaHeapBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	point()
 	runtime.ReadMemStats(&after)
-	const budget = 32 << 10
+	const budget = 20 << 10
 	got := after.TotalAlloc - before.TotalAlloc
 	if got > budget {
 		t.Errorf("recycled DRAM-cache Fusion point allocated %d KiB of heap, budget %d KiB", got>>10, budget>>10)

@@ -23,9 +23,6 @@ const (
 	// fuzzMaxTransferBytes bounds the bytes all transfer phases move: the
 	// memory-controller fabric times a transfer line by line.
 	fuzzMaxTransferBytes = 16 << 20
-	// fuzzMaxObjectBytes bounds the program's objects together: the
-	// address space maps every page of an object when it is allocated.
-	fuzzMaxObjectBytes = 64 << 20
 )
 
 // fuzzProgram is the reduction kernel with every trace cut to its first
@@ -115,13 +112,6 @@ func FuzzSimulateProgram(f *testing.F) {
 		}
 		if transferBytes > fuzzMaxTransferBytes {
 			t.Skip("over the transfer-byte budget")
-		}
-		var objectBytes uint64
-		for _, o := range p.Objects {
-			objectBytes += uint64(o.Size)
-		}
-		if objectBytes > fuzzMaxObjectBytes {
-			t.Skip("over the object-byte budget")
 		}
 		s := MustNew(studies[int(study)%len(studies)])
 		res, err := s.Run(p)

@@ -28,14 +28,17 @@ import (
 )
 
 // systemJSON is the serialised form of a System. The enum axes marshal
-// as their names via their TextMarshaler implementations.
-type systemJSON struct {
+// as their names via their TextMarshaler implementations. Load reads
+// Params as a json.RawMessage, since a file may name a preset instead of
+// giving the object; Save writes a config.CommParams, which is never
+// omitted (omitempty does not apply to structs).
+type systemJSON[P any] struct {
 	Name                  string          `json:"name"`
 	Model                 addrspace.Model `json:"model"`
 	Fabric                FabricKind      `json:"fabric"`
 	Protocol              model.Kind      `json:"protocol"`
 	FaultGranularityBytes uint64          `json:"fault_granularity_bytes,omitempty"`
-	Params                json.RawMessage `json:"params,omitempty"`
+	Params                P               `json:"params,omitempty"`
 	// MemTech is a pointer so the baseline DRAM selection is omitted
 	// entirely, keeping pre-axis files and hashes byte-identical.
 	MemTech *memtech.Spec `json:"mem_tech,omitempty"`
@@ -51,17 +54,13 @@ func Save(s System) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	params, err := json.Marshal(s.Params)
-	if err != nil {
-		return nil, fmt.Errorf("systems: %w", err)
-	}
-	j := systemJSON{
+	j := systemJSON[config.CommParams]{
 		Name:                  s.Name,
 		Model:                 s.Model,
 		Fabric:                s.Fabric,
 		Protocol:              s.Protocol,
 		FaultGranularityBytes: s.FaultGranularityBytes,
-		Params:                params,
+		Params:                s.Params,
 	}
 	if !s.MemTech.IsZero() {
 		mt := s.MemTech
@@ -83,7 +82,7 @@ func Save(s System) ([]byte, error) {
 func Load(data []byte) (System, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var j systemJSON
+	var j systemJSON[json.RawMessage]
 	if err := dec.Decode(&j); err != nil {
 		return System{}, fmt.Errorf("systems: parsing system: %w", err)
 	}

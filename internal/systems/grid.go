@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
 	"heteromem/internal/addrspace"
 	"heteromem/internal/config"
@@ -109,7 +110,9 @@ func LoadGridFile(path string) (Grid, error) {
 // skipped (Validate rejections — e.g. ownership over a disjoint space).
 // Point names encode their coordinates (model/fabric/protocol, with a
 // /pgN suffix for nonzero fault granularities), so every point is
-// addressable in reports.
+// addressable in reports. Most combinations of a full grid are
+// incoherent, so Enumerate applies Validate's checks without formatting
+// the error Validate would return, and names only the points it keeps.
 func (g Grid) Enumerate() (points []System, skipped int) {
 	models := g.Models
 	if len(models) == 0 {
@@ -147,7 +150,6 @@ func (g Grid) Enumerate() (points []System, skipped int) {
 					for _, tech := range techs {
 						for _, tr := range translations {
 							s := System{
-								Name:                  pointName(m, f, p, gran, tech, tr),
 								Model:                 m,
 								Fabric:                f,
 								Protocol:              p,
@@ -160,10 +162,11 @@ func (g Grid) Enumerate() (points []System, skipped int) {
 							if tech != memtech.DRAM {
 								s.MemTech = memtech.Spec{Kind: tech}
 							}
-							if s.Validate() != nil {
+							if s.conflict() != noConflict || s.MemTech.Validate() != nil || s.Translation.Validate() != nil {
 								skipped++
 								continue
 							}
+							s.Name = pointName(m, f, p, gran, tech, tr)
 							points = append(points, s)
 						}
 					}
@@ -178,9 +181,9 @@ func (g Grid) Enumerate() (points []System, skipped int) {
 // (whole-object granularity, DRAM) are elided so pre-axis names are
 // stable.
 func pointName(m addrspace.Model, f FabricKind, p model.Kind, gran uint64, tech memtech.Kind, tr xlat.Spec) string {
-	name := fmt.Sprintf("%v/%v/%v", m, f, p)
+	name := m.String() + "/" + f.String() + "/" + p.String()
 	if gran > 0 {
-		name += fmt.Sprintf("/pg%d", gran)
+		name += "/pg" + strconv.FormatUint(gran, 10)
 	}
 	if tech != memtech.DRAM {
 		name += "/" + tech.String()

@@ -139,32 +139,66 @@ type System struct {
 // control).
 var ErrIncoherent = errors.New("incoherent system configuration")
 
+// conflict is an axis contradiction Validate rejects: a value out of
+// its axis's range, or a protocol behaviour the address-space model
+// cannot express.
+type conflict uint8
+
+const (
+	noConflict conflict = iota
+	invalidModel
+	invalidFabric
+	invalidProtocol
+	faultsWithoutDemandMapping
+	ownershipWithoutControl
+	granularityWithoutFaults
+	adsmWithoutDeviceAddressing
+)
+
+// conflict returns the first axis contradiction of s, or noConflict.
+// Validate formats its error; Grid.Enumerate, which rejects most of its
+// combinations, tests for one without formatting anything.
+func (s System) conflict() conflict {
+	switch {
+	case s.Model >= addrspace.NumModels:
+		return invalidModel
+	case s.Fabric >= NumFabrics:
+		return invalidFabric
+	case s.Protocol >= model.NumKinds:
+		return invalidProtocol
+	case s.Protocol.FirstTouchFaults() && s.Model != addrspace.PartiallyShared:
+		return faultsWithoutDemandMapping
+	case s.Protocol.UsesOwnership() && s.Model != addrspace.PartiallyShared:
+		return ownershipWithoutControl
+	case s.FaultGranularityBytes != 0 && !s.Protocol.FirstTouchFaults():
+		return granularityWithoutFaults
+	case s.Protocol == model.ADSMLazy && s.Model != addrspace.ADSM:
+		return adsmWithoutDeviceAddressing
+	}
+	return noConflict
+}
+
 // Validate rejects incoherent configurations: protocol behaviours that
 // the address-space model cannot express. Every error wraps
 // ErrIncoherent and names the system.
 func (s System) Validate() error {
-	if s.Model >= addrspace.NumModels {
+	switch s.conflict() {
+	case invalidModel:
 		return fmt.Errorf("system %q: %w: invalid address-space model %d", s.Name, ErrIncoherent, uint8(s.Model))
-	}
-	if s.Fabric >= NumFabrics {
+	case invalidFabric:
 		return fmt.Errorf("system %q: %w: invalid fabric %d", s.Name, ErrIncoherent, uint8(s.Fabric))
-	}
-	if s.Protocol >= model.NumKinds {
+	case invalidProtocol:
 		return fmt.Errorf("system %q: %w: invalid protocol %d", s.Name, ErrIncoherent, uint8(s.Protocol))
-	}
-	if s.Protocol.FirstTouchFaults() && s.Model != addrspace.PartiallyShared {
+	case faultsWithoutDemandMapping:
 		return fmt.Errorf("system %q: %w: first-touch faults need a demand-mapped shared space, which the %v model does not provide",
 			s.Name, ErrIncoherent, s.Model)
-	}
-	if s.Protocol.UsesOwnership() && s.Model != addrspace.PartiallyShared {
+	case ownershipWithoutControl:
 		return fmt.Errorf("system %q: %w: %v ownership operations need ownership control, which only the partially-shared space provides (model is %v)",
 			s.Name, ErrIncoherent, s.Protocol, s.Model)
-	}
-	if s.FaultGranularityBytes != 0 && !s.Protocol.FirstTouchFaults() {
+	case granularityWithoutFaults:
 		return fmt.Errorf("system %q: %w: fault granularity %d set while the %v protocol takes no first-touch faults",
 			s.Name, ErrIncoherent, s.FaultGranularityBytes, s.Protocol)
-	}
-	if s.Protocol == model.ADSMLazy && s.Model != addrspace.ADSM {
+	case adsmWithoutDeviceAddressing:
 		return fmt.Errorf("system %q: %w: the adsm protocol needs the CPU to address device memory, which the %v model does not allow",
 			s.Name, ErrIncoherent, s.Model)
 	}

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // MMUKind selects the MMU arrangement behind the per-PU TLBs.
@@ -294,9 +295,9 @@ func (s Spec) Label() string {
 
 func pageName(b uint64) string {
 	if b >= 1<<20 {
-		return fmt.Sprintf("%dm", b>>20)
+		return strconv.FormatUint(b>>20, 10) + "m"
 	}
-	return fmt.Sprintf("%dk", b>>10)
+	return strconv.FormatUint(b>>10, 10) + "k"
 }
 
 // WithIOMMUResolved returns the spec with the auto IOMMU mode replaced
