@@ -19,6 +19,7 @@ import (
 	"heteromem"
 	"heteromem/internal/cache"
 	"heteromem/internal/clock"
+	"heteromem/internal/comm"
 	"heteromem/internal/config"
 	"heteromem/internal/cpu"
 	"heteromem/internal/dram"
@@ -429,7 +430,7 @@ func BenchmarkAblationLocalityBit(b *testing.B) {
 func BenchmarkAblationAsyncCopy(b *testing.B) {
 	syncGMAC := systems.GMAC()
 	syncGMAC.Name = "GMAC-sync"
-	syncGMAC.Fabric = systems.FabricPCIe
+	syncGMAC.Fabric = comm.PCIe
 	p := workload.MustGenerate("reduction")
 	for _, sys := range []systems.System{systems.GMAC(), syncGMAC} {
 		b.Run(sys.Name, func(b *testing.B) {

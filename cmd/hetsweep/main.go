@@ -360,7 +360,7 @@ func printGuideline(kernels []string) {
 			s.LocalityOptions, s.HardwareCost, report.F3(s.Composite))
 	}
 	fmt.Println(tbl.String())
-	best, why, err := guideline.Recommend(kernels, guideline.DefaultWeights())
+	best, why, err := guideline.Recommend(scores)
 	if err != nil {
 		log.Fatal(err)
 	}

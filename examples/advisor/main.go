@@ -36,7 +36,7 @@ func main() {
 	}
 	fmt.Print(tbl.String())
 
-	best, why, err := guideline.Recommend([]string{"reduction", "merge-sort"}, guideline.DefaultWeights())
+	best, why, err := guideline.Recommend(scores)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,11 @@ func main() {
 		{"architecture-first (flexibility only)", guideline.Weights{Flexibility: 1}},
 	}
 	for _, sc := range scenarios {
-		m, _, err := guideline.Recommend([]string{"reduction"}, sc.w)
+		scores, err := guideline.Evaluate([]string{"reduction"}, sc.w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, _, err := guideline.Recommend(scores)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,14 +9,14 @@ import (
 )
 
 func TestPCIeBasePlusRate(t *testing.T) {
-	p := NewPCIe(config.TableIV(), false)
+	p := New(PCIe, config.TableIV(), nil)
 	// Zero bytes: just the base latency (33250 cycles at 3.5 GHz = 9.5us).
 	d0 := p.Transfer(0, 0).Sub(0)
 	if d0 < 9*clock.Microsecond || d0 > 10*clock.Microsecond {
 		t.Fatalf("PCIe base %v, want ~9.5us", d0)
 	}
 	// 1 MB at 16 GB/s adds ~65.5us.
-	p2 := NewPCIe(config.TableIV(), false)
+	p2 := New(PCIe, config.TableIV(), nil)
 	d1 := p2.Transfer(1<<20, 0).Sub(0)
 	added := d1 - d0
 	if added < 60*clock.Microsecond || added > 70*clock.Microsecond {
@@ -25,7 +25,7 @@ func TestPCIeBasePlusRate(t *testing.T) {
 }
 
 func TestPCIeLinkContention(t *testing.T) {
-	p := NewPCIe(config.TableIV(), false)
+	p := New(PCIe, config.TableIV(), nil)
 	a := p.Transfer(1<<20, 0)
 	b := p.Transfer(1<<20, 0)
 	if b <= a {
@@ -34,22 +34,22 @@ func TestPCIeLinkContention(t *testing.T) {
 }
 
 func TestPCIeAsyncFlag(t *testing.T) {
-	if NewPCIe(config.TableIV(), false).Async() {
+	if New(PCIe, config.TableIV(), nil).Async() {
 		t.Error("sync PCIe reports async")
 	}
-	g := NewPCIe(config.TableIV(), true)
+	g := New(PCIeAsync, config.TableIV(), nil)
 	if !g.Async() {
 		t.Error("GMAC-style PCIe not async")
 	}
-	if g.Name() != "pcie-async" || NewPCIe(config.TableIV(), false).Name() != "pcie" {
+	if PCIeAsync.String() != "pcie-async" || PCIe.String() != "pcie" {
 		t.Error("PCIe names wrong")
 	}
 }
 
 func TestApertureCheaperThanPCIe(t *testing.T) {
 	params := config.TableIV()
-	p := NewPCIe(params, false)
-	a := NewAperture(params)
+	p := New(PCIe, params, nil)
+	a := New(Aperture, params, nil)
 	size := uint64(64 << 10)
 	dp := p.Transfer(size, 0).Sub(0)
 	da := a.Transfer(size, 0).Sub(0)
@@ -61,9 +61,9 @@ func TestApertureCheaperThanPCIe(t *testing.T) {
 func TestMemControllerCheapest(t *testing.T) {
 	params := config.TableIV()
 	size := uint64(64 << 10)
-	mc := NewMemController(dram.MustNew(dram.DDR3_1333()))
+	mc := New(MemCtrl, config.TableIV(), dram.MustNew(dram.DDR3_1333()))
 	dm := mc.Transfer(size, 0).Sub(0)
-	da := NewAperture(params).Transfer(size, 0).Sub(0)
+	da := New(Aperture, params, nil).Transfer(size, 0).Sub(0)
 	// Paper: "the memory access cost is also very small compared to that
 	// of PCI-e" — the Fusion path beats even the aperture for real sizes.
 	if dm >= da {
@@ -75,7 +75,7 @@ func TestMemControllerCheapest(t *testing.T) {
 }
 
 func TestMemControllerScalesWithSize(t *testing.T) {
-	mc := NewMemController(dram.MustNew(dram.DDR3_1333()))
+	mc := New(MemCtrl, config.TableIV(), dram.MustNew(dram.DDR3_1333()))
 	d1 := mc.Transfer(16<<10, 0)
 	d2 := mc.Transfer(256<<10, d1)
 	if d2.Sub(d1) <= d1.Sub(0) {
@@ -84,7 +84,7 @@ func TestMemControllerScalesWithSize(t *testing.T) {
 }
 
 func TestIdealFree(t *testing.T) {
-	i := NewIdeal()
+	i := New(Ideal, config.Ideal(), nil)
 	if got := i.Transfer(1<<30, 42); got != 42 {
 		t.Fatalf("ideal transfer cost time: %v", got)
 	}
@@ -94,7 +94,7 @@ func TestIdealFree(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	p := NewPCIe(config.TableIV(), false)
+	p := New(PCIe, config.TableIV(), nil)
 	p.Transfer(1000, 0)
 	p.Transfer(2000, 0)
 	st := p.Stats()
@@ -112,29 +112,37 @@ func TestStatsAccumulate(t *testing.T) {
 func TestFabricIdentities(t *testing.T) {
 	params := config.TableIV()
 	fabrics := []struct {
-		f         Fabric
+		kind      Kind
 		name      string
 		async     bool
 		hasLaunch bool
+		remote    bool
 	}{
-		{NewPCIe(params, false), "pcie", false, false},
-		{NewPCIe(params, true), "pcie-async", true, true},
-		{NewAperture(params), "pci-aperture", false, false},
-		{NewMemController(dram.MustNew(dram.DDR3_1333())), "memctrl", false, false},
-		{NewIdeal(), "ideal", false, false},
+		{PCIe, "pcie", false, false, true},
+		{PCIeAsync, "pcie-async", true, true, true},
+		{Aperture, "pci-aperture", false, false, true},
+		{MemCtrl, "memctrl", false, false, false},
+		{Ideal, "ideal", false, false, false},
 	}
 	for _, c := range fabrics {
-		if c.f.Name() != c.name {
-			t.Errorf("name = %q, want %q", c.f.Name(), c.name)
+		f := New(c.kind, params, dram.MustNew(dram.DDR3_1333()))
+		if c.kind.String() != c.name {
+			t.Errorf("name = %q, want %q", c.kind, c.name)
 		}
-		if c.f.Async() != c.async {
-			t.Errorf("%s: async = %v", c.name, c.f.Async())
+		if parsed, err := ParseKind(c.name); err != nil || parsed != c.kind {
+			t.Errorf("ParseKind(%q) = %v, %v", c.name, parsed, err)
 		}
-		if got := c.f.Launch() > 0; got != c.hasLaunch {
+		if c.kind.RemoteDevice() != c.remote {
+			t.Errorf("%s: remote device = %v", c.name, c.kind.RemoteDevice())
+		}
+		if f.Async() != c.async {
+			t.Errorf("%s: async = %v", c.name, f.Async())
+		}
+		if got := f.Launch() > 0; got != c.hasLaunch {
 			t.Errorf("%s: launch cost presence = %v, want %v", c.name, got, c.hasLaunch)
 		}
-		c.f.Transfer(128, 0)
-		if c.f.Stats().Transfers != 1 {
+		f.Transfer(128, 0)
+		if f.Stats().Transfers != 1 {
 			t.Errorf("%s: stats not tracked", c.name)
 		}
 	}
@@ -142,7 +150,7 @@ func TestFabricIdentities(t *testing.T) {
 
 func TestAsyncLaunchIsAPIBase(t *testing.T) {
 	params := config.TableIV()
-	g := NewPCIe(params, true)
+	g := New(PCIeAsync, params, nil)
 	// The launch cost is the api-pci base: 33250 cycles at 3.5 GHz = 9.5us.
 	if got := g.Launch(); got < 9*clock.Microsecond || got > 10*clock.Microsecond {
 		t.Fatalf("launch = %v, want ~9.5us", got)
@@ -152,7 +160,7 @@ func TestAsyncLaunchIsAPIBase(t *testing.T) {
 func TestClampHugeTransfer(t *testing.T) {
 	// Transfers beyond 4 GiB clamp the latency computation rather than
 	// wrapping; the fabric still counts the true byte total.
-	p := NewPCIe(config.TableIV(), false)
+	p := New(PCIe, config.TableIV(), nil)
 	d := p.Transfer(1<<33, 0)
 	if d == 0 {
 		t.Fatal("huge transfer free")
@@ -167,10 +175,10 @@ func TestFabricOrdering(t *testing.T) {
 	// ideal < memctrl < aperture < pcie.
 	params := config.TableIV()
 	size := uint64(320512) // reduction's initial transfer (Table III)
-	ideal := NewIdeal().Transfer(size, 0).Sub(0)
-	mc := NewMemController(dram.MustNew(dram.DDR3_1333())).Transfer(size, 0).Sub(0)
-	ap := NewAperture(params).Transfer(size, 0).Sub(0)
-	pc := NewPCIe(params, false).Transfer(size, 0).Sub(0)
+	ideal := New(Ideal, config.Ideal(), nil).Transfer(size, 0).Sub(0)
+	mc := New(MemCtrl, config.TableIV(), dram.MustNew(dram.DDR3_1333())).Transfer(size, 0).Sub(0)
+	ap := New(Aperture, params, nil).Transfer(size, 0).Sub(0)
+	pc := New(PCIe, params, nil).Transfer(size, 0).Sub(0)
 	if !(ideal < mc && mc < ap && ap < pc) {
 		t.Fatalf("fabric ordering violated: ideal=%v memctrl=%v aperture=%v pcie=%v", ideal, mc, ap, pc)
 	}

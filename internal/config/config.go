@@ -129,6 +129,10 @@ func (p CommParams) transfer(size uint32) clock.Duration {
 	return clock.Duration(ps)
 }
 
+// CommCoster prices a communication instruction; Latency bound to a
+// parameter set is the usual implementation.
+type CommCoster func(kind isa.Kind, size uint32) clock.Duration
+
 // Latency returns the execution latency of a communication instruction of
 // the given kind and payload size. Non-communication kinds cost nothing
 // here.

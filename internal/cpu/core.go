@@ -32,10 +32,6 @@ type Memory interface {
 	Push(pu mem.PU, addr uint64, size uint32, level mem.Level, now clock.Time) clock.Time
 }
 
-// CommCoster prices a communication instruction; config.CommParams.Latency
-// bound to a parameter set is the usual implementation.
-type CommCoster func(kind isa.Kind, size uint32) clock.Duration
-
 // Stats summarises one Run.
 type Stats struct {
 	Instructions uint64
@@ -59,7 +55,7 @@ type Core struct {
 	cycle  clock.Duration
 	pred   *bpred.Gshare
 	memory Memory
-	comm   CommCoster
+	comm   config.CommCoster
 
 	// exec is the live Execution: Begin and Run reuse it, so a replay
 	// allocates nothing and obs binds its statistics once.
@@ -100,14 +96,14 @@ const srcBatch = 256
 
 // New returns a core with the given configuration bound to a memory
 // system and communication cost model.
-func New(cfg config.CoreConfig, memory Memory, comm CommCoster) *Core {
+func New(cfg config.CoreConfig, memory Memory, comm config.CommCoster) *Core {
 	return NewIn(nil, cfg, memory, comm)
 }
 
 // NewIn is New with the completion rings, trace lookahead buffer and
 // branch-predictor table carved from the arena (nil falls back to the
 // heap); the core keeps no reference to the arena.
-func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster) *Core {
+func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm config.CommCoster) *Core {
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 1
 	}
@@ -295,7 +291,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 			e.issued = 0
 		case in.Kind == isa.Push:
 			e.stats.PushOps++
-			done = c.memory.Push(mem.CPU, in.Addr, in.Size, pushLevel(in.PushLevel), ready)
+			done = c.memory.Push(mem.CPU, in.Addr, in.Size, mem.PushLevel(in.PushLevel), ready)
 		case in.Kind == isa.Barrier:
 			done = clock.Max(ready, e.maxComp).Add(c.cycle)
 			e.cur = done
@@ -345,17 +341,6 @@ func (e *Execution) End() (clock.Time, Stats) {
 func (c *Core) FlushObs() {
 	c.obs.Flush()
 	c.memLatPS.Merge(&c.exec.memLat)
-}
-
-func pushLevel(l uint8) mem.Level {
-	switch l {
-	case trace.PushShared:
-		return mem.LevelShared
-	case trace.PushSoftware:
-		return mem.LevelSoftware
-	default:
-		return mem.LevelPrivate
-	}
 }
 
 // Predictor returns the core's branch predictor, or nil if it has none.

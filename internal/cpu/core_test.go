@@ -29,7 +29,7 @@ func (f *fakeMem) Push(pu mem.PU, addr uint64, size uint32, level mem.Level, now
 
 func zeroComm(isa.Kind, uint32) clock.Duration { return 0 }
 
-func newCore(m Memory, comm CommCoster) *Core {
+func newCore(m Memory, comm config.CommCoster) *Core {
 	if comm == nil {
 		comm = zeroComm
 	}

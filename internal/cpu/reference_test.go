@@ -129,7 +129,7 @@ func (e *refExecution) StepUntil(deadline clock.Time) {
 			e.issued = 0
 		case in.Kind == isa.Push:
 			e.stats.PushOps++
-			done = c.memory.Push(mem.CPU, in.Addr, in.Size, pushLevel(in.PushLevel), ready)
+			done = c.memory.Push(mem.CPU, in.Addr, in.Size, mem.PushLevel(in.PushLevel), ready)
 		case in.Kind == isa.Barrier:
 			done = clock.Max(ready, e.maxComp).Add(c.cycle)
 			e.cur = done

@@ -15,6 +15,7 @@ package energy
 import (
 	"fmt"
 
+	"heteromem/internal/comm"
 	"heteromem/internal/mem"
 	"heteromem/internal/sim"
 )
@@ -103,8 +104,7 @@ func Estimate(res sim.Result, p Params) (Breakdown, error) {
 	// memory-controller fabric's traffic is already in the DRAM term
 	// (its DMA issues real controller requests), and the ideal fabric is
 	// free by definition.
-	switch res.FabricName {
-	case "pcie", "pcie-async", "pci-aperture":
+	if k, err := comm.ParseKind(res.FabricName); err == nil && k.RemoteDevice() {
 		b.Communication = float64(res.Fabric.Bytes) * p.FabricBytePJ / 1000
 	}
 	return b, nil

@@ -29,9 +29,6 @@ type Memory interface {
 	Scratchpad() *cache.Scratchpad
 }
 
-// CommCoster prices a communication instruction.
-type CommCoster func(kind isa.Kind, size uint32) clock.Duration
-
 // Stats summarises one Run.
 type Stats struct {
 	Instructions uint64
@@ -52,7 +49,7 @@ type Core struct {
 	dom    *clock.Domain
 	cycle  clock.Duration
 	memory Memory
-	comm   CommCoster
+	comm   config.CommCoster
 	swLat  clock.Duration
 	// Coalesce controls whether SIMD memory operations merge lane
 	// accesses into unique cache-line requests (true, the default) or
@@ -112,7 +109,7 @@ const LineBytes = 64
 
 // New returns a core bound to a memory system, communication cost model,
 // and software-managed-cache latency.
-func New(cfg config.CoreConfig, memory Memory, comm CommCoster, swLat clock.Duration) *Core {
+func New(cfg config.CoreConfig, memory Memory, comm config.CommCoster, swLat clock.Duration) *Core {
 	return NewIn(nil, cfg, memory, comm, swLat)
 }
 
@@ -121,7 +118,7 @@ func New(cfg config.CoreConfig, memory Memory, comm CommCoster, swLat clock.Dura
 // mid-replay is carved from the arena too, so the core must run on the
 // goroutine that owns the arena, and the arena may be Reset only once
 // the core is dropped.
-func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm CommCoster, swLat clock.Duration) *Core {
+func NewIn(a *arena.Arena, cfg config.CoreConfig, memory Memory, comm config.CommCoster, swLat clock.Duration) *Core {
 	if cfg.SIMDWidth <= 0 {
 		cfg.SIMDWidth = 8
 	}
@@ -272,7 +269,7 @@ func (e *Execution) StepUntil(deadline clock.Time) {
 			continue
 		case in.Kind == isa.Push:
 			e.stats.PushOps++
-			done = c.memory.Push(mem.GPU, in.Addr, in.Size, pushLevel(in.PushLevel), issueAt)
+			done = c.memory.Push(mem.GPU, in.Addr, in.Size, mem.PushLevel(in.PushLevel), issueAt)
 		case in.Kind == isa.Barrier:
 			done = clock.Max(issueAt, e.maxComp).Add(c.cycle)
 			e.cur = done
@@ -387,15 +384,4 @@ func (c *Core) accessMem(in trace.Inst, issueAt clock.Time, st *Stats) clock.Tim
 		}
 	}
 	return done
-}
-
-func pushLevel(l uint8) mem.Level {
-	switch l {
-	case trace.PushShared:
-		return mem.LevelShared
-	case trace.PushSoftware:
-		return mem.LevelSoftware
-	default:
-		return mem.LevelPrivate
-	}
 }

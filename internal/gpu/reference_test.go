@@ -117,7 +117,7 @@ func (e *refExecution) StepUntil(deadline clock.Time) {
 			continue
 		case in.Kind == isa.Push:
 			e.stats.PushOps++
-			done = c.memory.Push(mem.GPU, in.Addr, in.Size, pushLevel(in.PushLevel), issueAt)
+			done = c.memory.Push(mem.GPU, in.Addr, in.Size, mem.PushLevel(in.PushLevel), issueAt)
 		case in.Kind == isa.Barrier:
 			done = clock.Max(issueAt, e.maxComp).Add(c.cycle)
 			e.cur = done

@@ -129,9 +129,10 @@ func Evaluate(kernels []string, w Weights) ([]Score, error) {
 	}
 
 	// Performance axis: average overhead over the ideal system.
+	ideal := systems.IdealHetero()
 	idealTotals := make(map[string]float64)
 	for _, k := range kernels {
-		res, err := runOne(systems.IdealHetero(), k)
+		res, err := runOne(ideal, k)
 		if err != nil {
 			return nil, err
 		}
@@ -140,13 +141,20 @@ func Evaluate(kernels []string, w Weights) ([]Score, error) {
 
 	var scores []Score
 	for _, m := range addrspace.AllModels() {
+		sys := flagship(m)
 		var overhead float64
 		for _, k := range kernels {
-			res, err := runOne(flagship(m), k)
-			if err != nil {
-				return nil, err
+			// The unified model's flagship is the ideal system itself,
+			// so its baseline run already holds the total.
+			total := idealTotals[k]
+			if sys != ideal {
+				res, err := runOne(sys, k)
+				if err != nil {
+					return nil, err
+				}
+				total = float64(res.Total())
 			}
-			overhead += float64(res.Total())/idealTotals[k] - 1
+			overhead += total/idealTotals[k] - 1
 		}
 		overhead /= float64(len(kernels))
 
@@ -228,13 +236,18 @@ func normalise(scores []Score, get func(Score) float64, higherBetter bool) []flo
 	return out
 }
 
-// Recommend returns the highest-scoring model and a one-line rationale.
-func Recommend(kernels []string, w Weights) (addrspace.Model, string, error) {
-	scores, err := Evaluate(kernels, w)
-	if err != nil {
-		return 0, "", err
+// Recommend returns the highest-scoring model of scores (as Evaluate
+// returns them) and a one-line rationale.
+func Recommend(scores []Score) (addrspace.Model, string, error) {
+	if len(scores) == 0 {
+		return 0, "", fmt.Errorf("guideline: no scores to rank")
 	}
 	best := scores[0]
+	for _, s := range scores[1:] {
+		if s.Composite > best.Composite {
+			best = s
+		}
+	}
 	why := fmt.Sprintf(
 		"%v scores %.2f: %.1f%% overhead vs ideal, %d comm lines, %d locality options",
 		best.Model, best.Composite, best.PerfOverhead*100, best.CommLines, best.LocalityOptions)

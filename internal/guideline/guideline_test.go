@@ -39,7 +39,7 @@ func TestEvaluateScoresAllModels(t *testing.T) {
 func TestPaperConclusionPartiallySharedWins(t *testing.T) {
 	// With the paper's four axes weighted equally, the partially shared
 	// space comes out on top — the paper's overall conclusion.
-	best, why, err := Recommend([]string{"reduction", "merge-sort"}, DefaultWeights())
+	best, why, err := recommend([]string{"reduction", "merge-sort"}, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +51,19 @@ func TestPaperConclusionPartiallySharedWins(t *testing.T) {
 	}
 }
 
+// recommend scores the models over kernels with weights w and ranks
+// them.
+func recommend(kernels []string, w Weights) (addrspace.Model, string, error) {
+	scores, err := Evaluate(kernels, w)
+	if err != nil {
+		return 0, "", err
+	}
+	return Recommend(scores)
+}
+
 func TestWeightsSteerTheRecommendation(t *testing.T) {
 	// A pure-programmability designer is pointed at the unified space.
-	best, _, err := Recommend([]string{"reduction"}, Weights{Programmability: 1})
+	best, _, err := recommend([]string{"reduction"}, Weights{Programmability: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestWeightsSteerTheRecommendation(t *testing.T) {
 		t.Fatalf("programmability-only recommendation = %v, want unified", best)
 	}
 	// A pure-hardware-cost designer is pointed at disjoint.
-	best, _, err = Recommend([]string{"reduction"}, Weights{HardwareCost: 1})
+	best, _, err = recommend([]string{"reduction"}, Weights{HardwareCost: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +79,7 @@ func TestWeightsSteerTheRecommendation(t *testing.T) {
 		t.Fatalf("hardware-cost-only recommendation = %v, want disjoint", best)
 	}
 	// A pure-flexibility designer gets partially shared.
-	best, _, err = Recommend([]string{"reduction"}, Weights{Flexibility: 1})
+	best, _, err = recommend([]string{"reduction"}, Weights{Flexibility: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/locality"
 	"heteromem/internal/mem"
 	"heteromem/internal/memtech"
@@ -81,7 +82,7 @@ func TestSystemHashComplete(t *testing.T) {
 		perturb func(*systems.System)
 	}{
 		"Model":                 {systems.CPUGPU(), func(s *systems.System) { s.Model = addrspace.Unified }},
-		"Fabric":                {systems.CPUGPU(), func(s *systems.System) { s.Fabric = systems.FabricMemCtrl }},
+		"Fabric":                {systems.CPUGPU(), func(s *systems.System) { s.Fabric = comm.MemCtrl }},
 		"Protocol":              {systems.LRB(), func(s *systems.System) { s.Protocol = model.Ownership }},
 		"FaultGranularityBytes": {systems.LRB(), func(s *systems.System) { s.FaultGranularityBytes = 4096 }},
 		"Params":                {systems.CPUGPU(), func(s *systems.System) { s.Params.LibPFCycles++ }},

@@ -26,31 +26,22 @@ import (
 	"heteromem/internal/memtech"
 	"heteromem/internal/noc"
 	"heteromem/internal/obs"
+	"heteromem/internal/trace"
 	"heteromem/internal/xlat"
 )
 
-// PU identifies a processing unit attached to the hierarchy.
-type PU uint8
+// PU identifies a processing unit attached to the hierarchy. It is
+// memsys.PU, so accesses become memsys requests without conversion.
+type PU = memsys.PU
 
 const (
 	// CPU is the out-of-order general-purpose core.
-	CPU PU = iota
+	CPU = memsys.CPU
 	// GPU is the in-order SIMD accelerator core.
-	GPU
+	GPU = memsys.GPU
 	// NumPUs is the number of processing units.
-	NumPUs
+	NumPUs = memsys.NumPUs
 )
-
-func (p PU) String() string {
-	switch p {
-	case CPU:
-		return "cpu"
-	case GPU:
-		return "gpu"
-	default:
-		return fmt.Sprintf("pu(%d)", uint8(p))
-	}
-}
 
 // Level identifies a target cache level for explicit (push) placement.
 type Level uint8
@@ -75,6 +66,20 @@ func (l Level) String() string {
 		return "software"
 	default:
 		return fmt.Sprintf("level(%d)", uint8(l))
+	}
+}
+
+// PushLevel returns the cache level a push instruction's trace level
+// (trace.PushPrivate, PushShared, PushSoftware) places data in; unknown
+// levels place privately.
+func PushLevel(l uint8) Level {
+	switch l {
+	case trace.PushShared:
+		return LevelShared
+	case trace.PushSoftware:
+		return LevelSoftware
+	default:
+		return LevelPrivate
 	}
 }
 
@@ -627,11 +632,11 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 		h.env.L1Hits[pu]++
 		end := now.Add(h.l1Lat[pu])
 		if write {
-			end = h.coh.Apply(memsys.PU(pu), addr, line, write, end)
+			end = h.coh.Apply(pu, addr, line, write, end)
 		}
 		return end
 	}
-	h.req.Start(memsys.PU(pu), addr, line, write, now.Add(h.l1Lat[pu]))
+	h.req.Start(pu, addr, line, write, now.Add(h.l1Lat[pu]))
 	return h.chain[pu].Run(&h.req)
 }
 
@@ -639,10 +644,10 @@ func (h *Hierarchy) Access(pu PU, addr uint64, write bool, now clock.Time) clock
 // memsys.xlat when the host profiler samples it.
 func (h *Hierarchy) translate(pu PU, addr uint64, now clock.Time) clock.Time {
 	if !h.prof.Sample() {
-		return h.xlat.Translate(memsys.PU(pu), addr, now)
+		return h.xlat.Translate(pu, addr, now)
 	}
 	t := time.Now()
-	now = h.xlat.Translate(memsys.PU(pu), addr, now)
+	now = h.xlat.Translate(pu, addr, now)
 	h.prof.Add(h.profXlat, time.Since(t))
 	return now
 }
@@ -711,7 +716,7 @@ func (h *Hierarchy) FlushPrivate(pu PU) int {
 	// An ownership transfer remaps pages between the PUs' views, so the
 	// handover that flushes the caches also shoots down the TLB (nil-safe
 	// when the translation axis is off).
-	h.xlat.Flush(memsys.PU(pu))
+	h.xlat.Flush(pu)
 	if pu == CPU {
 		return h.cpuL1d.FlushAll() + h.cpuL2.FlushAll()
 	}

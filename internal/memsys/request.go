@@ -18,9 +18,8 @@ import (
 	"heteromem/internal/clock"
 )
 
-// PU identifies a processing unit issuing requests. The values mirror
-// mem.PU (the two packages share the numbering so conversions are
-// direct casts).
+// PU identifies a processing unit issuing requests; package mem
+// re-exports it as mem.PU.
 type PU uint8
 
 const (

@@ -5,9 +5,10 @@
 // asynchronous copies with return synchronisation (GMAC), and the plain
 // explicit-copy discipline of disjoint spaces (CUDA, Fusion).
 //
-// A Protocol owns all of that state (pending acquires, queued faults,
-// the async-ready horizon) and exposes hook points the simulator calls
-// at phase boundaries:
+// The protocols are rows of one Kind table. A Protocol owns all of the
+// run's model state (pending acquires, queued faults, the async-ready
+// horizon) and exposes hook points the simulator calls at phase
+// boundaries:
 //
 //   - KernelEntry — start of a parallel phase; returns the GPU prologue
 //     stream (ownership acquire, queued first-touch faults).
@@ -21,10 +22,12 @@
 //   - SyncPoint — a synchronisation point (program end); blocks until
 //     outstanding asynchronous copies land.
 //
-// Protocols act on the machine through the Env interface the simulator
-// implements, so the simulator stays free of per-model branches and new
-// protocols compose with any address-space model and fabric the design
-// space offers.
+// The hooks branch on the kind's predicates (UsesOwnership,
+// FirstTouchFaults, ElidesDeviceToHost), which are the one definition of
+// each policy. Protocols act on the machine through the Env interface
+// the simulator implements, so the simulator stays free of per-model
+// branches and every kind composes with any address-space model and
+// fabric the design space offers.
 package model
 
 import (
@@ -57,7 +60,7 @@ type Env interface {
 	// result, and returns the completion time.
 	RunCPUStream(st trace.Stream, now clock.Time) clock.Time
 	// Fabric is the hardware communication mechanism of the run.
-	Fabric() comm.Fabric
+	Fabric() *comm.Fabric
 	// Tracer returns the attached tracer; nil-safe, may be nil.
 	Tracer() *obs.Tracer
 	// ChargeComm adds d to the run's communication time.
@@ -66,36 +69,6 @@ type Env interface {
 	CountOwnershipOp()
 	// CountPageFaults records n lib-pf events.
 	CountPageFaults(n int)
-}
-
-// Protocol is one programming-model protocol. A Protocol is stateful
-// across the phases of a run; Reset returns it to its just-constructed
-// state.
-type Protocol interface {
-	// Name identifies the protocol in reports and configs.
-	Name() string
-	// KernelEntry appends the GPU prologue for a parallel phase starting
-	// at now to dst and returns it. The simulator executes the returned
-	// stream on the GPU core before the kernel body.
-	KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream
-	// KernelReturn handles a device-to-host transfer phase. handled
-	// reports that the bulk copy is elided (the result already lives in a
-	// space the CPU can address) and any protocol cost has been charged;
-	// when handled is false the protocol must not advance time and the
-	// simulator runs the bulk copy.
-	KernelReturn(env Env, now clock.Time) (end clock.Time, handled bool, err error)
-	// BeforeTransfer runs ahead of a host-to-device bulk copy of bytes at
-	// addr: ownership release, first-touch fault queueing.
-	BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error)
-	// AfterTransfer observes the completion time of a bulk copy issued by
-	// the simulator, extending the async-ready horizon when the fabric
-	// copies asynchronously.
-	AfterTransfer(env Env, done clock.Time)
-	// SyncPoint blocks until outstanding asynchronous copies land,
-	// charging the exposed wait as communication.
-	SyncPoint(env Env, now clock.Time) clock.Time
-	// Reset returns the protocol to its just-constructed state.
-	Reset()
 }
 
 // Kind names a built-in protocol.
@@ -188,19 +161,14 @@ func (k Kind) ElidesDeviceToHost() bool {
 // the page size behind first-touch faults: one lib-pf per granule of
 // freshly shared data, zero meaning one fault per object (large pages);
 // kinds without faults ignore it.
-func New(k Kind, faultGranularity uint64) (Protocol, error) {
-	switch k {
-	case ExplicitCopy:
-		return &explicitCopy{}, nil
-	case Ownership:
-		return newOwnership(false, 0), nil
-	case OwnershipFirstTouch:
-		return newOwnership(true, faultGranularity), nil
-	case ADSMLazy:
-		return &adsmLazy{}, nil
-	case Ideal:
-		return &ideal{}, nil
-	default:
+func New(k Kind, faultGranularity uint64) (*Protocol, error) {
+	if k >= NumKinds {
 		return nil, fmt.Errorf("model: unknown protocol kind %d", uint8(k))
 	}
+	p := &Protocol{kind: k}
+	if k.FirstTouchFaults() {
+		p.granularity = faultGranularity
+		p.touched = make(map[uint64]bool)
+	}
+	return p, nil
 }

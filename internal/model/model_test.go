@@ -19,7 +19,7 @@ import (
 type fakeEnv struct {
 	handle  addrspace.Object
 	space   *addrspace.Space
-	fabric  comm.Fabric
+	fabric  *comm.Fabric
 	comm    clock.Duration
 	ownOps  int
 	faults  int
@@ -36,14 +36,14 @@ func (e *fakeEnv) RunCPUStream(st trace.Stream, now clock.Time) clock.Time {
 	e.streams = append(e.streams, st)
 	return now.Add(fakeStreamLatency)
 }
-func (e *fakeEnv) Fabric() comm.Fabric         { return e.fabric }
+func (e *fakeEnv) Fabric() *comm.Fabric        { return e.fabric }
 func (e *fakeEnv) Tracer() *obs.Tracer         { return nil }
 func (e *fakeEnv) ChargeComm(d clock.Duration) { e.comm += d }
 func (e *fakeEnv) CountOwnershipOp()           { e.ownOps++ }
 func (e *fakeEnv) CountPageFaults(n int)       { e.faults += n }
 
-func syncEnv() *fakeEnv  { return &fakeEnv{fabric: comm.NewIdeal()} }
-func asyncEnv() *fakeEnv { return &fakeEnv{fabric: comm.NewPCIe(config.TableIV(), true)} }
+func syncEnv() *fakeEnv  { return &fakeEnv{fabric: comm.New(comm.Ideal, config.Ideal(), nil)} }
+func asyncEnv() *fakeEnv { return &fakeEnv{fabric: comm.New(comm.PCIeAsync, config.TableIV(), nil)} }
 
 func TestKindRoundTrip(t *testing.T) {
 	for _, k := range AllKinds() {
@@ -96,14 +96,27 @@ func TestKindPredicates(t *testing.T) {
 	}
 }
 
+// TestNewNamesMatchKinds checks that New builds every named kind and
+// that the built protocol's hooks follow that kind's predicates.
 func TestNewNamesMatchKinds(t *testing.T) {
 	for _, k := range AllKinds() {
 		p, err := New(k, 0)
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
 		}
-		if p.Name() != k.String() {
-			t.Errorf("New(%v).Name() = %q", k, p.Name())
+		env := syncEnv()
+		if _, handled, _ := p.KernelReturn(env, 0); handled != k.ElidesDeviceToHost() {
+			t.Errorf("%v: KernelReturn handled = %v, want %v", k, handled, k.ElidesDeviceToHost())
+		}
+		if _, err := p.BeforeTransfer(env, 0x1000, 1<<20, 0); err != nil {
+			t.Fatalf("%v: BeforeTransfer: %v", k, err)
+		}
+		if got := env.ownOps > 0; got != k.UsesOwnership() {
+			t.Errorf("%v: ownership ops charged = %v, want %v", k, got, k.UsesOwnership())
+		}
+		p.KernelEntry(env, 0, nil)
+		if got := env.faults > 0; got != k.FirstTouchFaults() {
+			t.Errorf("%v: first-touch faults charged = %v, want %v", k, got, k.FirstTouchFaults())
 		}
 	}
 	if _, err := New(NumKinds, 0); err == nil {

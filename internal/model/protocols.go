@@ -15,110 +15,22 @@ var (
 	releaseStream = trace.Stream{{Kind: isa.APIRelease}}
 )
 
-// asyncState tracks the completion horizon of asynchronous copies. It is
-// embedded in every protocol: any protocol may be composed with an
-// asynchronous fabric in the open design space, and the horizon is
-// programming-model state (GMAC's return synchronisation), not fabric
-// state.
-type asyncState struct {
-	// ready is when outstanding asynchronous copies complete.
-	ready clock.Time
-}
-
-// AfterTransfer implements Protocol: a copy issued on an asynchronous
-// fabric completes in the background, extending the horizon sync points
-// must wait on. Synchronous fabrics block inside the transfer itself, so
-// there is nothing to track.
-func (a *asyncState) AfterTransfer(env Env, done clock.Time) {
-	if env.Fabric().Async() {
-		a.ready = clock.Max(a.ready, done)
-	}
-}
-
-// SyncPoint implements Protocol: outstanding asynchronous copies must
-// land before the program completes, and the exposed wait is
-// communication time.
-func (a *asyncState) SyncPoint(env Env, now clock.Time) clock.Time {
-	if a.ready > now {
-		env.Tracer().Span(obs.TrackFabric, "async-wait", "comm", uint64(now), uint64(a.ready), nil)
-		env.ChargeComm(a.ready.Sub(now))
-		now = a.ready
-	}
-	return now
-}
-
-// returnSync is ADSM return synchronisation (one of GMAC's four
-// fundamental APIs) at a kernel-return boundary: the host pays the
-// synchronisation call itself, then blocks until outstanding copies
-// land. On a synchronous fabric both are free and this is a no-op.
-func (a *asyncState) returnSync(env Env, now clock.Time) clock.Time {
-	if f := env.Fabric(); f.Async() {
-		sync := f.Launch()
-		env.ChargeComm(sync)
-		now = now.Add(sync)
-	}
-	if a.ready > now {
-		env.ChargeComm(a.ready.Sub(now))
-		now = a.ready
-	}
-	return now
-}
-
-func (a *asyncState) Reset() { a.ready = 0 }
-
-// explicitCopy is the CUDA/Fusion protocol: no ownership, no faults, no
-// elision — every exchange is a bulk copy the simulator times on the
-// fabric.
-type explicitCopy struct{ asyncState }
-
-func (*explicitCopy) Name() string { return "explicit-copy" }
-
-func (*explicitCopy) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream {
-	return dst
-}
-
-func (*explicitCopy) KernelReturn(env Env, now clock.Time) (clock.Time, bool, error) {
-	return now, false, nil
-}
-
-func (*explicitCopy) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error) {
-	return now, nil
-}
-
-// ideal is the protocol of a unified, coherent machine: hardware keeps
-// every PU's view consistent, so the runtime injects nothing. It behaves
-// like explicitCopy at every hook — transfers still run (for free on the
-// ideal fabric) — but names the design point the paper's IDEAL-HETERO
-// occupies.
-type ideal struct{ asyncState }
-
-func (*ideal) Name() string { return "ideal" }
-
-func (*ideal) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream {
-	return dst
-}
-
-func (*ideal) KernelReturn(env Env, now clock.Time) (clock.Time, bool, error) {
-	return now, false, nil
-}
-
-func (*ideal) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error) {
-	return now, nil
-}
-
-// ownership is the LRB family: acquire/release ownership control over
-// the partially shared space, optionally with first-touch page faults.
-// Results stay in the shared space, so device-to-host copies are elided
-// in favour of an ownership handover back to the CPU.
-type ownership struct {
-	asyncState
-	// firstTouch enables lib-pf faults on the GPU's first touch of each
-	// freshly shared object (the full LRB model).
-	firstTouch bool
+// Protocol is one programming-model protocol: the runtime behaviour of
+// its Kind at phase boundaries. Each hook branches on the kind's
+// predicates, so a new protocol is a new Kind row, not a new type. A
+// Protocol is stateful across the phases of a run; Reset returns it to
+// its just-constructed state.
+type Protocol struct {
+	kind Kind
 	// granularity is the page size behind first-touch faults; zero means
 	// the GPU's large pages cover a whole object (one fault per object).
 	granularity uint64
 
+	// ready is when outstanding asynchronous copies complete. Any
+	// protocol may run over an asynchronous fabric in the open design
+	// space, and the horizon is programming-model state (GMAC's return
+	// synchronisation), not fabric state.
+	ready clock.Time
 	// pendingAcquire queues the GPU-side ownership acquire for the next
 	// kernel entry after the CPU released the shared handle.
 	pendingAcquire bool
@@ -129,27 +41,14 @@ type ownership struct {
 	touched map[uint64]bool
 }
 
-func newOwnership(firstTouch bool, granularity uint64) *ownership {
-	return &ownership{
-		firstTouch:  firstTouch,
-		granularity: granularity,
-		touched:     make(map[uint64]bool),
-	}
-}
-
-func (o *ownership) Name() string {
-	if o.firstTouch {
-		return "ownership-first-touch"
-	}
-	return "ownership"
-}
-
-// KernelEntry implements Protocol: the GPU acquires ownership of the
-// shared data, then faults once per freshly shared object.
-func (o *ownership) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream {
-	if o.pendingAcquire {
+// KernelEntry appends the GPU prologue for a parallel phase starting at
+// now to dst and returns it; the simulator executes the returned stream
+// on the GPU core before the kernel body. Under ownership the GPU
+// acquires the shared data, then faults once per freshly shared object.
+func (p *Protocol) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream {
+	if p.pendingAcquire {
 		dst = append(dst, trace.Inst{Kind: isa.APIAcquire})
-		o.pendingAcquire = false
+		p.pendingAcquire = false
 		env.CountOwnershipOp()
 		if h := env.SharedHandle(); h.Size != 0 {
 			// Walk the protocol in the address space as well, so space
@@ -158,42 +57,56 @@ func (o *ownership) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace
 		}
 		env.Tracer().Instant(obs.TrackGPU, "acquire-ownership", "model", uint64(now), nil)
 	}
-	for f := 0; f < o.pendingFaults; f++ {
+	for f := 0; f < p.pendingFaults; f++ {
 		dst = append(dst, trace.Inst{Kind: isa.LibPageFault})
 	}
-	if o.pendingFaults > 0 {
+	if p.pendingFaults > 0 {
 		env.Tracer().Instant(obs.TrackGPU, "lib-pf", "model", uint64(now),
-			map[string]any{"faults": o.pendingFaults})
-		env.CountPageFaults(o.pendingFaults)
-		o.pendingFaults = 0
+			map[string]any{"faults": p.pendingFaults})
+		env.CountPageFaults(p.pendingFaults)
+		p.pendingFaults = 0
 	}
 	return dst
 }
 
-// KernelReturn implements Protocol: the result already lives in the
-// shared space, so the copy-back is elided — the model hands ownership
-// back to the CPU instead, flushing the GPU's private caches on its
-// release side of the handover.
-func (o *ownership) KernelReturn(env Env, now clock.Time) (clock.Time, bool, error) {
-	if h := env.SharedHandle(); h.Size != 0 {
-		env.FlushPrivate(mem.GPU)
-		if err := env.Space().Acquire(mem.CPU, h); err != nil {
-			return now, true, err
-		}
+// KernelReturn handles a device-to-host transfer phase. handled reports
+// that the bulk copy is elided because the result already lives in a
+// space the CPU can address, and that the protocol charged its own
+// return cost; when handled is false time has not moved and the
+// simulator runs the bulk copy. Under ownership the model hands
+// ownership back to the CPU, flushing the GPU's private caches on its
+// release side of the handover; then return synchronisation waits for
+// outstanding copies.
+func (p *Protocol) KernelReturn(env Env, now clock.Time) (end clock.Time, handled bool, err error) {
+	if !p.kind.ElidesDeviceToHost() {
+		return now, false, nil
 	}
-	env.Tracer().Instant(obs.TrackGPU, "cache-flush", "model", uint64(now), nil)
-	env.Tracer().Instant(obs.TrackCPU, "acquire-ownership", "model", uint64(now), nil)
-	end := env.RunCPUStream(acquireStream, now)
-	env.ChargeComm(end.Sub(now))
-	env.CountOwnershipOp()
-	return o.returnSync(env, end), true, nil
+	if p.kind.UsesOwnership() {
+		if h := env.SharedHandle(); h.Size != 0 {
+			env.FlushPrivate(mem.GPU)
+			if err := env.Space().Acquire(mem.CPU, h); err != nil {
+				return now, true, err
+			}
+		}
+		env.Tracer().Instant(obs.TrackGPU, "cache-flush", "model", uint64(now), nil)
+		env.Tracer().Instant(obs.TrackCPU, "acquire-ownership", "model", uint64(now), nil)
+		end := env.RunCPUStream(acquireStream, now)
+		env.ChargeComm(end.Sub(now))
+		env.CountOwnershipOp()
+		now = end
+	}
+	return p.returnSync(env, now), true, nil
 }
 
-// BeforeTransfer implements Protocol: the CPU releases ownership before
-// the data moves into the shared space; the GPU acquires at kernel entry
-// (next parallel phase), and its first touch of each new object faults.
-func (o *ownership) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error) {
-	if err := o.releaseShared(env); err != nil {
+// BeforeTransfer runs ahead of a host-to-device bulk copy of bytes at
+// addr. Under ownership the CPU releases the shared data before it moves
+// into the shared space; the GPU acquires at the next kernel entry, and
+// with first-touch faults its first touch of each new object faults.
+func (p *Protocol) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error) {
+	if !p.kind.UsesOwnership() {
+		return now, nil
+	}
+	if err := releaseShared(env); err != nil {
 		return now, err
 	}
 	env.Tracer().Instant(obs.TrackCPU, "cache-flush", "model", uint64(now), nil)
@@ -201,15 +114,15 @@ func (o *ownership) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) 
 	end := env.RunCPUStream(releaseStream, now)
 	env.ChargeComm(end.Sub(now))
 	env.CountOwnershipOp()
-	o.pendingAcquire = true
-	if o.firstTouch && !o.touched[addr] {
-		o.touched[addr] = true
-		if g := o.granularity; g > 0 {
+	p.pendingAcquire = true
+	if p.kind.FirstTouchFaults() && !p.touched[addr] {
+		p.touched[addr] = true
+		if g := p.granularity; g > 0 {
 			// One fault per page-sized granule of the freshly shared data.
-			o.pendingFaults += int((bytes + g - 1) / g)
+			p.pendingFaults += int((bytes + g - 1) / g)
 		} else {
 			// Large pages cover the whole object: one fault.
-			o.pendingFaults++
+			p.pendingFaults++
 		}
 	}
 	return end, nil
@@ -219,7 +132,7 @@ func (o *ownership) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) 
 // shared handle so the GPU may take it. Release consistency requires the
 // releasing PU's private caches to be written back and invalidated — the
 // shared space is not kept coherent by hardware (Section II-A3).
-func (o *ownership) releaseShared(env Env) error {
+func releaseShared(env Env) error {
 	h := env.SharedHandle()
 	if h.Size == 0 {
 		return nil // program has no shared object under this model
@@ -232,38 +145,49 @@ func (o *ownership) releaseShared(env Env) error {
 	return nil
 }
 
-// Reset implements Protocol.
-func (o *ownership) Reset() {
-	o.asyncState.Reset()
-	o.pendingAcquire = false
-	o.pendingFaults = 0
-	clear(o.touched)
+// AfterTransfer observes the completion time of a bulk copy issued by
+// the simulator: a copy on an asynchronous fabric completes in the
+// background, extending the horizon sync points must wait on.
+// Synchronous fabrics block inside the transfer itself, so there is
+// nothing to track.
+func (p *Protocol) AfterTransfer(env Env, done clock.Time) {
+	if env.Fabric().Async() {
+		p.ready = clock.Max(p.ready, done)
+	}
 }
 
-// adsmLazy is GMAC's protocol: the CPU addresses the whole space, so the
-// copy-back is elided; transfers launched on an asynchronous fabric move
-// in the background and the GPU consumes the data page by page as it
-// arrives (lazy transfer), with return synchronisation at kernel-return
-// boundaries and sync points.
-type adsmLazy struct{ asyncState }
-
-func (*adsmLazy) Name() string { return "adsm" }
-
-func (*adsmLazy) KernelEntry(env Env, now clock.Time, dst trace.Stream) trace.Stream {
-	return dst
+// SyncPoint blocks until outstanding asynchronous copies land before the
+// program completes, charging the exposed wait as communication.
+func (p *Protocol) SyncPoint(env Env, now clock.Time) clock.Time {
+	if p.ready > now {
+		env.Tracer().Span(obs.TrackFabric, "async-wait", "comm", uint64(now), uint64(p.ready), nil)
+		env.ChargeComm(p.ready.Sub(now))
+		now = p.ready
+	}
+	return now
 }
 
-func (a *adsmLazy) KernelReturn(env Env, now clock.Time) (clock.Time, bool, error) {
-	return a.returnSync(env, now), true, nil
+// returnSync is ADSM return synchronisation (one of GMAC's four
+// fundamental APIs) at a kernel-return boundary: the host pays the
+// synchronisation call itself, then blocks until outstanding copies
+// land. On a synchronous fabric both are free and this is a no-op.
+func (p *Protocol) returnSync(env Env, now clock.Time) clock.Time {
+	if f := env.Fabric(); f.Async() {
+		sync := f.Launch()
+		env.ChargeComm(sync)
+		now = now.Add(sync)
+	}
+	if p.ready > now {
+		env.ChargeComm(p.ready.Sub(now))
+		now = p.ready
+	}
+	return now
 }
 
-func (*adsmLazy) BeforeTransfer(env Env, addr, bytes uint64, now clock.Time) (clock.Time, error) {
-	return now, nil
+// Reset returns the protocol to its just-constructed state.
+func (p *Protocol) Reset() {
+	p.ready = 0
+	p.pendingAcquire = false
+	p.pendingFaults = 0
+	clear(p.touched)
 }
-
-var (
-	_ Protocol = (*explicitCopy)(nil)
-	_ Protocol = (*ideal)(nil)
-	_ Protocol = (*ownership)(nil)
-	_ Protocol = (*adsmLazy)(nil)
-)

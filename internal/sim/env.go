@@ -33,7 +33,7 @@ func (e *protoEnv) RunCPUStream(st trace.Stream, now clock.Time) clock.Time {
 	return end
 }
 
-func (e *protoEnv) Fabric() comm.Fabric { return e.s.fabric }
+func (e *protoEnv) Fabric() *comm.Fabric { return e.s.fabric }
 
 func (e *protoEnv) Tracer() *obs.Tracer { return e.s.tracer }
 

@@ -144,14 +144,14 @@ type Simulator struct {
 	hier    *mem.Hierarchy
 	cpuCore *cpu.Core
 	gpuCore *gpu.Core
-	fabric  comm.Fabric
+	fabric  *comm.Fabric
 	space   *addrspace.Space
 
 	// proto is the programming-model protocol: it owns all model state
 	// (pending acquires, queued first-touch faults, the async-ready
 	// horizon) and is hooked at phase boundaries. env is the machine
 	// surface it acts through; env.res is repointed at each Run's result.
-	proto model.Protocol
+	proto *model.Protocol
 	env   protoEnv
 
 	// sharedHandle is the space object ownership operations act on.
@@ -223,14 +223,14 @@ func NewWithOptions(sys systems.System, opts Options) (*Simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	proto, err := sys.NewProtocol()
+	proto, err := model.New(sys.Protocol, sys.FaultGranularityBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s := &Simulator{
 		sys:    sys,
 		hier:   hier,
-		fabric: sys.NewFabric(hier.DRAM()),
+		fabric: comm.New(sys.Fabric, sys.Params, hier.DRAM()),
 		space:  space,
 		proto:  proto,
 	}
@@ -486,7 +486,7 @@ func (s *Simulator) Run(p *workload.Program) (Result, error) {
 	s.publishObs()
 	res.Mem = s.hier.Stats()
 	res.Fabric = s.fabric.Stats()
-	res.FabricName = s.fabric.Name()
+	res.FabricName = s.sys.Fabric.String()
 	res.Space = s.space.Stats()
 	res.Ring = s.hier.Ring().Stats()
 	res.DRAM = s.hier.DRAM().Stats()

@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/config"
 	"heteromem/internal/memtech"
 	"heteromem/internal/model"
@@ -35,7 +36,7 @@ import (
 type systemJSON[P any] struct {
 	Name                  string          `json:"name"`
 	Model                 addrspace.Model `json:"model"`
-	Fabric                FabricKind      `json:"fabric"`
+	Fabric                comm.Kind       `json:"fabric"`
 	Protocol              model.Kind      `json:"protocol"`
 	FaultGranularityBytes uint64          `json:"fault_granularity_bytes,omitempty"`
 	Params                P               `json:"params,omitempty"`

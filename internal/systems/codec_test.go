@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/config"
 	"heteromem/internal/model"
 )
@@ -99,7 +100,7 @@ func TestValidateIncoherent(t *testing.T) {
 		{"granularity without faults", func(s *System) { s.FaultGranularityBytes = 4096 }},
 		{"adsm protocol off the adsm model", func(s *System) { s.Protocol = model.ADSMLazy }},
 		{"invalid model", func(s *System) { s.Model = addrspace.NumModels }},
-		{"invalid fabric", func(s *System) { s.Fabric = NumFabrics }},
+		{"invalid fabric", func(s *System) { s.Fabric = comm.NumKinds }},
 		{"invalid protocol", func(s *System) { s.Protocol = model.NumKinds }},
 	}
 	for _, c := range cases {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/config"
 	"heteromem/internal/memtech"
 	"heteromem/internal/model"
@@ -21,7 +22,7 @@ func referenceEnumerate(g Grid) (points []System, skipped int) {
 		models = addrspace.AllModels()
 	}
 	if len(fabrics) == 0 {
-		fabrics = AllFabrics()
+		fabrics = comm.AllKinds()
 	}
 	if len(protocols) == 0 {
 		protocols = model.AllKinds()
@@ -142,7 +143,7 @@ func TestValidateMessages(t *testing.T) {
 	}{
 		{func(s *System) { s.Model = addrspace.NumModels },
 			`system "x": incoherent system configuration: invalid address-space model 4`},
-		{func(s *System) { s.Fabric = NumFabrics },
+		{func(s *System) { s.Fabric = comm.NumKinds },
 			`system "x": incoherent system configuration: invalid fabric 5`},
 		{func(s *System) { s.Protocol = model.NumKinds },
 			`system "x": incoherent system configuration: invalid protocol 5`},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/model"
 	"heteromem/internal/sim"
 	"heteromem/internal/systems"
@@ -104,7 +105,7 @@ func gridProduct(g systems.Grid) int {
 	n := 1
 	for _, k := range []int{
 		orDefault(len(g.Models), len(addrspace.AllModels())),
-		orDefault(len(g.Fabrics), len(systems.AllFabrics())),
+		orDefault(len(g.Fabrics), len(comm.AllKinds())),
 		orDefault(len(g.Protocols), len(model.AllKinds())),
 		orDefault(len(g.FaultGranularities), 1),
 		orDefault(len(g.MemTechs), 1),

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/config"
 	"heteromem/internal/memtech"
 	"heteromem/internal/model"
@@ -23,7 +24,7 @@ type Grid struct {
 	Name string
 	// Models, Fabrics and Protocols are the axis values to combine.
 	Models    []addrspace.Model
-	Fabrics   []FabricKind
+	Fabrics   []comm.Kind
 	Protocols []model.Kind
 	// FaultGranularities lists first-touch page sizes in bytes; zero
 	// means one fault per object. The axis only multiplies protocols that
@@ -50,7 +51,7 @@ type Grid struct {
 type gridJSON struct {
 	Name               string            `json:"name"`
 	Models             []addrspace.Model `json:"models,omitempty"`
-	Fabrics            []FabricKind      `json:"fabrics,omitempty"`
+	Fabrics            []comm.Kind       `json:"fabrics,omitempty"`
 	Protocols          []model.Kind      `json:"protocols,omitempty"`
 	FaultGranularities []uint64          `json:"fault_granularities,omitempty"`
 	MemTechs           []memtech.Kind    `json:"mem_techs,omitempty"`
@@ -120,7 +121,7 @@ func (g Grid) Enumerate() (points []System, skipped int) {
 	}
 	fabrics := g.Fabrics
 	if len(fabrics) == 0 {
-		fabrics = AllFabrics()
+		fabrics = comm.AllKinds()
 	}
 	protocols := g.Protocols
 	if len(protocols) == 0 {
@@ -180,7 +181,7 @@ func (g Grid) Enumerate() (points []System, skipped int) {
 // pointName encodes a design point's axis coordinates. Baseline values
 // (whole-object granularity, DRAM) are elided so pre-axis names are
 // stable.
-func pointName(m addrspace.Model, f FabricKind, p model.Kind, gran uint64, tech memtech.Kind, tr xlat.Spec) string {
+func pointName(m addrspace.Model, f comm.Kind, p model.Kind, gran uint64, tech memtech.Kind, tr xlat.Spec) string {
 	name := m.String() + "/" + f.String() + "/" + p.String()
 	if gran > 0 {
 		name += "/pg" + strconv.FormatUint(gran, 10)

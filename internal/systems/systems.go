@@ -16,88 +16,10 @@ import (
 	"heteromem/internal/addrspace"
 	"heteromem/internal/comm"
 	"heteromem/internal/config"
-	"heteromem/internal/dram"
 	"heteromem/internal/memtech"
 	"heteromem/internal/model"
 	"heteromem/internal/xlat"
 )
-
-// FabricKind names a hardware communication mechanism.
-type FabricKind uint8
-
-const (
-	// FabricPCIe is synchronous PCI-E 2.0 copying (CPU+GPU/CUDA).
-	FabricPCIe FabricKind = iota
-	// FabricPCIeAsync is PCI-E with runtime-managed asynchronous copies
-	// (GMAC).
-	FabricPCIeAsync
-	// FabricAperture is the LRB PCI aperture.
-	FabricAperture
-	// FabricMemCtrl is DMA through the shared memory controllers (Fusion).
-	FabricMemCtrl
-	// FabricIdeal is free communication (IDEAL-HETERO).
-	FabricIdeal
-	// NumFabrics is the number of fabric kinds.
-	NumFabrics
-)
-
-var fabricNames = [NumFabrics]string{
-	"pcie", "pcie-async", "pci-aperture", "memctrl", "ideal",
-}
-
-func (f FabricKind) String() string {
-	if int(f) < len(fabricNames) {
-		return fabricNames[f]
-	}
-	return fmt.Sprintf("fabric(%d)", uint8(f))
-}
-
-// ParseFabric returns the fabric kind named s (as produced by String).
-func ParseFabric(s string) (FabricKind, error) {
-	for f, name := range fabricNames {
-		if s == name {
-			return FabricKind(f), nil
-		}
-	}
-	return 0, fmt.Errorf("systems: unknown fabric %q", s)
-}
-
-// MarshalText implements encoding.TextMarshaler so fabric kinds
-// serialise as their names in declarative configs.
-func (f FabricKind) MarshalText() ([]byte, error) {
-	if f >= NumFabrics {
-		return nil, fmt.Errorf("systems: invalid fabric kind %d", uint8(f))
-	}
-	return []byte(f.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (f *FabricKind) UnmarshalText(b []byte) error {
-	parsed, err := ParseFabric(string(b))
-	if err != nil {
-		return err
-	}
-	*f = parsed
-	return nil
-}
-
-// AllFabrics returns the fabric kinds in declaration order.
-func AllFabrics() []FabricKind {
-	return []FabricKind{FabricPCIe, FabricPCIeAsync, FabricAperture, FabricMemCtrl, FabricIdeal}
-}
-
-// RemoteDevice reports whether the fabric puts the GPU behind an I/O
-// interconnect (PCI-E or the PCI aperture), where the device's page
-// walks go through an IOMMU rather than a core MMU. The translation
-// axis resolves its "auto" IOMMU mode through this.
-func (f FabricKind) RemoteDevice() bool {
-	switch f {
-	case FabricPCIe, FabricPCIeAsync, FabricAperture:
-		return true
-	default:
-		return false
-	}
-}
 
 // System is one heterogeneous system configuration: a declarative
 // composition of the design-space axes. All systems share the same CPUs,
@@ -109,7 +31,7 @@ type System struct {
 	// Model is the memory address space design option.
 	Model addrspace.Model
 	// Fabric is the hardware communication mechanism.
-	Fabric FabricKind
+	Fabric comm.Kind
 	// Protocol is the programming-model protocol run over the fabric:
 	// explicit-copy (CUDA/Fusion), ownership with or without first-touch
 	// faults (LRB), adsm (GMAC), or ideal.
@@ -162,7 +84,7 @@ func (s System) conflict() conflict {
 	switch {
 	case s.Model >= addrspace.NumModels:
 		return invalidModel
-	case s.Fabric >= NumFabrics:
+	case s.Fabric >= comm.NumKinds:
 		return invalidFabric
 	case s.Protocol >= model.NumKinds:
 		return invalidProtocol
@@ -216,31 +138,6 @@ func (s System) Validate() error {
 	return nil
 }
 
-// NewProtocol instantiates the system's programming-model protocol.
-func (s System) NewProtocol() (model.Protocol, error) {
-	return model.New(s.Protocol, s.FaultGranularityBytes)
-}
-
-// NewFabric instantiates the system's fabric. The memory-controller
-// fabric needs a DRAM controller to generate its accesses on; other
-// fabrics ignore ctrl.
-func (s System) NewFabric(ctrl *dram.Controller) comm.Fabric {
-	switch s.Fabric {
-	case FabricPCIe:
-		return comm.NewPCIe(s.Params, false)
-	case FabricPCIeAsync:
-		return comm.NewPCIe(s.Params, true)
-	case FabricAperture:
-		return comm.NewAperture(s.Params)
-	case FabricMemCtrl:
-		return comm.NewMemController(ctrl)
-	case FabricIdeal:
-		return comm.NewIdeal()
-	default:
-		panic(fmt.Sprintf("systems: unknown fabric %d", s.Fabric))
-	}
-}
-
 // CPUGPU returns the CPU+GPU(CUDA) configuration: disjoint memory spaces
 // connected with PCI-E; every data exchange is an explicit api-pci copy,
 // including transferring results back to the host.
@@ -248,7 +145,7 @@ func CPUGPU() System {
 	return System{
 		Name:     "CPU+GPU",
 		Model:    addrspace.Disjoint,
-		Fabric:   FabricPCIe,
+		Fabric:   comm.PCIe,
 		Protocol: model.ExplicitCopy,
 		Params:   config.TableIV(),
 	}
@@ -262,7 +159,7 @@ func LRB() System {
 	return System{
 		Name:     "LRB",
 		Model:    addrspace.PartiallyShared,
-		Fabric:   FabricAperture,
+		Fabric:   comm.Aperture,
 		Protocol: model.OwnershipFirstTouch,
 		Params:   config.TableIV(),
 	}
@@ -275,7 +172,7 @@ func GMAC() System {
 	return System{
 		Name:     "GMAC",
 		Model:    addrspace.ADSM,
-		Fabric:   FabricPCIeAsync,
+		Fabric:   comm.PCIeAsync,
 		Protocol: model.ADSMLazy,
 		Params:   config.TableIV(),
 	}
@@ -288,7 +185,7 @@ func Fusion() System {
 	return System{
 		Name:     "Fusion",
 		Model:    addrspace.Disjoint,
-		Fabric:   FabricMemCtrl,
+		Fabric:   comm.MemCtrl,
 		Protocol: model.ExplicitCopy,
 		Params:   config.TableIV(),
 	}
@@ -300,7 +197,7 @@ func IdealHetero() System {
 	return System{
 		Name:     "IDEAL-HETERO",
 		Model:    addrspace.Unified,
-		Fabric:   FabricIdeal,
+		Fabric:   comm.Ideal,
 		Protocol: model.Ideal,
 		Params:   config.Ideal(),
 	}
@@ -353,7 +250,7 @@ func GraceHopper() System {
 	return System{
 		Name:     "grace-hopper",
 		Model:    addrspace.Unified,
-		Fabric:   FabricMemCtrl,
+		Fabric:   comm.MemCtrl,
 		Protocol: model.Ideal,
 		Params:   config.Ideal(),
 		MemTech:  memtech.Spec{Kind: memtech.HBM},
@@ -367,7 +264,7 @@ func ForModel(m addrspace.Model) System {
 	s := System{
 		Name:   fmt.Sprintf("ideal-%s", m),
 		Model:  m,
-		Fabric: FabricIdeal,
+		Fabric: comm.Ideal,
 		Params: config.Ideal(),
 	}
 	switch m {

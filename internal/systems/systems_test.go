@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"heteromem/internal/addrspace"
+	"heteromem/internal/comm"
 	"heteromem/internal/dram"
 	"heteromem/internal/model"
 )
@@ -16,13 +17,13 @@ func TestCaseStudiesComposition(t *testing.T) {
 	want := []struct {
 		name   string
 		model  addrspace.Model
-		fabric FabricKind
+		fabric comm.Kind
 	}{
-		{"CPU+GPU", addrspace.Disjoint, FabricPCIe},
-		{"LRB", addrspace.PartiallyShared, FabricAperture},
-		{"GMAC", addrspace.ADSM, FabricPCIeAsync},
-		{"Fusion", addrspace.Disjoint, FabricMemCtrl},
-		{"IDEAL-HETERO", addrspace.Unified, FabricIdeal},
+		{"CPU+GPU", addrspace.Disjoint, comm.PCIe},
+		{"LRB", addrspace.PartiallyShared, comm.Aperture},
+		{"GMAC", addrspace.ADSM, comm.PCIeAsync},
+		{"Fusion", addrspace.Disjoint, comm.MemCtrl},
+		{"IDEAL-HETERO", addrspace.Unified, comm.Ideal},
 	}
 	for i, w := range want {
 		s := cs[i]
@@ -57,11 +58,8 @@ func TestSystemProtocols(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s does not validate: %v", s.Name, err)
 		}
-		p, err := s.NewProtocol()
-		if err != nil {
-			t.Errorf("%s: NewProtocol: %v", s.Name, err)
-		} else if p.Name() != s.Protocol.String() {
-			t.Errorf("%s: protocol name %q != kind %q", s.Name, p.Name(), s.Protocol)
+		if _, err := model.New(s.Protocol, s.FaultGranularityBytes); err != nil {
+			t.Errorf("%s: model.New: %v", s.Name, err)
 		}
 	}
 }
@@ -69,14 +67,11 @@ func TestSystemProtocols(t *testing.T) {
 func TestNewFabricKinds(t *testing.T) {
 	ctrl := dram.MustNew(dram.DDR3_1333())
 	for _, s := range CaseStudies() {
-		f := s.NewFabric(ctrl)
-		if f == nil {
-			t.Fatalf("%s: nil fabric", s.Name)
-		}
-		if s.Fabric == FabricPCIeAsync && !f.Async() {
+		f := comm.New(s.Fabric, s.Params, ctrl)
+		if s.Fabric == comm.PCIeAsync && !f.Async() {
 			t.Errorf("%s: async fabric not async", s.Name)
 		}
-		if s.Fabric != FabricPCIeAsync && f.Async() {
+		if s.Fabric != comm.PCIeAsync && f.Async() {
 			t.Errorf("%s: sync fabric reports async", s.Name)
 		}
 	}
@@ -88,7 +83,7 @@ func TestForModel(t *testing.T) {
 		if s.Model != m {
 			t.Errorf("ForModel(%v).Model = %v", m, s.Model)
 		}
-		if !s.Params.IsIdeal() || s.Fabric != FabricIdeal {
+		if !s.Params.IsIdeal() || s.Fabric != comm.Ideal {
 			t.Errorf("ForModel(%v) not ideal", m)
 		}
 	}
@@ -155,9 +150,9 @@ func TestByAddressSpace(t *testing.T) {
 }
 
 func TestFabricKindStrings(t *testing.T) {
-	names := map[FabricKind]string{
-		FabricPCIe: "pcie", FabricPCIeAsync: "pcie-async", FabricAperture: "pci-aperture",
-		FabricMemCtrl: "memctrl", FabricIdeal: "ideal",
+	names := map[comm.Kind]string{
+		comm.PCIe: "pcie", comm.PCIeAsync: "pcie-async", comm.Aperture: "pci-aperture",
+		comm.MemCtrl: "memctrl", comm.Ideal: "ideal",
 	}
 	for k, want := range names {
 		if k.String() != want {
