@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -31,6 +32,10 @@ func main() {
 	)
 	flag.Parse()
 
+	m, err := checkFlags(*kernel, *model, *commOnly, *annotated)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *table || *kernel == "" {
 		fmt.Println(harness.RenderTable5())
 		if *kernel == "" {
@@ -38,10 +43,6 @@ func main() {
 		}
 	}
 
-	m, err := addrspace.ParseModel(strings.ToLower(*model))
-	if err != nil {
-		log.Fatal(err)
-	}
 	var k codegen.Kernel
 	found := false
 	for _, c := range codegen.Kernels() {
@@ -70,4 +71,17 @@ func main() {
 	}
 	comp, comm := codegen.Count(k, m)
 	fmt.Printf("// %d compute lines, %d communication lines\n", comp, comm)
+}
+
+// checkFlags parses the -model flag and rejects the flags that shape a
+// kernel's source when no -kernel is given, before anything is printed.
+func checkFlags(kernel, model string, commOnly, annotated bool) (addrspace.Model, error) {
+	m, err := addrspace.ParseModel(strings.ToLower(model))
+	if err != nil {
+		return 0, err
+	}
+	if kernel == "" && (commOnly || annotated) {
+		return 0, errors.New("-comm and -annotate need -kernel")
+	}
+	return m, nil
 }

@@ -1,16 +1,16 @@
 // Package addrspace implements the memory address space design options
 // of Section II-A: unified, disjoint, partially shared, and asymmetric
 // distributed shared memory (ADSM). A Space manages virtual allocation in
-// three regions (CPU-private, GPU-private, shared), per-PU page tables
-// mapping those allocations onto each PU's physical memory, ownership
-// control for the partially shared space (the LRB programming model), and
-// first-touch fault tracking for shared pages.
+// three regions (CPU-private, GPU-private, shared), counts the page-table
+// mappings each allocation costs every PU, and keeps ownership control
+// for the partially shared space (the LRB programming model).
 //
 // The package captures the semantic differences the paper studies:
 // which PU may access which region under each model, who must maintain
 // page-table mappings (the dual-mapping overhead of partially shared and
-// virtually-unified spaces), and where ownership transfers and page
-// faults arise.
+// virtually-unified spaces), and where ownership transfers arise.
+// Translation timing is the xlat front-end's (internal/memsys), and
+// first-touch page faults are the programming model's (internal/model).
 package addrspace
 
 import (
@@ -176,7 +176,10 @@ func (o Object) Contains(addr uint64) bool {
 // Stats counts address-space management events. MapUpdates exposes the
 // dual-mapping overhead the paper discusses for partially shared and
 // virtually-unified spaces: every shared page must be mapped in both
-// PUs' page tables.
+// PUs' page tables. Frees and FirstTouchFaults are always zero (the
+// simulator frees nothing, and the programming model counts first-touch
+// faults as Result.PageFaults); they stay so the result layout and the
+// addrspace.* counter names are stable.
 type Stats struct {
 	Allocs           uint64
 	Frees            uint64
@@ -191,26 +194,10 @@ type Space struct {
 	pageSize uint64
 	next     [NumRegions]uint64
 	objects  []Object
-	// pt[pu] is pu's page table. An allocation maps its pages onto
-	// consecutive frames, so the table holds one run per mapped object;
-	// nextFrame[pu] allocates frames sequentially and mapped[pu] counts
-	// the pages pt[pu] maps.
-	pt        [mem.NumPUs][]frameRun
-	nextFrame [mem.NumPUs]uint64
-	mapped    [mem.NumPUs]uint64
 	// owner maps a shared object base to the PU currently holding
 	// ownership (PartiallyShared only).
 	owner map[uint64]mem.PU
-	// touched records shared pages a PU has touched, for first-touch
-	// fault modeling (LRB's lib-pf).
-	touched [mem.NumPUs]map[uint64]bool
-	stats   Stats
-}
-
-// frameRun maps the pages virtual page vpn0 onwards onto the frames
-// frame0 onwards.
-type frameRun struct {
-	vpn0, pages, frame0 uint64
+	stats Stats
 }
 
 // Instrument binds the space's counts into b as registry counters under
@@ -245,9 +232,6 @@ func New(model Model, pageSize uint64) (*Space, error) {
 	s.next[CPUPrivate] = CPUPrivateBase + pageSize // keep page 0 unmapped
 	s.next[GPUPrivate] = GPUPrivateBase
 	s.next[Shared] = SharedBase
-	for p := mem.PU(0); p < mem.NumPUs; p++ {
-		s.touched[p] = make(map[uint64]bool)
-	}
 	return s, nil
 }
 
@@ -261,21 +245,15 @@ func MustNew(model Model, pageSize uint64) *Space {
 }
 
 // Reset returns the space to its just-constructed state: no objects, no
-// mappings, no ownership or touch history, statistics cleared, and the
-// region allocation cursors back at their bases (page 0 of the
-// CPU-private region stays unmapped, as in New). Instruments stay wired.
+// ownership, statistics cleared, and the region allocation cursors back
+// at their bases (page 0 of the CPU-private region stays unmapped, as in
+// New). Instruments stay wired.
 func (s *Space) Reset() {
 	s.next[CPUPrivate] = CPUPrivateBase + s.pageSize
 	s.next[GPUPrivate] = GPUPrivateBase
 	s.next[Shared] = SharedBase
 	s.objects = s.objects[:0]
-	s.nextFrame = [mem.NumPUs]uint64{}
-	s.mapped = [mem.NumPUs]uint64{}
 	clear(s.owner)
-	for p := mem.PU(0); p < mem.NumPUs; p++ {
-		s.pt[p] = s.pt[p][:0]
-		clear(s.touched[p])
-	}
 	s.stats = Stats{}
 }
 
@@ -344,10 +322,9 @@ func (s *Space) mappedPUs(r Region) []mem.PU {
 	return nil
 }
 
-// Alloc reserves size bytes in region r and maps the pages in every PU
-// that must see them under the model. Each page counts one map update,
-// but the pages are mapped as one run, so the cost does not grow with
-// the object's size.
+// Alloc reserves size bytes in region r and counts one map update per
+// page in every PU that must map them under the model. The cost does not
+// grow with the object's size.
 func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	if r >= NumRegions {
 		return Object{}, fmt.Errorf("addrspace: invalid region %d", r)
@@ -358,7 +335,6 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	if size == 0 {
 		return Object{}, errors.New("addrspace: zero-size allocation")
 	}
-	// Objects never overlap, so neither do the runs of a page table.
 	base := s.next[r]
 	if size > regionEnd[r]-base {
 		return Object{}, fmt.Errorf("addrspace: %d bytes overflow the %v region", size, r)
@@ -369,9 +345,6 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 	s.objects = append(s.objects, o)
 	s.stats.Allocs++
 	for _, pu := range s.mappedPUs(r) {
-		s.pt[pu] = append(s.pt[pu], frameRun{vpn0: base / s.pageSize, pages: pages, frame0: s.nextFrame[pu]})
-		s.nextFrame[pu] += pages
-		s.mapped[pu] += pages
 		s.stats.MapUpdates[pu] += pages
 	}
 	if s.model == PartiallyShared && r == Shared {
@@ -379,34 +352,6 @@ func (s *Space) Alloc(size uint64, r Region) (Object, error) {
 		s.owner[base] = mem.CPU
 	}
 	return o, nil
-}
-
-// Free releases the object's pages from every page table that held them.
-// The PUs are those o.Region maps under the model, as for Alloc; each
-// counts one map update per page.
-func (s *Space) Free(o Object) error {
-	idx := -1
-	for i, obj := range s.objects {
-		if obj.Base == o.Base && obj.Size == o.Size {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return ErrNotAllocated
-	}
-	s.objects = append(s.objects[:idx], s.objects[idx+1:]...)
-	pages := (o.Size + s.pageSize - 1) / s.pageSize
-	for _, pu := range s.mappedPUs(o.Region) {
-		if i := s.runAt(pu, o.Base/s.pageSize); i >= 0 {
-			s.mapped[pu] -= s.pt[pu][i].pages
-			s.pt[pu] = append(s.pt[pu][:i], s.pt[pu][i+1:]...)
-		}
-		s.stats.MapUpdates[pu] += pages
-	}
-	delete(s.owner, o.Base)
-	s.stats.Frees++
-	return nil
 }
 
 // objectAt returns the live object containing addr.
@@ -512,52 +457,6 @@ func (s *Space) OwnerOf(base uint64) (mem.PU, bool) {
 	pu, ok := s.owner[base]
 	return pu, ok
 }
-
-// Touch records pu touching the shared page containing addr and reports
-// whether this is the first touch — the event that costs lib-pf in the
-// LRB system (a page fault maps the shared page on demand).
-func (s *Space) Touch(pu mem.PU, addr uint64) bool {
-	if RegionOf(addr) != Shared {
-		return false
-	}
-	page := addr / s.pageSize
-	if s.touched[pu][page] {
-		return false
-	}
-	s.touched[pu][page] = true
-	s.stats.FirstTouchFaults++
-	return true
-}
-
-// Translate returns pu's physical address for the virtual address addr.
-// The same shared virtual page maps to different physical frames on each
-// PU when memories are discrete — exactly the property that lets each PU
-// keep its own page-table format and page size (Section II-A1).
-func (s *Space) Translate(pu mem.PU, addr uint64) (uint64, error) {
-	if err := s.CheckAccess(pu, addr); err != nil {
-		return 0, err
-	}
-	vpn := addr / s.pageSize
-	i := s.runAt(pu, vpn)
-	if i < 0 {
-		return 0, fmt.Errorf("%w: no mapping for %v page %#x", ErrNotAllocated, pu, vpn)
-	}
-	frame := s.pt[pu][i].frame0 + vpn - s.pt[pu][i].vpn0
-	return frame*s.pageSize + addr%s.pageSize, nil
-}
-
-// runAt returns the index of pu's run that maps vpn, or -1.
-func (s *Space) runAt(pu mem.PU, vpn uint64) int {
-	for i, r := range s.pt[pu] {
-		if vpn >= r.vpn0 && vpn-r.vpn0 < r.pages {
-			return i
-		}
-	}
-	return -1
-}
-
-// MappedPages returns how many pages pu currently has mapped.
-func (s *Space) MappedPages(pu mem.PU) int { return int(s.mapped[pu]) }
 
 // LiveObjects returns the number of live allocations.
 func (s *Space) LiveObjects() int { return len(s.objects) }

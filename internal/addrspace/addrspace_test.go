@@ -183,28 +183,6 @@ func TestOwnershipOnlyUnderPAS(t *testing.T) {
 	}
 }
 
-func TestFirstTouchFaults(t *testing.T) {
-	s := space(t, PartiallyShared)
-	o, _ := s.Alloc(3*4096, Shared)
-	if !s.Touch(mem.GPU, o.Base) {
-		t.Fatal("first touch not a fault")
-	}
-	if s.Touch(mem.GPU, o.Base+100) {
-		t.Fatal("second touch of same page faulted")
-	}
-	if !s.Touch(mem.GPU, o.Base+4096) {
-		t.Fatal("first touch of second page not a fault")
-	}
-	// Touching a private region never faults.
-	p, _ := s.Alloc(4096, CPUPrivate)
-	if s.Touch(mem.CPU, p.Base) {
-		t.Fatal("private touch faulted")
-	}
-	if s.Stats().FirstTouchFaults != 2 {
-		t.Fatalf("faults = %d, want 2", s.Stats().FirstTouchFaults)
-	}
-}
-
 func TestPageTableMappingCosts(t *testing.T) {
 	// A shared allocation must be mapped in both page tables under
 	// PartiallyShared; a private one in only its own PU's table.
@@ -235,55 +213,6 @@ func TestPageTableMappingCosts(t *testing.T) {
 	}
 }
 
-func TestTranslateDistinctPhysical(t *testing.T) {
-	s := space(t, PartiallyShared)
-	o, _ := s.Alloc(4096, Shared)
-	pCPU, err := s.Translate(mem.CPU, o.Base+12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GPU can't translate while CPU owns; hand over first.
-	if err := s.Release(mem.CPU, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Acquire(mem.GPU, o); err != nil {
-		t.Fatal(err)
-	}
-	pGPU, err := s.Translate(mem.GPU, o.Base+12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pCPU%4096 != 12 || pGPU%4096 != 12 {
-		t.Fatal("page offset not preserved")
-	}
-	// Frames allocated independently per PU; the first shared page lands
-	// in frame 0 of both, so equality here is fine — what matters is that
-	// both translations exist independently.
-	if s.MappedPages(mem.CPU) != 1 || s.MappedPages(mem.GPU) != 1 {
-		t.Fatalf("mapped pages %d/%d", s.MappedPages(mem.CPU), s.MappedPages(mem.GPU))
-	}
-}
-
-func TestFree(t *testing.T) {
-	s := space(t, PartiallyShared)
-	o, _ := s.Alloc(4096, Shared)
-	if err := s.Free(o); err != nil {
-		t.Fatal(err)
-	}
-	if s.LiveObjects() != 0 {
-		t.Fatal("object survived free")
-	}
-	if s.MappedPages(mem.CPU) != 0 || s.MappedPages(mem.GPU) != 0 {
-		t.Fatal("mappings survived free")
-	}
-	if err := s.Free(o); !errors.Is(err, ErrNotAllocated) {
-		t.Fatalf("double free: %v", err)
-	}
-	if err := s.CheckAccess(mem.CPU, o.Base); !errors.Is(err, ErrNotAllocated) {
-		t.Fatalf("access after free: %v", err)
-	}
-}
-
 func TestADSMAsymmetry(t *testing.T) {
 	s := space(t, ADSM)
 	cpuObj, _ := s.Alloc(4096, CPUPrivate)
@@ -301,8 +230,8 @@ func TestADSMAsymmetry(t *testing.T) {
 	}
 }
 
-// Property: allocations never overlap, every allocated byte is
-// translatable by at least one PU, and offsets are preserved.
+// Property: allocations never overlap, and every allocation's first
+// byte is accessible to a PU that maps its region.
 func TestAllocDisjointProperty(t *testing.T) {
 	f := func(sizes []uint16, regionSel []uint8) bool {
 		s := MustNew(PartiallyShared, 4096)
@@ -331,8 +260,7 @@ func TestAllocDisjointProperty(t *testing.T) {
 			if objs[i].Region == GPUPrivate {
 				pu = mem.GPU
 			}
-			p, err := s.Translate(pu, objs[i].Base)
-			if err != nil || p%4096 != objs[i].Base%4096 {
+			if s.CheckAccess(pu, objs[i].Base) != nil {
 				return false
 			}
 		}
@@ -343,14 +271,11 @@ func TestAllocDisjointProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkAllocFree(b *testing.B) {
+func BenchmarkAlloc(b *testing.B) {
 	s := MustNew(PartiallyShared, 4096)
 	for i := 0; i < b.N; i++ {
-		o, err := s.Alloc(8192, Shared)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Free(o); err != nil {
+		s.Reset()
+		if _, err := s.Alloc(8192, Shared); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,12 +9,10 @@ import "heteromem/internal/arena"
 // Gshare is the classic gshare predictor: a global history register XORed
 // with the branch PC indexes a table of 2-bit saturating counters.
 type Gshare struct {
-	history    uint64
-	histBits   uint
-	counters   []uint8
-	mask       uint64
-	lookups    uint64
-	mispredict uint64
+	history  uint64
+	histBits uint
+	counters []uint8
+	mask     uint64
 }
 
 // NewGshare returns a gshare predictor with 2^tableBits counters and a
@@ -71,12 +69,7 @@ func (g *Gshare) Update(pc uint64, taken bool) bool {
 		g.counters[idx]--
 	}
 	g.history = g.history<<1 | b2u(taken)
-	g.lookups++
-	correct := predicted == taken
-	if !correct {
-		g.mispredict++
-	}
-	return correct
+	return predicted == taken
 }
 
 func b2u(b bool) uint64 {
@@ -86,27 +79,10 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Lookups returns the number of Update calls so far.
-func (g *Gshare) Lookups() uint64 { return g.lookups }
-
-// Mispredicts returns the number of incorrect predictions so far.
-func (g *Gshare) Mispredicts() uint64 { return g.mispredict }
-
-// MispredictRate returns the fraction of branches mispredicted, or zero
-// before any branch has been seen.
-func (g *Gshare) MispredictRate() float64 {
-	if g.lookups == 0 {
-		return 0
-	}
-	return float64(g.mispredict) / float64(g.lookups)
-}
-
-// Reset clears the history, counters and statistics.
+// Reset clears the history and counters.
 func (g *Gshare) Reset() {
 	g.history = 0
 	for i := range g.counters {
 		g.counters[i] = 2
 	}
-	g.lookups = 0
-	g.mispredict = 0
 }

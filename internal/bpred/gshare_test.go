@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,42 +62,53 @@ func TestAlternatingPatternUsesHistory(t *testing.T) {
 func TestRandomBranchesNearChance(t *testing.T) {
 	g := NewGshare(12, 8)
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20000; i++ {
-		g.Update(uint64(0x400000+8*(i%64)), rng.Intn(2) == 0)
+	const n = 20000
+	wrong := 0
+	for i := 0; i < n; i++ {
+		if !g.Update(uint64(0x400000+8*(i%64)), rng.Intn(2) == 0) {
+			wrong++
+		}
 	}
-	rate := g.MispredictRate()
+	rate := float64(wrong) / n
 	if rate < 0.3 || rate > 0.7 {
 		t.Fatalf("random branches mispredict rate %.2f, expected near 0.5", rate)
 	}
 }
 
+// Update reports each branch's outcome against the prediction made
+// before it trained: from the weakly-taken start, a not-taken branch is
+// mispredicted once and then learned.
 func TestStats(t *testing.T) {
-	g := NewGshare(10, 4)
-	if g.MispredictRate() != 0 {
-		t.Error("rate before any lookup should be 0")
+	g := NewGshare(10, 0)
+	if !g.Update(0, true) {
+		t.Error("taken branch mispredicted from the weakly-taken start")
 	}
-	g.Update(0, true)
-	g.Update(0, true)
-	if g.Lookups() != 2 {
-		t.Errorf("lookups = %d, want 2", g.Lookups())
+	g = NewGshare(10, 0)
+	if g.Update(0, false) {
+		t.Error("not-taken branch predicted correctly from the weakly-taken start")
 	}
-	if g.Mispredicts() > 2 {
-		t.Errorf("mispredicts = %d > lookups", g.Mispredicts())
+	if !g.Update(0, false) {
+		t.Error("not-taken branch mispredicted after one update")
 	}
 }
 
 func TestReset(t *testing.T) {
 	g := NewGshare(10, 4)
-	for i := 0; i < 50; i++ {
-		g.Update(uint64(i), i%3 == 0)
+	train := func(g *Gshare) (outcomes []bool) {
+		for i := 0; i < 50; i++ {
+			outcomes = append(outcomes, g.Update(uint64(i), i%3 == 0))
+		}
+		return outcomes
 	}
+	want := train(g)
 	g.Reset()
-	if g.Lookups() != 0 || g.Mispredicts() != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
 	// Counters must be back to weakly taken.
 	if !g.Predict(0x1234) {
 		t.Fatal("Reset did not restore weakly-taken init")
+	}
+	// History too: the same branches predict as they did fresh.
+	if got := train(g); !slices.Equal(got, want) {
+		t.Fatalf("reset predictor outcomes %v, want %v", got, want)
 	}
 }
 

@@ -26,8 +26,6 @@ type MSHR struct {
 	// file is empty), so expire only walks the file when an entry can
 	// actually retire instead of on every access.
 	minReady clock.Time
-	merges   uint64
-	stalls   uint64
 }
 
 // NewMSHR returns an MSHR file with the given number of registers.
@@ -56,13 +54,11 @@ func NewMSHRIn(a *arena.Arena, capacity int) *MSHR {
 }
 
 // Reset returns the file to its just-constructed state: no outstanding
-// entries, merge and stall counts cleared.
+// entries.
 func (m *MSHR) Reset() {
 	m.lines = m.lines[:0]
 	m.readys = m.readys[:0]
 	m.minReady = 0
-	m.merges = 0
-	m.stalls = 0
 }
 
 // expire drops entries whose fills have completed by now, compacting in
@@ -106,7 +102,6 @@ func (m *MSHR) find(line uint64) int {
 func (m *MSHR) Outstanding(line uint64, now clock.Time) (clock.Time, bool) {
 	m.expire(now)
 	if i := m.find(line); i >= 0 && m.readys[i] > now {
-		m.merges++
 		return m.readys[i], true
 	}
 	return 0, false
@@ -127,7 +122,6 @@ func (m *MSHR) Allocate(line uint64, now, ready clock.Time) clock.Time {
 				first = false
 			}
 		}
-		m.stalls++
 		// The request cannot even be registered until a register frees;
 		// push the completion back by the wait.
 		if earliest > now {
@@ -158,9 +152,3 @@ func (m *MSHR) InFlight(now clock.Time) int {
 	m.expire(now)
 	return len(m.lines)
 }
-
-// Merges returns how many secondary misses merged onto a primary.
-func (m *MSHR) Merges() uint64 { return m.merges }
-
-// Stalls returns how many allocations were delayed by a full file.
-func (m *MSHR) Stalls() uint64 { return m.stalls }

@@ -12,8 +12,6 @@ type Scratchpad struct {
 	capacity uint64
 	used     uint64
 	ranges   map[uint64]uint64 // base -> size
-	hits     uint64
-	misses   uint64
 }
 
 // NewScratchpad returns an empty scratchpad with the given capacity in
@@ -48,47 +46,18 @@ func (s *Scratchpad) Place(base, size uint64) error {
 	return nil
 }
 
-// Remove frees the range previously placed at base, reporting whether it
-// was resident.
-func (s *Scratchpad) Remove(base uint64) bool {
-	size, ok := s.ranges[base]
-	if !ok {
-		return false
-	}
-	s.used -= size
-	delete(s.ranges, base)
-	return true
-}
-
-// Resident reports whether addr falls inside any placed range, and
-// records a hit or miss.
+// Resident reports whether addr falls inside any placed range.
 func (s *Scratchpad) Resident(addr uint64) bool {
 	for base, size := range s.ranges {
 		if addr >= base && addr < base+size {
-			s.hits++
 			return true
 		}
 	}
-	s.misses++
 	return false
 }
-
-// Hits returns the number of resident lookups.
-func (s *Scratchpad) Hits() uint64 { return s.hits }
-
-// Misses returns the number of non-resident lookups.
-func (s *Scratchpad) Misses() uint64 { return s.misses }
 
 // Clear frees every range.
 func (s *Scratchpad) Clear() {
 	s.ranges = make(map[uint64]uint64)
 	s.used = 0
-}
-
-// Reset returns the scratchpad to its just-constructed state: Clear
-// plus zeroed hit/miss counters.
-func (s *Scratchpad) Reset() {
-	s.Clear()
-	s.hits = 0
-	s.misses = 0
 }

@@ -64,15 +64,6 @@ type Action struct {
 	Messages int
 }
 
-// Stats counts protocol activity.
-type Stats struct {
-	Reads            uint64
-	Writes           uint64
-	Invalidations    uint64
-	ForcedWritebacks uint64
-	Messages         uint64
-}
-
 // Directory tracks the coherence state of every line resident in any
 // private cache. Nodes are coherence domains (one per PU's private
 // hierarchy), identified by index so the package stays independent of
@@ -81,7 +72,6 @@ type Directory struct {
 	lineBytes uint64
 	nodes     int
 	lines     map[uint64]*line
-	stats     Stats
 }
 
 // NewDirectory returns an empty directory tracking lineBytes-sized
@@ -110,10 +100,9 @@ func MustNewDirectory(lineBytes uint64, nodes int) *Directory {
 func (d *Directory) lineOf(addr uint64) uint64 { return addr &^ (d.lineBytes - 1) }
 
 // Reset returns the directory to its just-constructed state: no tracked
-// lines, statistics cleared.
+// lines.
 func (d *Directory) Reset() {
 	clear(d.lines)
-	d.stats = Stats{}
 }
 
 // Access records node reading or writing addr and returns the coherence
@@ -131,7 +120,6 @@ func (d *Directory) Access(node int, addr uint64, write bool) Action {
 	}
 	var act Action
 	if write {
-		d.stats.Writes++
 		for p := 0; p < d.nodes; p++ {
 			if p != node && ln.sharers[p] {
 				act.Invalidations++
@@ -148,7 +136,6 @@ func (d *Directory) Access(node int, addr uint64, write bool) Action {
 		ln.owner = node
 		ln.sharers[node] = true
 	} else {
-		d.stats.Reads++
 		if ln.state == Modified && ln.owner != node {
 			act.Writeback = true
 			act.WritebackNode = ln.owner
@@ -160,11 +147,6 @@ func (d *Directory) Access(node int, addr uint64, write bool) Action {
 		}
 		ln.sharers[node] = true
 	}
-	d.stats.Invalidations += uint64(act.Invalidations)
-	if act.Writeback {
-		d.stats.ForcedWritebacks++
-	}
-	d.stats.Messages += uint64(act.Messages)
 	return act
 }
 
@@ -210,6 +192,3 @@ func (d *Directory) SharedBy(node int, addr uint64) bool {
 // TrackedLines returns how many lines the directory currently tracks —
 // the directory storage cost the paper's scalability concern is about.
 func (d *Directory) TrackedLines() int { return len(d.lines) }
-
-// Stats returns a snapshot of the counters.
-func (d *Directory) Stats() Stats { return d.stats }

@@ -136,20 +136,27 @@ func TestLineGranularity(t *testing.T) {
 	}
 }
 
+// The Actions of a read, a remote write and a read back add up to the
+// protocol traffic the hierarchy prices: one invalidation (two
+// messages), then one forced writeback (three).
 func TestStats(t *testing.T) {
 	d := MustNewDirectory(64, 2)
-	d.Access(cpuNode, 0x1000, false)
-	d.Access(gpuNode, 0x1000, true)
-	d.Access(cpuNode, 0x1000, false)
-	st := d.Stats()
-	if st.Reads != 2 || st.Writes != 1 {
-		t.Fatalf("stats %+v", st)
+	var total Action
+	for _, a := range []Action{
+		d.Access(cpuNode, 0x1000, false),
+		d.Access(gpuNode, 0x1000, true),
+		d.Access(cpuNode, 0x1000, false),
+	} {
+		total.Invalidations += a.Invalidations
+		total.Messages += a.Messages
+		if a.Writeback {
+			total.Writeback = true
+			total.WritebackNode = a.WritebackNode
+		}
 	}
-	if st.Invalidations != 1 || st.ForcedWritebacks != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Messages == 0 {
-		t.Fatal("no messages counted")
+	want := Action{Invalidations: 1, Writeback: true, WritebackNode: gpuNode, Messages: 5}
+	if total != want {
+		t.Fatalf("summed actions %+v, want %+v", total, want)
 	}
 }
 

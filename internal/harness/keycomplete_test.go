@@ -7,7 +7,6 @@ import (
 	"heteromem/internal/addrspace"
 	"heteromem/internal/comm"
 	"heteromem/internal/locality"
-	"heteromem/internal/mem"
 	"heteromem/internal/memtech"
 	"heteromem/internal/model"
 	"heteromem/internal/sim"
@@ -21,10 +20,6 @@ import (
 // the fingerprint alone. A new field fails here until it is classified.
 func TestOptionsFingerprintComplete(t *testing.T) {
 	fingerprinted := map[string]func(*sim.Options){
-		"Hierarchy": func(o *sim.Options) {
-			cfg := mem.TableII()
-			o.Hierarchy = &cfg
-		},
 		"DisableCoalescing": func(o *sim.Options) { o.DisableCoalescing = true },
 		"Locality": func(o *sim.Options) {
 			s := locality.HybridShared

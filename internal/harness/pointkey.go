@@ -130,14 +130,6 @@ func streamDigest(s trace.Stream) string {
 // (pinned by the observability equivalence tests) and are excluded.
 func optionsFingerprint(opts sim.Options) string {
 	var parts []string
-	if opts.Hierarchy != nil {
-		data, err := json.Marshal(opts.Hierarchy)
-		if err != nil {
-			panic("harness: marshaling hierarchy override: " + err.Error())
-		}
-		sum := sha256.Sum256(data)
-		parts = append(parts, "hier:"+hex.EncodeToString(sum[:8]))
-	}
 	if opts.DisableCoalescing {
 		parts = append(parts, "nocoalesce")
 	}

@@ -573,7 +573,7 @@ func (h *Hierarchy) Reset() {
 	for p := PU(0); p < NumPUs; p++ {
 		h.mshr[p].Reset()
 	}
-	h.scratch.Reset()
+	h.scratch.Clear()
 	if h.dir != nil {
 		h.dir.Reset()
 	}

@@ -4,15 +4,28 @@ import (
 	"reflect"
 	"testing"
 
+	"heteromem/internal/memtech"
 	"heteromem/internal/obs"
 	"heteromem/internal/systems"
 	"heteromem/internal/workload"
+	"heteromem/internal/xlat"
 )
 
 // resetSystems covers every fabric kind, both ownership/page-fault
-// programming models, and the directory-coherent ablation path.
+// programming models, and the directory-coherent ablation path on DRAM,
+// plus every other memory technology and an ownership system with
+// translation on, whose handovers shoot down its TLBs.
 func resetSystems() []systems.System {
-	return systems.CaseStudies()
+	nvm := systems.CPUGPU()
+	nvm.Name += "/nvm"
+	nvm.MemTech = memtech.Spec{Kind: memtech.NVM}
+	dramCache := systems.Fusion()
+	dramCache.Name += "/dram-cache"
+	dramCache.MemTech = memtech.Spec{Kind: memtech.DRAMCache}
+	xlatLRB := systems.LRB()
+	xlatLRB.Name += "/xlat-2m-shared"
+	xlatLRB.Translation = xlat.MustParsePreset("2m-shared")
+	return append(systems.CaseStudies(), systems.GraceHopper(), nvm, dramCache, xlatLRB)
 }
 
 // TestResetMatchesFreshSimulator is the pooling contract: running a cell

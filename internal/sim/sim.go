@@ -88,8 +88,6 @@ func (r Result) Normalized(base Result) (seq, par, com float64) {
 
 // Options tweak a simulator away from the baseline, for ablations.
 type Options struct {
-	// Hierarchy overrides the Table II memory configuration.
-	Hierarchy *mem.Config
 	// DisableCoalescing issues one GPU memory request per SIMD lane.
 	DisableCoalescing bool
 	// Locality applies an explicit locality-management scheme: the push
@@ -201,12 +199,9 @@ func NewWithOptions(sys systems.System, opts Options) (*Simulator, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	memCfg := mem.TableII()
-	if opts.Hierarchy != nil {
-		memCfg = *opts.Hierarchy
-	}
 	if !sys.MemTech.IsZero() {
 		// The system's mem_tech axis selects the hierarchy's terminal
-		// backend; an explicit Hierarchy override may still pre-set it.
+		// backend.
 		memCfg.Tech = sys.MemTech
 	}
 	if !sys.Translation.IsZero() {

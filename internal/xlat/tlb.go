@@ -19,13 +19,10 @@ import (
 // page-walk cost of a miss is priced by the caller
 // (memsys.TranslationStage charges it through the clock).
 type TLB struct {
-	pageBits  uint
-	sets      [][]tlbEntry
-	setMask   uint64
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	tick      uint64
+	pageBits uint
+	sets     [][]tlbEntry
+	setMask  uint64
+	tick     uint64
 }
 
 type tlbEntry struct {
@@ -84,11 +81,9 @@ func (t *TLB) Lookup(addr uint64) bool {
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			set[i].lastUse = t.tick
-			t.hits++
 			return true
 		}
 	}
-	t.misses++
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -99,29 +94,11 @@ func (t *TLB) Lookup(addr uint64) bool {
 			victim = i
 		}
 	}
-	if set[victim].valid {
-		t.evictions++
-	}
 	set[victim] = tlbEntry{vpn: vpn, valid: true, lastUse: t.tick}
 	return false
 }
 
-// Invalidate drops the entry for addr's page if present (a page-table
-// update on the other PU must shoot down stale translations).
-func (t *TLB) Invalidate(addr uint64) bool {
-	vpn := addr >> t.pageBits
-	set := t.sets[vpn&t.setMask]
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i] = tlbEntry{}
-			return true
-		}
-	}
-	return false
-}
-
-// Flush invalidates every entry (a shootdown); counters are kept so a
-// run's totals survive ownership handovers.
+// Flush invalidates every entry (a shootdown).
 func (t *TLB) Flush() {
 	for s := range t.sets {
 		for i := range t.sets[s] {
@@ -130,29 +107,11 @@ func (t *TLB) Flush() {
 	}
 }
 
-// Reset returns the TLB to its just-constructed state: entries and
-// counters both cleared (the simulator Reset() lifecycle).
+// Reset returns the TLB to its just-constructed state: entries and the
+// LRU clock both cleared (the simulator Reset() lifecycle).
 func (t *TLB) Reset() {
 	t.Flush()
-	t.hits, t.misses, t.evictions, t.tick = 0, 0, 0, 0
-}
-
-// Hits returns the hit count.
-func (t *TLB) Hits() uint64 { return t.hits }
-
-// Misses returns the miss count.
-func (t *TLB) Misses() uint64 { return t.misses }
-
-// Evictions returns the eviction count.
-func (t *TLB) Evictions() uint64 { return t.evictions }
-
-// MissRate returns misses over lookups, or 0 before any lookup.
-func (t *TLB) MissRate() float64 {
-	n := t.hits + t.misses
-	if n == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(n)
+	t.tick = 0
 }
 
 func (t *TLB) String() string {

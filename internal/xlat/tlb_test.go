@@ -37,9 +37,6 @@ func TestTLBHitAfterMiss(t *testing.T) {
 	if tl.Lookup(0x13000) {
 		t.Fatal("next page hit")
 	}
-	if tl.Hits() != 2 || tl.Misses() != 2 {
-		t.Fatalf("hits=%d misses=%d", tl.Hits(), tl.Misses())
-	}
 }
 
 func TestTLBReach(t *testing.T) {
@@ -62,12 +59,16 @@ func TestLargePagesCoverStreamingSet(t *testing.T) {
 	const streamBytes = 8 << 20
 	walk := func(pageSize uint64) float64 {
 		tl := MustNewTLB(64, 4, pageSize)
+		var lookups, misses int
 		for pass := 0; pass < 2; pass++ {
 			for a := uint64(0); a < streamBytes; a += 64 {
-				tl.Lookup(a)
+				lookups++
+				if !tl.Lookup(a) {
+					misses++
+				}
 			}
 		}
-		return tl.MissRate()
+		return float64(misses) / float64(lookups)
 	}
 	smallRate := walk(4096)
 	largeRate := walk(2 << 20)
@@ -93,69 +94,35 @@ func TestTLBEvictionLRU(t *testing.T) {
 	if tl.Lookup(1 * 4096) { // page 1 must be gone
 		t.Fatal("LRU page survived")
 	}
-	if tl.Evictions() == 0 {
-		t.Fatal("no evictions recorded")
-	}
 }
 
+// Flush (a shootdown) and Reset both invalidate every entry.
 func TestTLBInvalidateAndFlush(t *testing.T) {
 	tl := MustNewTLB(16, 4, 4096)
 	tl.Lookup(0x4000)
-	if !tl.Invalidate(0x4000) {
-		t.Fatal("invalidate of present entry failed")
-	}
-	if tl.Invalidate(0x4000) {
-		t.Fatal("invalidate of absent entry succeeded")
-	}
-	if tl.Lookup(0x4000) {
-		t.Fatal("hit after invalidate")
-	}
 	tl.Lookup(0x8000)
 	tl.Flush()
-	if tl.Lookup(0x8000) {
+	if tl.Lookup(0x4000) || tl.Lookup(0x8000) {
 		t.Fatal("hit after flush")
 	}
-}
-
-func TestTLBFlushKeepsCountersResetClears(t *testing.T) {
-	tl := MustNewTLB(16, 4, 4096)
-	tl.Lookup(0x4000)
-	tl.Lookup(0x4000)
-	tl.Flush()
-	if tl.Hits() != 1 || tl.Misses() != 1 {
-		t.Fatalf("flush lost counters: hits=%d misses=%d", tl.Hits(), tl.Misses())
-	}
 	tl.Reset()
-	if tl.Hits() != 0 || tl.Misses() != 0 || tl.Evictions() != 0 {
-		t.Fatal("reset kept counters")
-	}
 	if tl.Lookup(0x4000) {
 		t.Fatal("hit after reset")
 	}
 }
 
-func TestTLBMissRateZeroInitially(t *testing.T) {
-	tl := MustNewTLB(16, 4, 4096)
-	if tl.MissRate() != 0 {
-		t.Fatal("miss rate before lookups")
-	}
-}
-
 // Property: a second lookup of any address immediately after the first
-// always hits, and hits+misses equals lookups.
+// always hits.
 func TestTLBRepeatHitProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
 		tl := MustNewTLB(32, 4, 4096)
-		var lookups uint64
 		for _, a := range addrs {
 			tl.Lookup(uint64(a))
-			lookups++
 			if !tl.Lookup(uint64(a)) {
 				return false
 			}
-			lookups++
 		}
-		return tl.Hits()+tl.Misses() == lookups
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
