@@ -201,8 +201,7 @@ type Space struct {
 }
 
 // Instrument binds the space's counts into b as registry counters under
-// addrspace.*. The owner of b flushes it, and rebases it after resetting
-// the space.
+// addrspace.*. The owner of b flushes it.
 func (s *Space) Instrument(b *obs.Batch, reg *obs.Registry) {
 	b.Bind(reg, "addrspace.allocs", &s.stats.Allocs)
 	b.Bind(reg, "addrspace.frees", &s.stats.Frees)
@@ -242,19 +241,6 @@ func MustNew(model Model, pageSize uint64) *Space {
 		panic(err)
 	}
 	return s
-}
-
-// Reset returns the space to its just-constructed state: no objects, no
-// ownership, statistics cleared, and the region allocation cursors back
-// at their bases (page 0 of the CPU-private region stays unmapped, as in
-// New). Instruments stay wired.
-func (s *Space) Reset() {
-	s.next[CPUPrivate] = CPUPrivateBase + s.pageSize
-	s.next[GPUPrivate] = GPUPrivateBase
-	s.next[Shared] = SharedBase
-	s.objects = s.objects[:0]
-	clear(s.owner)
-	s.stats = Stats{}
 }
 
 // Model returns the space's model.

@@ -272,9 +272,8 @@ func TestAllocDisjointProperty(t *testing.T) {
 }
 
 func BenchmarkAlloc(b *testing.B) {
-	s := MustNew(PartiallyShared, 4096)
 	for i := 0; i < b.N; i++ {
-		s.Reset()
+		s := MustNew(PartiallyShared, 4096)
 		if _, err := s.Alloc(8192, Shared); err != nil {
 			b.Fatal(err)
 		}

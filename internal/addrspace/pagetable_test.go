@@ -9,7 +9,7 @@ import (
 )
 
 // TestPageTableMatchesPerPageReference runs seeded alloc, ownership and
-// reset sequences on every model and checks the page-table map-update
+// rebuild sequences on every model and checks the page-table map-update
 // counts against a reference that maps every page of an allocation one
 // at a time in each PU that must see it.
 func TestPageTableMatchesPerPageReference(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPageTableMatchesPerPageReference(t *testing.T) {
 						_ = s.Release(pu, o)
 					}
 				case op == 9 && rng.Intn(20) == 0:
-					s.Reset()
+					s = MustNew(m, pageSize)
 					want = [mem.NumPUs]uint64{}
 					live = nil
 				}
@@ -62,17 +62,20 @@ func TestPageTableMatchesPerPageReference(t *testing.T) {
 // object's last byte.
 func TestHugeAllocIsConstantTime(t *testing.T) {
 	const size = 3 << 30
+	perAlloc := func(size uint64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := MustNew(Unified, 4096).Alloc(size, Shared); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if huge, page := perAlloc(size), perAlloc(4096); huge != page {
+		t.Errorf("a new space allocated %.0f times for a 3 GiB object, %.0f for one page", huge, page)
+	}
 	s := MustNew(Unified, 4096)
-	var o Object
-	allocs := testing.AllocsPerRun(10, func() {
-		s.Reset()
-		var err error
-		if o, err = s.Alloc(size, Shared); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Alloc on a reset space allocated %.0f times", allocs)
+	o, err := s.Alloc(size, Shared)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for pu := mem.PU(0); pu < mem.NumPUs; pu++ {
 		if got := s.Stats().MapUpdates[pu]; got != size/4096 {

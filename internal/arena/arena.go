@@ -3,7 +3,7 @@
 // arrays, MSHR files, core replay rings, trace buffers — and running it
 // grows a few more lazily: DRAM-cache directory chunks, a GPU replay
 // ring that outgrows its first size. A sweep harness builds one
-// simulator per (worker, design point). The arena
+// simulator per cell, each on its worker's rewound arena. The arena
 // batches those allocations into large per-type slabs, so a simulator's
 // whole life costs a handful of slab allocations instead of hundreds of
 // individual ones, and the garbage collector sees a few long-lived
@@ -17,7 +17,8 @@
 // memory. Zeroing happens at carve time instead (Make clears exactly the
 // span it hands out), so a recycled arena is indistinguishable from a
 // fresh one to its callers while Reset stays effectively O(1) between
-// the design points a sweep worker moves through.
+// the cells a sweep worker runs. A simulator built on a rewound arena
+// therefore cannot inherit state from the one built before it.
 //
 // A simulator built from an arena carves from it for its whole life, so
 // it must run on the goroutine that owns the arena, and the arena may be

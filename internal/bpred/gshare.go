@@ -78,11 +78,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// Reset clears the history and counters.
-func (g *Gshare) Reset() {
-	g.history = 0
-	for i := range g.counters {
-		g.counters[i] = 2
-	}
-}

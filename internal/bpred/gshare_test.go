@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"heteromem/internal/arena"
 )
 
 func TestAlwaysTakenLearned(t *testing.T) {
@@ -92,23 +94,23 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestReset rebuilds a trained predictor on its rewound arena: the
+// counter table comes back from the arena zeroed, and the build must
+// restore the weakly-taken state, so the rebuilt predictor decides
+// exactly as a new one does.
 func TestReset(t *testing.T) {
-	g := NewGshare(10, 4)
 	train := func(g *Gshare) (outcomes []bool) {
 		for i := 0; i < 50; i++ {
 			outcomes = append(outcomes, g.Update(uint64(i), i%3 == 0))
 		}
 		return outcomes
 	}
-	want := train(g)
-	g.Reset()
-	// Counters must be back to weakly taken.
-	if !g.Predict(0x1234) {
-		t.Fatal("Reset did not restore weakly-taken init")
-	}
-	// History too: the same branches predict as they did fresh.
-	if got := train(g); !slices.Equal(got, want) {
-		t.Fatalf("reset predictor outcomes %v, want %v", got, want)
+	want := train(NewGshare(10, 4))
+	a := arena.New()
+	train(NewGshareIn(a, 10, 4))
+	a.Reset()
+	if got := train(NewGshareIn(a, 10, 4)); !slices.Equal(got, want) {
+		t.Fatalf("rebuilt predictor outcomes %v, want %v", got, want)
 	}
 }
 

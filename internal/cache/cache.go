@@ -147,11 +147,12 @@ const (
 // cold metadata through the host cache.
 //
 // The arrays are split into chunks of chunkSets sets. The first chunk is
-// built with the cache; every later one is materialized on the first
-// fill into it. A set in an unmaterialized chunk holds no valid block,
-// so lookups, probes and invalidations there answer without allocating,
-// and the host memory of a large directory follows the lines a workload
-// touches rather than the capacity it models.
+// built with the cache, its header inside the Cache; every later one is
+// materialized on the first fill into it. A set in an unmaterialized
+// chunk holds no valid block, so lookups, probes and invalidations there
+// answer without allocating, and the host memory of a large directory
+// follows the lines a workload touches rather than the capacity it
+// models.
 type Cache struct {
 	cfg  Config
 	ways int
@@ -159,8 +160,8 @@ type Cache struct {
 	arena *arena.Arena
 	// chunks[s>>chunkShift] holds set s; nil until its first fill.
 	chunks []*chunk
-	// live lists the materialized chunks, so whole-cache walks (Reset,
-	// FlushAll, the block counts) cost what was touched.
+	// live lists the materialized chunks, so whole-cache walks (FlushAll,
+	// the block counts) cost what was touched.
 	live []*chunk
 	// waysMask has the low `ways` bits set.
 	waysMask  uint64
@@ -172,6 +173,9 @@ type Cache struct {
 	tick    uint32
 	stats   Stats
 	maxExpl int
+	// first is the chunk built with the cache, chunks[0]. It comes last
+	// so the fields Lookup reads stay together at the front.
+	first chunk
 }
 
 // chunk holds the metadata of up to chunkSets consecutive sets.
@@ -186,8 +190,8 @@ type chunk struct {
 	explicit []uint64
 }
 
-func newChunk(a *arena.Arena, sets, ways int) *chunk {
-	return &chunk{
+func newChunk(a *arena.Arena, sets, ways int) chunk {
+	return chunk{
 		tags:     arena.Make[uint64](a, sets*ways),
 		lastUse:  arena.Make[uint32](a, sets*ways),
 		valid:    arena.Make[uint64](a, sets),
@@ -207,8 +211,7 @@ func (ch *chunk) clear() {
 
 // Instrument binds the cache's hit/miss/eviction counts into b as
 // registry counters under the given prefix (e.g. "mem.cpu.l1d" yields
-// "mem.cpu.l1d.hits"). The owner of b flushes it, and rebases it after
-// resetting the cache.
+// "mem.cpu.l1d.hits"). The owner of b flushes it.
 func (c *Cache) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) {
 	b.Bind(reg, prefix+".hits", &c.stats.Hits)
 	b.Bind(reg, prefix+".misses", &c.stats.Misses)
@@ -225,8 +228,8 @@ func New(cfg Config) (*Cache, error) {
 // ones when first filled. The cache carves from the arena for its whole
 // life, so it must run on the goroutine that owns the arena, and the
 // arena may be Reset only once the cache is dropped. Sweep workers build
-// each simulator out of one arena and rewind it between design points,
-// so a point's directory chunks reuse the previous point's slabs.
+// each simulator out of one arena and rewind it between cells, so a
+// cell's directory chunks reuse the previous cell's slabs.
 func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -234,24 +237,21 @@ func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	// Sizes and ways are powers of two, so a cache larger than one chunk
 	// is a whole number of chunks.
-	first := newChunk(a, min(numSets, chunkSets), cfg.Ways)
-	chunks := arena.Make[*chunk](a, max(1, numSets/chunkSets))
-	chunks[0] = first
-	live := arena.Grow[*chunk](a, nil, 1)
-	live[0] = first
 	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	c := &Cache{
 		cfg:       cfg,
 		ways:      cfg.Ways,
 		arena:     a,
-		chunks:    chunks,
-		live:      live,
+		first:     newChunk(a, min(numSets, chunkSets), cfg.Ways),
+		chunks:    arena.Make[*chunk](a, max(1, numSets/chunkSets)),
+		live:      arena.Grow[*chunk](a, nil, 1),
 		waysMask:  uint64(1)<<uint(cfg.Ways) - 1, // Ways == 64 wraps the shift to 0, so this is all-ones there too
 		setMask:   uint64(numSets - 1),
 		lineShift: lineShift,
 		setShift:  lineShift + cfg.InterleaveBits,
 		maxExpl:   cfg.MaxExplicitWays,
 	}
+	c.chunks[0], c.live[0] = &c.first, &c.first
 	if c.maxExpl == 0 {
 		c.maxExpl = cfg.Ways - 1
 	}
@@ -308,7 +308,7 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	if ch, s := c.locate(addr); ch != nil {
 		tag := c.tagOf(addr)
 		base := int(s) * c.ways
-		// Linear tag scan: invalid ways hold tag 0 (zeroed at reset, fill
+		// Linear tag scan: invalid ways hold tag 0 (zeroed at carving, fill
 		// overwrite and invalidation), so a tag match is almost always a
 		// hit and the valid bit only breaks the tag-0 tie. The straight
 		// walk beats iterating the valid mask bit by bit on warm sets.
@@ -456,7 +456,8 @@ func (c *Cache) renumber() {
 
 // materialize builds the chunk holding addr's set on its first fill.
 func (c *Cache) materialize(addr uint64) *chunk {
-	ch := newChunk(c.arena, chunkSets, c.ways)
+	ch := new(chunk)
+	*ch = newChunk(c.arena, chunkSets, c.ways)
 	c.chunks[c.setIndex(addr)>>chunkShift] = ch
 	c.live = arena.Grow(c.arena, c.live, len(c.live)+1)
 	c.live[len(c.live)-1] = ch
@@ -507,18 +508,6 @@ func (c *Cache) lruAmong(ch *chunk, s uint64, eligible uint64) int {
 		bestUse = min(bestUse, u)
 	}
 	return best
-}
-
-// Reset returns the cache to its just-constructed state: every block
-// invalid, replacement state and statistics cleared. Instruments stay
-// wired. Used when a simulator is recycled between runs. Materialized
-// chunks are cleared in place and kept for the next run.
-func (c *Cache) Reset() {
-	for _, ch := range c.live {
-		ch.clear()
-	}
-	c.tick = 0
-	c.stats = Stats{}
 }
 
 // Invalidate removes the line containing addr if present, reporting

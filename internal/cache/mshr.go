@@ -53,14 +53,6 @@ func NewMSHRIn(a *arena.Arena, capacity int) *MSHR {
 	}
 }
 
-// Reset returns the file to its just-constructed state: no outstanding
-// entries.
-func (m *MSHR) Reset() {
-	m.lines = m.lines[:0]
-	m.readys = m.readys[:0]
-	m.minReady = 0
-}
-
 // expire drops entries whose fills have completed by now, compacting in
 // place. The walk is skipped entirely unless the earliest outstanding
 // fill has retired, which is behaviour-identical: an un-expired stale

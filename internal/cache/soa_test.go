@@ -194,16 +194,6 @@ func (c *aosCache) FlushAll() (writebacks int) {
 	return writebacks
 }
 
-func (c *aosCache) Reset() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = aosBlock{}
-		}
-	}
-	c.tick = 0
-	c.stats = Stats{}
-}
-
 func (c *aosCache) ExplicitBlocks() int {
 	n := 0
 	for s := range c.sets {
@@ -231,7 +221,6 @@ const (
 	opProbe
 	opInvalidate
 	opFlush
-	opReset
 	numOps
 )
 
@@ -263,9 +252,6 @@ func stepBoth(soa *Cache, aos *aosCache, op int, a uint64, b1, b2 bool) error {
 		if g, o := soa.FlushAll(), aos.FlushAll(); g != o {
 			return fmt.Errorf("FlushAll = %d, oracle %d", g, o)
 		}
-	case opReset:
-		soa.Reset()
-		aos.Reset()
 	}
 	if soa.Stats() != aos.stats {
 		return fmt.Errorf("stats diverged: %+v vs oracle %+v", soa.Stats(), aos.stats)
@@ -286,12 +272,13 @@ var oracleConfigs = []Config{
 }
 
 // TestSoAMatchesAoSOracle drives the SoA cache and the AoS oracle
-// through long random operation sequences — lookups, fills (implicit/explicit, clean/dirty), probes, invalidates, flushes
-// and resets — over a small cache (so sets conflict constantly) and
+// through long random operation sequences — lookups, fills
+// (implicit/explicit, clean/dirty), probes, invalidates and flushes —
+// over a small cache (so sets conflict constantly) and
 // checks every return value, every Eviction field and the full Stats
 // after each step, for both policies and several explicit-way caps. The
 // multi-chunk geometry spans four metadata chunks and concentrates its
-// traffic in two of them, so every operation, flushes and resets
+// traffic in two of them, so every operation, flushes
 // included, also meets chunks that were never materialized.
 func TestSoAMatchesAoSOracle(t *testing.T) {
 	for _, cfg := range oracleConfigs {
@@ -301,7 +288,7 @@ func TestSoAMatchesAoSOracle(t *testing.T) {
 
 // TestSoAMatchesAoSOracleAcrossClockWrap is the same comparison with
 // the cache's 32-bit recency clock set at most 128 ticks below its
-// limit, at the start, after every Reset and after every renumbering.
+// limit, at the start and after every renumbering.
 // Renumbering so fires over and over in every geometry, on sets in
 // every state, while the oracle's 64-bit clock never wraps.
 func TestSoAMatchesAoSOracleAcrossClockWrap(t *testing.T) {
@@ -317,8 +304,7 @@ func TestSoAMatchesAoSOracleAcrossClockWrap(t *testing.T) {
 }
 
 // runOracle runs the randomized comparison for one geometry. A non-nil
-// arm sets the cache's clock at the start, after every Reset and after
-// every renumbering; runOracle returns how many renumberings it saw.
+// arm sets the cache's clock at the start and after every renumbering; runOracle returns how many renumberings it saw.
 func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0x5eed + int64(cfg.Ways)))
@@ -362,7 +348,7 @@ func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
 	}
 	steps := 200_000
 	if sparse {
-		steps = 50_000 // the oracle's flushes and resets walk all 4096 sets
+		steps = 50_000 // the oracle's flushes walk all 4096 sets
 	}
 	for step := 0; step < steps; step++ {
 		var op int
@@ -377,21 +363,18 @@ func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
 			op, a = opProbe, addr()
 		case r < 96:
 			op, a = opInvalidate, addr()
-		case r < 99:
-			op = opFlush
 		default:
-			op = opReset
+			op = opFlush
 		}
 		before := soa.tick
 		if err := stepBoth(soa, aos, op, a, b1, b2); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		renumbered := op != opReset && soa.tick < before
-		if renumbered {
+		if soa.tick < before {
 			renumbers++
-		}
-		if arm != nil && (op == opReset || renumbered) {
-			arm(soa)
+			if arm != nil {
+				arm(soa)
+			}
 		}
 		if step%1024 == 0 {
 			if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
@@ -413,7 +396,7 @@ func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
 // or up to 255 ticks below the renumbering limit) and the operation
 // sequence, and compares every return value, Eviction and the Stats
 // with the AoS oracle. The clock is set back to its start after every
-// Reset and every renumbering.
+// renumbering.
 func FuzzCacheMatchesOracle(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0xff, 0, 1, 1, 2, 0x21, 3, 0x41, 4, 1, 5, 0, 6})
 	f.Add([]byte{6, 1, 0, 0x10, 1, 1, 1, 2, 1, 3, 0x09, 4, 0x19, 5, 0, 1, 5, 0})
@@ -452,7 +435,7 @@ func FuzzCacheMatchesOracle(f *testing.F) {
 			if err := stepBoth(soa, aos, op, a, b&8 != 0, b&16 != 0); err != nil {
 				t.Fatalf("op at byte %d (%+v): %v", i, cfg, err)
 			}
-			if op == opReset || soa.tick < before {
+			if soa.tick < before {
 				soa.tick = start
 			}
 			if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {

@@ -5,8 +5,8 @@ import "testing"
 // A directory larger than one chunk builds only its first chunk.
 // Lookups, probes and invalidations of sets in other chunks
 // answer "absent" without materializing them, the first fill into a
-// chunk materializes exactly that chunk, and Reset keeps it, so a
-// second run over the same footprint allocates nothing.
+// chunk materializes exactly that chunk, and a second run over the
+// same footprint allocates nothing.
 func TestChunksMaterializeOnFirstFill(t *testing.T) {
 	c := MustNew(Config{Name: "dir", SizeBytes: 64 << 20, LineBytes: 64, Ways: 16, Policy: LRU})
 	if m, n := c.Chunks(); m != 1 || n != 64 {
@@ -38,11 +38,11 @@ func TestChunksMaterializeOnFirstFill(t *testing.T) {
 	if !c.Lookup(far, false) || c.ValidBlocks() != 64 {
 		t.Fatalf("filled lines not resident: %d valid blocks", c.ValidBlocks())
 	}
-	if allocs := testing.AllocsPerRun(10, func() { c.Reset(); run() }); allocs != 0 {
-		t.Fatalf("Reset and refill of the same footprint allocated %.0f times", allocs)
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("refill of the same footprint allocated %.0f times", allocs)
 	}
 	if m, _ := c.Chunks(); m != 2 {
-		t.Fatalf("after Reset and refill: %d chunks, want 2", m)
+		t.Fatalf("after refill: %d chunks, want 2", m)
 	}
 	if wb := c.FlushAll(); wb != 32 || c.ValidBlocks() != 0 {
 		t.Fatalf("FlushAll wrote back %d (want 32), left %d valid", wb, c.ValidBlocks())

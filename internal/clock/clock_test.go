@@ -149,15 +149,6 @@ func TestResourceSerialisation(t *testing.T) {
 	}
 }
 
-func TestResourceReset(t *testing.T) {
-	r := new(Resource)
-	r.Acquire(0, 100)
-	r.Reset()
-	if r.FreeAt() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestResourceMonotonicProperty(t *testing.T) {
 	// For any sequence of acquires with nondecreasing arrival times, start
 	// times must be nondecreasing and every start >= its arrival.

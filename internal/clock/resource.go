@@ -28,6 +28,3 @@ func (r *Resource) Acquire(at Time, occupancy Duration) (start, free Time) {
 
 // FreeAt returns the earliest time a new request could start.
 func (r *Resource) FreeAt() Time { return r.busyUntil }
-
-// Reset returns the resource to idle at time zero.
-func (r *Resource) Reset() { r.busyUntil = 0 }

@@ -99,12 +99,6 @@ func MustNewDirectory(lineBytes uint64, nodes int) *Directory {
 
 func (d *Directory) lineOf(addr uint64) uint64 { return addr &^ (d.lineBytes - 1) }
 
-// Reset returns the directory to its just-constructed state: no tracked
-// lines.
-func (d *Directory) Reset() {
-	clear(d.lines)
-}
-
 // Access records node reading or writing addr and returns the coherence
 // work the access requires. It panics on an out-of-range node, which is
 // always a wiring bug.

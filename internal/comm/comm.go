@@ -106,7 +106,7 @@ type Fabric struct {
 	kind   Kind
 	params config.CommParams
 	// ctrl is the DRAM controller the memory-controller fabric issues its
-	// DMA on; it belongs to the hierarchy, which resets it.
+	// DMA on; it belongs to the hierarchy.
 	ctrl *dram.Controller
 	// link is the PCI-E or aperture link concurrent transfers contend
 	// for.
@@ -178,13 +178,6 @@ func (f *Fabric) Instrument(b *obs.Batch, reg *obs.Registry) {
 	b.Bind(reg, "comm.transfers", &f.stats.Transfers)
 	b.Bind(reg, "comm.bytes", &f.stats.Bytes)
 	b.Bind(reg, "comm.busy_ps", (*uint64)(&f.stats.Busy))
-}
-
-// Reset returns the fabric to its just-constructed state: idle link,
-// zeroed statistics.
-func (f *Fabric) Reset() {
-	f.link.Reset()
-	f.stats = Stats{}
 }
 
 func clampU32(v uint64) uint32 {

@@ -345,13 +345,3 @@ func (c *Core) FlushObs() {
 
 // Predictor returns the core's branch predictor, or nil if it has none.
 func (c *Core) Predictor() *bpred.Gshare { return c.pred }
-
-// Reset clears the core's cross-run state so it can start a fresh
-// program. Only the branch predictor persists between runs (all other
-// execution state lives in the per-run Execution); its history and
-// statistics are cleared.
-func (c *Core) Reset() {
-	if c.pred != nil {
-		c.pred.Reset()
-	}
-}

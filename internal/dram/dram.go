@@ -15,6 +15,7 @@ package dram
 import (
 	"fmt"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 	"heteromem/internal/obs"
 )
@@ -127,11 +128,6 @@ type bank struct {
 	busy     clock.Time
 }
 
-type channel struct {
-	banks []bank
-	bus   *clock.Resource
-}
-
 // Stats counts memory-system events.
 type Stats struct {
 	Requests  uint64
@@ -149,9 +145,12 @@ func (s Stats) RowHitRate() float64 {
 
 // Controller is the set of memory channels fronting DRAM.
 type Controller struct {
-	cfg      Config
-	channels []channel
-	stats    Stats
+	cfg Config
+	// banks holds each channel's BanksPerChannel banks in turn; buses[ch]
+	// is channel ch's shared data bus.
+	banks []bank
+	buses []clock.Resource
+	stats Stats
 	// bytes is the data moved: one line per serviced request.
 	bytes uint64
 
@@ -165,8 +164,7 @@ type Controller struct {
 // device's own namespace for a controller embedded in another device (an
 // HBM stack registers memtech.hbm.*). The prefix.bytes counter advances
 // by one line per serviced request, so per-epoch deltas divided by the
-// epoch length give achieved bandwidth. The owner of b flushes it, and
-// rebases it after resetting the controller.
+// epoch length give achieved bandwidth. The owner of b flushes it.
 func (c *Controller) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) {
 	b.Bind(reg, prefix+".requests", &c.stats.Requests)
 	b.Bind(reg, prefix+".row_hits", &c.stats.RowHits)
@@ -175,19 +173,27 @@ func (c *Controller) Instrument(b *obs.Batch, reg *obs.Registry, prefix string) 
 }
 
 // New returns a controller with all banks closed.
-func New(cfg Config) (*Controller, error) {
+func New(cfg Config) (*Controller, error) { return NewIn(nil, cfg) }
+
+// NewIn is New with the bank, bus and scratch arrays carved from the
+// arena (nil falls back to the heap). The arena may be Reset only once
+// the controller is dropped.
+func NewIn(a *arena.Arena, cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{
-		cfg:      cfg,
-		channels: make([]channel, cfg.Channels),
-		held:     make([]uint64, cfg.BanksPerChannel),
-	}
-	for i := range c.channels {
-		c.channels[i] = channel{banks: make([]bank, cfg.BanksPerChannel), bus: new(clock.Resource)}
-	}
-	return c, nil
+	return &Controller{
+		cfg:   cfg,
+		banks: arena.Make[bank](a, cfg.Channels*cfg.BanksPerChannel),
+		buses: arena.Make[clock.Resource](a, cfg.Channels),
+		held:  arena.Make[uint64](a, cfg.BanksPerChannel),
+	}, nil
+}
+
+// channelBanks returns channel ch's banks.
+func (c *Controller) channelBanks(ch int) []bank {
+	n := c.cfg.BanksPerChannel
+	return c.banks[ch*n : (ch+1)*n]
 }
 
 // MustNew is New but panics on configuration error.
@@ -242,12 +248,12 @@ func (c *Controller) Submit(addr uint64, now clock.Time) clock.Time {
 
 func (c *Controller) service(addr uint64, at clock.Time) clock.Time {
 	chIdx, bkIdx, row := c.mapAddr(addr)
-	return c.serviceAt(&c.channels[chIdx], bkIdx, row, at)
+	return c.serviceAt(chIdx, bkIdx, row, at)
 }
 
 // serviceAt is service on an already decomposed address.
-func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time) clock.Time {
-	bk := &ch.banks[bkIdx]
+func (c *Controller) serviceAt(chIdx, bkIdx int, row uint64, at clock.Time) clock.Time {
+	bk := &c.channelBanks(chIdx)[bkIdx]
 	c.stats.Requests++
 	c.bytes += uint64(c.cfg.LineBytes)
 
@@ -279,7 +285,7 @@ func (c *Controller) serviceAt(ch *channel, bkIdx int, row uint64, at clock.Time
 	// after the data returns; the burst itself only occupies the
 	// channel's shared data bus.
 	bk.busy = start.Add(occupancy)
-	_, done := ch.bus.Acquire(dataReady, c.cfg.TBurst)
+	_, done := c.buses[chIdx].Acquire(dataReady, c.cfg.TBurst)
 	return done
 }
 
@@ -307,7 +313,7 @@ func (c *Controller) SubmitBatch(reqs []Request) []clock.Time {
 	pending, to := make([]int, len(reqs)), make([]target, len(reqs))
 	for i, r := range reqs {
 		ch, bk, row := c.mapAddr(r.Addr)
-		pending[i], to[i] = i, target{&c.channels[ch].banks[bk], row}
+		pending[i], to[i] = i, target{&c.channelBanks(ch)[bk], row}
 	}
 	for len(pending) > 0 {
 		pick := -1
@@ -353,7 +359,7 @@ func (c *Controller) TransferTime(size uint64, now clock.Time) clock.Time {
 	}
 	lines := (size-1)/uint64(c.cfg.LineBytes) + 1
 	done := now
-	for ch := range c.channels {
+	for ch := range c.buses {
 		done = clock.Max(done, c.transfer(ch, lines, now))
 	}
 	return done
@@ -369,9 +375,9 @@ func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Tim
 	if uint64(chIdx) >= lines {
 		return now
 	}
-	ch := &c.channels[chIdx]
+	banks := c.channelBanks(chIdx)
 	n := (lines-1-uint64(chIdx))/chans + 1
-	stride, half := uint64(len(ch.banks)), uint64(0)
+	stride, half := uint64(len(banks)), uint64(0)
 	if c.cfg.PartitionRegionBit != 0 && stride >= 2 {
 		stride /= 2
 		half = stride
@@ -398,7 +404,7 @@ func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Tim
 		}
 	}
 	serve := func(b int, r uint64) {
-		done = clock.Max(done, c.serviceAt(ch, b, r, now))
+		done = clock.Max(done, c.serviceAt(chIdx, b, r, now))
 	}
 	if c.cfg.Scheduling == FCFS {
 		for r := uint64(0); r < rows; r++ {
@@ -410,9 +416,9 @@ func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Tim
 	// held[b] is one more than the row bank b holds open as the transfer
 	// begins, if the transfer reaches that row, else 0.
 	held := c.held
-	for b := range ch.banks {
+	for b := range banks {
 		held[b] = 0
-		if bk := &ch.banks[b]; bk.rowValid && bk.openRow < rows {
+		if bk := &banks[b]; bk.rowValid && bk.openRow < rows {
 			held[b] = bk.openRow + 1
 		}
 	}
@@ -442,7 +448,7 @@ func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Tim
 		hi := min(n, (r+1)*perRow)
 		eachLine(r, func(j, b0 uint64) {
 			b := bank(j, b0)
-			if bk := &ch.banks[b]; held[b] == r+1 || bk.rowValid && bk.openRow == r {
+			if bk := &banks[b]; held[b] == r+1 || bk.rowValid && bk.openRow == r {
 				return
 			}
 			for k := j; k < hi; k += stride {
@@ -453,16 +459,4 @@ func (c *Controller) transfer(chIdx int, lines uint64, now clock.Time) clock.Tim
 		})
 	}
 	return done
-}
-
-// Reset closes every row and idles every bus, clearing statistics.
-func (c *Controller) Reset() {
-	for i := range c.channels {
-		for j := range c.channels[i].banks {
-			c.channels[i].banks[j] = bank{}
-		}
-		c.channels[i].bus.Reset()
-	}
-	c.stats = Stats{}
-	c.bytes = 0
 }

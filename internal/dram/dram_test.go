@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 )
 
@@ -85,7 +86,7 @@ func TestBankConflictSerialises(t *testing.T) {
 	if t2 <= t1 {
 		t.Fatalf("same-bank conflict did not serialise: %v then %v", t1, t2)
 	}
-	c.Reset()
+	c = MustNew(DDR3_1333())
 	bankStride := uint64(cfg.LineBytes * cfg.Channels)
 	u1 := c.Submit(0, 0)
 	u2 := c.Submit(bankStride*1, 0) // different bank, same channel
@@ -156,26 +157,20 @@ func TestSubmitBatchResultsAligned(t *testing.T) {
 }
 
 // TestTransferTimeAllocFree pins that a transfer keeps only per-bank
-// state: no size of transfer allocates, and repeating one after a Reset
-// gives the same answer.
+// state: no size of transfer allocates.
 func TestTransferTimeAllocFree(t *testing.T) {
 	c := MustNew(DDR3_1333())
-	want := c.TransferTime(64<<10, 0)
 	for _, size := range []uint64{64 << 10, 1, 3 << 20} {
 		if allocs := testing.AllocsPerRun(10, func() { c.TransferTime(size, 0) }); allocs != 0 {
 			t.Fatalf("%d-byte TransferTime allocated %.0f times per call, want 0", size, allocs)
 		}
-	}
-	c.Reset()
-	if got := c.TransferTime(64<<10, 0); got != want {
-		t.Fatalf("TransferTime after Reset = %v, want %v", got, want)
 	}
 }
 
 func TestTransferTimeScalesWithSize(t *testing.T) {
 	c := MustNew(DDR3_1333())
 	small := c.TransferTime(4096, 0).Sub(0)
-	c.Reset()
+	c = MustNew(DDR3_1333())
 	large := c.TransferTime(65536, 0).Sub(0)
 	if large <= small {
 		t.Fatalf("64KB transfer (%v) not slower than 4KB (%v)", large, small)
@@ -206,17 +201,28 @@ func TestRowHitRate(t *testing.T) {
 	}
 }
 
+// TestReset rebuilds a controller on its rewound arena after traffic
+// opened rows and occupied the banks and buses: the carved channel and
+// bank arrays come back zeroed, so the rebuilt controller is cold.
 func TestReset(t *testing.T) {
-	c := MustNew(DDR3_1333())
-	c.Submit(0, 0)
-	c.Reset()
-	if c.Stats().Requests != 0 {
-		t.Fatal("Reset did not clear stats")
+	cfg := DDR3_1333()
+	a := arena.New()
+	c, err := NewIn(a, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// After reset the same access pays the cold-bank latency again.
-	cfg := c.Config()
+	for i := uint64(0); i < 64; i++ {
+		c.Submit(i*uint64(cfg.RowBytes), 0)
+	}
+	a.Reset()
+	if c, err = NewIn(a, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Requests != 0 {
+		t.Fatal("rebuilt controller kept stats")
+	}
 	if got := c.Submit(0, 0); got != clock.Time(0).Add(cfg.TRCD+cfg.TCAS+cfg.TBurst) {
-		t.Fatalf("post-reset access at %v", got)
+		t.Fatalf("first access on the rebuilt controller at %v, want a cold-bank access", got)
 	}
 }
 

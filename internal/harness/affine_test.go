@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,9 +16,10 @@ import (
 
 // mixedGrid is a design-point list over all four memory technologies
 // and two translation presets. Its order matters on one worker, which
-// claims systems in list order: a DRAM-cache point is followed by a
-// DRAM point, whose simulator is carved from the slabs the DRAM-cache
-// simulator dirtied, and then by a DRAM cache of the same geometry.
+// runs each kernel's cells in list order: a DRAM-cache point is followed
+// by a DRAM point, whose simulator is carved from the slabs the
+// DRAM-cache simulator dirtied, and then by a DRAM cache of the same
+// geometry.
 // Construction carves the same sizes in the same order up to the
 // directory, so the third point's directory lands on the first one's.
 // The last four points run on the memory-controller fabric, whose block
@@ -60,10 +60,10 @@ func mixedGrid() []systems.System {
 }
 
 // TestAffineExecutorMatchesFreshSimulators is the differential test of
-// system-affine scheduling and arena recycling, construction-time and
-// run-time carvings alike: every worker count must return exactly the
-// cells a fresh, arena-free simulator per cell produces, in kernel-major
-// order.
+// the executor's arena recycling, construction-time and run-time
+// carvings alike: every worker count must return exactly the cells a
+// fresh, arena-free simulator per cell produces, in kernel-major order,
+// building one simulator per cell.
 func TestAffineExecutorMatchesFreshSimulators(t *testing.T) {
 	sysList := mixedGrid()
 	kernels := []string{"reduction", "merge-sort"}
@@ -100,96 +100,8 @@ func TestAffineExecutorMatchesFreshSimulators(t *testing.T) {
 			}
 			t.Fatalf("par %d: sweep differs from fresh simulators", par)
 		}
-		built := o.Metrics().Counters["sweep.sims_built"]
-		if limit := uint64(len(sysList) + par - 1); built < uint64(len(sysList)) || built > limit {
-			t.Errorf("par %d: sweep.sims_built = %d, want between %d and %d", par, built, len(sysList), limit)
-		}
-	}
-}
-
-// TestAffineQueueBounds drives the scheduler through random interleavings
-// of workers asking for cells, as the executor's goroutines do. Every
-// cell must be handed out exactly once, a worker builds a simulator only
-// when its system changes, and the builds stay within systems+workers-1.
-func TestAffineQueueBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 2000; trial++ {
-		nsys := 1 + rng.Intn(8)
-		nw := 1 + rng.Intn(6)
-		q := &affineQueue{jobs: make([][]job, nsys), next: make([]int, nsys)}
-		total := 0
-		for si := range q.jobs {
-			for ki := rng.Intn(5); ki > 0; ki-- {
-				q.jobs[si] = append(q.jobs[si], job{ki: ki, si: si})
-				total++
-			}
-		}
-		pending := 0
-		for si := range q.jobs {
-			if len(q.jobs[si]) > 0 {
-				pending++
-			}
-		}
-		ws := make([]worker, nw)
-		live := make([]int, nw)
-		for i := range ws {
-			ws[i].si = -1
-			live[i] = i
-		}
-		seen := map[job]bool{}
-		builds := 0
-		for len(live) > 0 {
-			i := rng.Intn(len(live))
-			w := &ws[live[i]]
-			prev := w.si
-			j, ok := q.take(w)
-			if !ok {
-				live = append(live[:i], live[i+1:]...)
-				continue
-			}
-			if j.si != w.si {
-				t.Fatalf("trial %d: worker handed a cell of system %d while on %d", trial, j.si, w.si)
-			}
-			if seen[j] {
-				t.Fatalf("trial %d: cell %+v handed out twice", trial, j)
-			}
-			seen[j] = true
-			if j.si != prev {
-				builds++
-			}
-		}
-		if len(seen) != total {
-			t.Fatalf("trial %d: %d of %d cells handed out", trial, len(seen), total)
-		}
-		if limit := pending + nw - 1; builds > limit {
-			t.Fatalf("trial %d: %d builds for %d systems on %d workers, want <= %d",
-				trial, builds, pending, nw, limit)
-		}
-	}
-}
-
-// TestAffineQueueTailUsesEveryWorker pins tail parallelism: with more
-// workers than systems (Figure 5's five systems at -par 8), the workers
-// left over after every system is claimed steal single cells, so all of
-// them get work at once.
-func TestAffineQueueTailUsesEveryWorker(t *testing.T) {
-	const nsys, nk, nw = 5, 6, 8
-	q := &affineQueue{jobs: make([][]job, nsys), next: make([]int, nsys)}
-	for si := range q.jobs {
-		for ki := 0; ki < nk; ki++ {
-			q.jobs[si] = append(q.jobs[si], job{ki: ki, si: si})
-		}
-	}
-	ws := make([]worker, nw)
-	for i := range ws {
-		ws[i].si = -1
-		if _, ok := q.take(&ws[i]); !ok {
-			t.Fatalf("worker %d got no cell", i)
-		}
-	}
-	for i, w := range ws {
-		if thief := i >= nsys; w.stole != thief {
-			t.Errorf("worker %d: stole = %v, want %v", i, w.stole, thief)
+		if built, cells := o.Metrics().Counters["sweep.sims_built"], len(want); built != uint64(cells) {
+			t.Errorf("par %d: sweep.sims_built = %d, want one per cell (%d)", par, built, cells)
 		}
 	}
 }
@@ -197,7 +109,7 @@ func TestAffineQueueTailUsesEveryWorker(t *testing.T) {
 // TestAffineExecutorFailedBuild pins the failure path: every cell of a
 // system whose simulator cannot be built fails with its kernel/system
 // context, the worker moves on, and the sweep aggregate counts only the
-// cells that ran.
+// cells that ran, each on a simulator of its own.
 func TestAffineExecutorFailedBuild(t *testing.T) {
 	bad := systems.IdealHetero()
 	bad.Name = "incoherent"
@@ -223,9 +135,9 @@ func TestAffineExecutorFailedBuild(t *testing.T) {
 		insts += c.Result.CPU.Instructions
 	}
 	m := o.Metrics().Counters
-	if m["sweep.cells.failed"] != uint64(len(kernels)) || m["sweep.sims_built"] != 2 {
-		t.Errorf("failed = %d, sims_built = %d, want %d and 2",
-			m["sweep.cells.failed"], m["sweep.sims_built"], len(kernels))
+	if m["sweep.cells.failed"] != uint64(len(kernels)) || m["sweep.sims_built"] != uint64(len(good)) {
+		t.Errorf("failed = %d, sims_built = %d, want %d and %d",
+			m["sweep.cells.failed"], m["sweep.sims_built"], len(kernels), len(good))
 	}
 	if m["cpu.instructions"] != insts {
 		t.Errorf("aggregate cpu.instructions = %d, want %d from the cells that ran", m["cpu.instructions"], insts)

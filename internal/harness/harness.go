@@ -58,13 +58,14 @@ func RunAddressSpaces(kernels []string) ([]Cell, error) {
 	return Executor{}.RunAddressSpaces(kernels)
 }
 
-// Executor runs sweep cells on a fixed-size worker pool, scheduled
-// system-affine: a worker claims one system and runs that system's cells
-// on one simulator, Reset between cells. When it moves to another system
-// it drops the simulator and rewinds its arena, so the next simulator,
-// and everything it grows while it runs, is carved from the same slabs. A worker therefore holds at most one live
-// simulator, a sweep's memory grows with its workers rather than with
-// its systems, and it never has more goroutines than workers.
+// Executor runs sweep cells on a fixed-size worker pool. A worker takes
+// cells one at a time and builds a new simulator for each on its own
+// arena, rewound first, so the simulator and everything it grows while
+// it runs are carved from the slabs the worker's previous cell used. A
+// cell therefore starts from exactly the state a fresh build has, a
+// worker holds at most one live simulator, a sweep's memory grows with
+// its workers rather than with its systems, and it never has more
+// goroutines than workers.
 type Executor struct {
 	// Par is the number of workers; zero or negative means GOMAXPROCS.
 	Par int
@@ -111,76 +112,12 @@ type job struct {
 	verify bool
 }
 
-// affineQueue hands out a sweep's pending cells system-affine. A worker
-// keeps taking cells of the system it holds a simulator for; when that
-// system has none left it claims the next unclaimed system; once every
-// system is claimed it steals single cells from the system with the
-// most cells left, so the tail stays parallel down to one cell.
-//
-// A thief retires when the system it stole from runs dry instead of
-// stealing again. That bounds construction: every system is claimed
-// once, and each steal happens while the stolen system's claimer is
-// still on it and has not stolen yet, so at most workers-1 workers ever
-// steal — systems+workers-1 simulators per sweep.
-type affineQueue struct {
-	mu    sync.Mutex
-	jobs  [][]job // per system, its pending cells in kernel order
-	next  []int   // per system, the index of its next untaken cell
-	claim int     // systems below this index have been claimed
-}
-
-// worker is one worker's position in an affineQueue.
-type worker struct {
-	si    int  // system of the worker's simulator, -1 before its first cell
-	stole bool // the worker's system was stolen from, not claimed
-}
-
-func (q *affineQueue) left(si int) int { return len(q.jobs[si]) - q.next[si] }
-
-func (q *affineQueue) pop(w *worker, si int) job {
-	j := q.jobs[si][q.next[si]]
-	q.next[si]++
-	w.si = si
-	return j
-}
-
-// take returns w's next cell, updating w.si to its system; false means
-// the worker has nothing left to run.
-func (q *affineQueue) take(w *worker) (job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if w.si >= 0 && q.left(w.si) > 0 {
-		return q.pop(w, w.si), true
-	}
-	if w.stole {
-		return job{}, false
-	}
-	for q.claim < len(q.jobs) {
-		si := q.claim
-		q.claim++
-		if q.left(si) > 0 {
-			return q.pop(w, si), true
-		}
-	}
-	best := -1
-	for si := range q.jobs {
-		if q.left(si) > 0 && (best < 0 || q.left(si) > q.left(best)) {
-			best = si
-		}
-	}
-	if best < 0 {
-		return job{}, false
-	}
-	w.stole = true
-	return q.pop(w, best), true
-}
-
 // RunSystems measures every (kernel, system) cell. Each cell is an
-// independent simulation (a simulator is Reset to cold between cells,
-// which is bit-identical to a fresh one), so results are deterministic
-// and returned in kernel-major, system-minor order regardless of
-// scheduling; only the order in which cells complete depends on it. All
-// failing cells are reported, each with its kernel/system context.
+// independent simulation on a simulator built for it, so results are
+// deterministic and returned in kernel-major, system-minor order
+// regardless of scheduling; only the order in which cells complete
+// depends on it. All failing cells are reported, each with its
+// kernel/system context.
 //
 // With a Cache attached, the executor schedules cache-aware: all cells
 // are probed before the worker pool starts, hits are materialized
@@ -210,8 +147,8 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	errs := make([]error, n) // disjoint slots; no mutex needed
 
 	// Cache probe phase: resolve every hit before the pool spins up, so
-	// a warm sweep never constructs a simulator. q collects the jobs
-	// that still need a worker (misses, and hits sampled for
+	// a warm sweep never constructs a simulator. pending collects the
+	// jobs that still need a worker (misses, and hits sampled for
 	// verification); hits remembers what to report to the observer once
 	// it has begun.
 	type hit struct {
@@ -221,12 +158,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	}
 	var keys []rescache.Key
 	var hits []hit
-	q := &affineQueue{jobs: make([][]job, len(sysList)), next: make([]int, len(sysList))}
-	pending := 0
-	enqueue := func(j job) {
-		q.jobs[j.si] = append(q.jobs[j.si], j)
-		pending++
-	}
+	var pending []job
 	if e.Cache != nil {
 		keys = make([]rescache.Key, n)
 		fps := make([]string, len(programs))
@@ -240,7 +172,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				at := time.Now()
 				res, ok := e.Cache.Get(keys[idx])
 				if !ok {
-					enqueue(job{ki: ki, si: si})
+					pending = append(pending, job{ki: ki, si: si})
 					continue
 				}
 				// The hash is name-invariant: a differently-named file for
@@ -249,14 +181,14 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				cells[idx] = Cell{System: sysList[si].Name, Kernel: p.Name, Result: res}
 				hits = append(hits, hit{ki: ki, si: si, probeNS: int64(time.Since(at)), at: at})
 				if verifySampled(keys[idx], e.CacheVerify) {
-					enqueue(job{ki: ki, si: si, verify: true})
+					pending = append(pending, job{ki: ki, si: si, verify: true})
 				}
 			}
 		}
 	} else {
 		for ki := range programs {
 			for si := range sysList {
-				enqueue(job{ki: ki, si: si})
+				pending = append(pending, job{ki: ki, si: si})
 			}
 		}
 	}
@@ -265,9 +197,12 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > pending {
-		workers = pending
+	workers = min(workers, len(pending))
+	jobs := make(chan job, len(pending))
+	for _, j := range pending {
+		jobs <- j
 	}
+	close(jobs)
 
 	obsv.begin(n, workers, e.Cache)
 	for _, h := range hits {
@@ -283,11 +218,10 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// The worker's one live simulator is carved from its arena;
-			// the arena is rewound whenever the worker moves to another
-			// system, once nothing references the old simulator.
+			// Every cell's simulator is carved from the worker's arena,
+			// rewound before each build: nothing references the previous
+			// cell's simulator by then.
 			ar := arena.New()
-			var s *sim.Simulator
 			// Observability state is per worker: one registry (and
 			// optional host profiler / interval sampler) shared by the
 			// worker's successive simulators, reset before every cell so
@@ -306,13 +240,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 					sampler = obs.NewSampler(reg, obsv.IntervalPS)
 				}
 			}
-			pos := worker{si: -1}
-			for {
-				prev := pos.si
-				j, ok := q.take(&pos)
-				if !ok {
-					return
-				}
+			for j := range jobs {
 				idx := j.ki*len(sysList) + j.si
 				p, sys := programs[j.ki], sysList[j.si]
 				kind := "kernel"
@@ -321,27 +249,17 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				}
 				span := obsv.beginCell(w, sys.Name, specs[j.si], p.Name, kind)
 				started := time.Now()
-				var res sim.Result
-				var err error
-				if j.si != prev || s == nil {
-					// Nothing references the arena once the old simulator
-					// is dropped, so the new one is carved from its slabs.
-					ar.Reset()
-					s, err = sim.NewWithOptions(sys, sim.Options{
-						Metrics: reg, HostProf: hp, Sampler: sampler, Arena: ar,
-					})
-					if err == nil {
-						obsv.simBuilt()
-					}
-				} else {
-					s.Reset()
-				}
+				ar.Reset()
+				s, err := sim.NewWithOptions(sys, sim.Options{
+					Metrics: reg, HostProf: hp, Sampler: sampler, Arena: ar,
+				})
 				reg.Reset()
 				sampler.Reset()
+				var res sim.Result
 				if err == nil {
+					obsv.simBuilt()
 					s.SetRunSpan(span)
 					res, err = s.Run(p)
-					s.SetRunSpan(nil)
 				}
 				if j.verify && err == nil && res != cells[idx].Result {
 					err = fmt.Errorf("%w (key %s)", ErrCacheMismatch, keys[idx].Digest())

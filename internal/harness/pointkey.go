@@ -19,9 +19,9 @@ import (
 // mem-tech and translation), the kernel identity, the workload's
 // generated shape, and a fingerprint of the result-affecting simulator
 // options. Two cells share a key iff they are bit-identically the same
-// simulation, which PR 2's Reset() bit-identity proof makes an exact
-// memoization key: a deterministic simulator maps equal keys to equal
-// results.
+// simulation; a deterministic simulator, built cold for every cell,
+// maps equal keys to equal results, which makes the key an exact
+// memoization key.
 func PointKey(sys systems.System, p *workload.Program, opts sim.Options) rescache.Key {
 	return cellKey(systems.Hash(sys), p, WorkloadFingerprint(p), opts)
 }

@@ -327,7 +327,7 @@ func (h *Hierarchy) Instrument(reg *obs.Registry) {
 // timed, stage by stage for a chain run, accumulating into p's memsys.*
 // sections (flushed to the registry as host.memsys.*.ns counters by the
 // simulator's batched flush). Section registration is idempotent, so
-// pooled simulators sharing one profiler agree on ids. A nil profiler
+// successive simulators sharing one profiler agree on ids. A nil profiler
 // detaches profiling.
 func (h *Hierarchy) InstrumentHost(p *obs.HostProf) {
 	base := -1
@@ -349,14 +349,15 @@ func New(cfg Config) (*Hierarchy, error) {
 	return NewIn(nil, cfg)
 }
 
-// NewIn is New with the hierarchy's cache metadata arrays and MSHR files
-// carved from the arena (nil falls back to the heap). The hierarchy
-// carves from the arena for its whole life — DRAM-cache directory chunks
-// as they are first filled, an uncapped MSHR file's registers as it
-// grows — so it must run on the goroutine that owns the arena, and the
-// arena may be Reset only once the hierarchy is dropped: a sweep worker
-// builds its simulator out of one arena and rewinds it when it drops
-// that simulator for the next system's.
+// NewIn is New with the hierarchy's cache metadata arrays, MSHR files,
+// ring links and routes, DRAM bank and bus arrays and backend channel
+// resources carved from the arena (nil falls back to the heap). The
+// hierarchy carves from the arena for its whole life — DRAM-cache
+// directory chunks as they are first filled, an uncapped MSHR file's
+// registers as it grows — so it must run on the goroutine that owns the
+// arena, and the arena may be Reset only once the hierarchy is dropped:
+// a sweep worker builds each cell's simulator out of one arena and
+// rewinds it when it drops that simulator for the next cell's.
 func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -384,10 +385,10 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 			return nil, err
 		}
 	}
-	if h.ring, err = noc.New(cfg.Ring); err != nil {
+	if h.ring, err = noc.NewIn(a, cfg.Ring); err != nil {
 		return nil, err
 	}
-	if h.dram, err = dram.New(cfg.DRAM); err != nil {
+	if h.dram, err = dram.NewIn(a, cfg.DRAM); err != nil {
 		return nil, err
 	}
 	for p := PU(0); p < NumPUs; p++ {
@@ -474,19 +475,15 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		h.backend = &memsys.DRAMStage{Ctrl: h.dram}
 	case memtech.HBM:
 		p := cfg.Tech.ResolvedHBM()
-		ctrl, err := dram.New(p.DRAMConfig(cfg.L3Tile.LineBytes))
+		ctrl, err := dram.NewIn(a, p.DRAMConfig(cfg.L3Tile.LineBytes))
 		if err != nil {
 			return fmt.Errorf("mem: mem_tech.hbm: %w", err)
 		}
 		h.backend = &memsys.HBMStage{Ctrl: ctrl, ExtraLat: p.ExtraLat()}
 	case memtech.NVM:
 		p := cfg.Tech.ResolvedNVM()
-		chans := make([]*clock.Resource, p.Channels)
-		for i := range chans {
-			chans[i] = new(clock.Resource)
-		}
 		h.backend = &memsys.NVMStage{
-			Chans:      chans,
+			Chans:      arena.Make[clock.Resource](a, p.Channels),
 			ReadLat:    clock.Duration(p.ReadPS),
 			WriteLat:   clock.Duration(p.WritePS),
 			Bus:        clock.Duration(p.BusPS),
@@ -504,18 +501,11 @@ func (h *Hierarchy) buildBackend(a *arena.Arena) error {
 		if err != nil {
 			return fmt.Errorf("mem: mem_tech.dram_cache: %w", err)
 		}
-		near := make([]*clock.Resource, p.NearChannels)
-		for i := range near {
-			near[i] = new(clock.Resource)
-		}
-		far := make([]*clock.Resource, p.FarChannels)
-		for i := range far {
-			far[i] = new(clock.Resource)
-		}
 		h.backend = &memsys.DRAMCacheStage{
 			Dir:       dir,
-			NearChans: near, FarChans: far,
-			NearLat: clock.Duration(p.NearPS), NearBus: clock.Duration(p.NearBusPS),
+			NearChans: arena.Make[clock.Resource](a, p.NearChannels),
+			FarChans:  arena.Make[clock.Resource](a, p.FarChannels),
+			NearLat:   clock.Duration(p.NearPS), NearBus: clock.Duration(p.NearBusPS),
 			FarRead: clock.Duration(p.FarReadPS), FarWrite: clock.Duration(p.FarWritePS),
 			FarBus: clock.Duration(p.FarBusPS), LineBytes: cfg.L3Tile.LineBytes,
 		}
@@ -552,34 +542,6 @@ func (h *Hierarchy) Stats() Stats {
 	s.XlatWalkPS = x.WalkPS
 	s.XlatShootdowns = x.Shootdowns
 	return s
-}
-
-// Reset returns the hierarchy to its just-constructed state: every
-// cache cold, the ring and controllers idle, MSHR files and scratchpad
-// empty, the directory untracked, and all statistics cleared.
-// Instruments stay wired (use Instrument(nil) to detach them); counts
-// not yet flushed are dropped.
-func (h *Hierarchy) Reset() {
-	h.cpuL1d.Reset()
-	h.cpuL2.Reset()
-	h.gpuL1d.Reset()
-	for _, t := range h.l3 {
-		t.Reset()
-	}
-	h.ring.Reset()
-	h.dram.Reset()
-	h.backend.Reset()
-	h.xlat.Reset()
-	for p := PU(0); p < NumPUs; p++ {
-		h.mshr[p].Reset()
-	}
-	h.scratch.Clear()
-	if h.dir != nil {
-		h.dir.Reset()
-	}
-	h.env.Counts = memsys.Counts{}
-	h.stats = Stats{}
-	h.obs.Rebase()
 }
 
 // FlushObs carries the counts accumulated since the last flush into the

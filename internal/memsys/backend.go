@@ -14,11 +14,9 @@ import (
 // A backend is shared by every PU's Chain, so cross-PU contention on
 // the device is modelled exactly as with the single DRAM controller.
 //
-// A backend absorbs L3 victim writebacks, resets its device state
-// between runs, and binds its memtech.* counts into the hierarchy's
-// observability batch. Reset covers only backend-private state:
-// substrates owned by the hierarchy (the DDR3 controller behind
-// DRAMStage) are reset by their owner.
+// A backend absorbs L3 victim writebacks and binds its memtech.*
+// counts into the hierarchy's observability batch. It has no reset: a
+// cold run starts on a new build of its hierarchy.
 type Backend interface {
 	// Read serves the line at addr for a request arriving at the
 	// memory-controller stop at now and returns the time its data
@@ -28,9 +26,6 @@ type Backend interface {
 	// line moves to the device off the requesting access's critical
 	// path, occupying its resources but delaying nobody.
 	Writeback(addr uint64, now clock.Time)
-	// Reset returns backend-private device state and counters to
-	// just-constructed.
-	Reset()
 	// Instrument binds the backend's counts into b as registry counters
 	// under memtech.*.
 	Instrument(b *obs.Batch, reg *obs.Registry)

@@ -14,17 +14,14 @@ import (
 // possibly writing a dirty victim back to far memory. The interesting
 // regime is the working set that fits near memory after warmup: it
 // runs at near-DRAM speed against a far memory several times slower.
-//
-// The stage owns its near-cache directory and channel resources, so
-// Reset restores them here.
 type DRAMCacheStage struct {
 	// Dir tracks which lines currently reside in near memory; its
 	// hit/miss/eviction stats are the cache's tag-array view.
 	Dir *cache.Cache
 	// NearChans/FarChans are the per-channel occupancy resources of the
 	// two memories; lines interleave across each set.
-	NearChans []*clock.Resource
-	FarChans  []*clock.Resource
+	NearChans []clock.Resource
+	FarChans  []clock.Resource
 	NearLat   clock.Duration
 	NearBus   clock.Duration
 	FarRead   clock.Duration
@@ -80,21 +77,6 @@ func (s *DRAMCacheStage) Writeback(addr uint64, now clock.Time) {
 	}
 	s.misses++
 	s.fill(addr, true, start.Add(s.NearLat))
-}
-
-// Reset implements Backend.
-func (s *DRAMCacheStage) Reset() {
-	s.Dir.Reset()
-	for _, c := range s.NearChans {
-		c.Reset()
-	}
-	for _, c := range s.FarChans {
-		c.Reset()
-	}
-	s.hits = 0
-	s.misses = 0
-	s.fills = 0
-	s.writebacks = 0
 }
 
 // Instrument implements Backend, binding memtech.dram_cache.*: the

@@ -14,8 +14,8 @@ import (
 // access path. The net effect is the HBM trade: roughly an order of
 // magnitude more bandwidth at somewhat higher access latency.
 //
-// The stage owns its controller (the hierarchy's DDR3 controller keeps
-// serving memory-controller-fabric DMA), so Reset restores it here.
+// The stage owns its controller; the hierarchy's DDR3 controller keeps
+// serving memory-controller-fabric DMA.
 type HBMStage struct {
 	Ctrl     *dram.Controller
 	ExtraLat clock.Duration
@@ -34,12 +34,6 @@ func (s *HBMStage) Read(addr uint64, now clock.Time) clock.Time {
 // bank and bus off the critical path.
 func (s *HBMStage) Writeback(addr uint64, now clock.Time) {
 	s.Ctrl.Submit(addr, now)
-}
-
-// Reset implements Backend.
-func (s *HBMStage) Reset() {
-	s.Ctrl.Reset()
-	s.accesses = 0
 }
 
 // Instrument implements Backend, binding memtech.hbm.*: the stage's

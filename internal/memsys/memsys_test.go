@@ -70,7 +70,6 @@ func (b *countingBackend) Read(_ uint64, now clock.Time) clock.Time {
 }
 
 func (b *countingBackend) Writeback(uint64, clock.Time)         {}
-func (b *countingBackend) Reset()                               {}
 func (b *countingBackend) Instrument(*obs.Batch, *obs.Registry) {}
 
 // testChain is a GPU request path over real stages: a private L1, a

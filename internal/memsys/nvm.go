@@ -17,7 +17,7 @@ import (
 type NVMStage struct {
 	// Chans are the per-channel bus resources; lines interleave across
 	// them and each transfer occupies its channel for Bus.
-	Chans    []*clock.Resource
+	Chans    []clock.Resource
 	ReadLat  clock.Duration
 	WriteLat clock.Duration
 	Bus      clock.Duration
@@ -67,17 +67,6 @@ func (s *NVMStage) Writeback(addr uint64, now clock.Time) {
 	start, _ := s.Chans[ch].Acquire(now, s.Bus)
 	s.horizon = clock.Max(s.horizon, start).Add(s.WriteLat)
 	s.writes++
-}
-
-// Reset implements Backend.
-func (s *NVMStage) Reset() {
-	for _, c := range s.Chans {
-		c.Reset()
-	}
-	s.horizon = 0
-	s.reads = 0
-	s.writes = 0
-	s.writeStalls = 0
 }
 
 // Instrument implements Backend, binding memtech.nvm.*.

@@ -214,11 +214,6 @@ func (s *DRAMStage) Writeback(addr uint64, now clock.Time) {
 	s.Ctrl.Submit(addr, now)
 }
 
-// Reset implements Backend. The DDR3 controller is a hierarchy-owned
-// substrate (the memory-controller fabric DMAs through it too), so the
-// hierarchy resets it; only the stage's own counter clears here.
-func (s *DRAMStage) Reset() { s.accesses = 0 }
-
 // Instrument implements Backend, binding memtech.dram.*.
 func (s *DRAMStage) Instrument(b *obs.Batch, reg *obs.Registry) {
 	b.Bind(reg, "memtech.dram.accesses", &s.accesses)

@@ -136,22 +136,6 @@ func (s *TranslationStage) Flush(pu PU) {
 	}
 }
 
-// Reset returns the stage to just-constructed: TLBs, walk caches,
-// walkers and counters all cleared.
-func (s *TranslationStage) Reset() {
-	if s == nil {
-		return
-	}
-	for pu := range s.TLB {
-		s.TLB[pu].Reset()
-		if wc := s.WalkCache[pu]; wc != nil {
-			wc.Reset()
-		}
-		s.Walker[pu].Reset()
-	}
-	s.stats = TranslationStats{}
-}
-
 // Instrument binds the stage's counts into b as registry counters
 // under xlat.*.
 func (s *TranslationStage) Instrument(b *obs.Batch, reg *obs.Registry) {

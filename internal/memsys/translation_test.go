@@ -38,7 +38,6 @@ func TestTranslationOffIsNil(t *testing.T) {
 	// Every accessor and mutator must be nil-safe — the hierarchy calls
 	// them unconditionally.
 	s.Flush(CPU)
-	s.Reset()
 	var b obs.Batch
 	s.Instrument(&b, obs.NewRegistry())
 	if s.Stats() != (TranslationStats{}) {
@@ -169,23 +168,6 @@ func TestFlushShootsDownAndCounts(t *testing.T) {
 	s.Flush(CPU)
 	if got := s.Translate(GPU, 0x2000, gEnd); got != gEnd {
 		t.Fatal("CPU shootdown emptied the GPU TLB")
-	}
-}
-
-func TestTranslationResetRestoresColdState(t *testing.T) {
-	s := mustStage(t, noWalkCache(xlat.Shared))
-	start := clock.Time(0)
-	first := s.Translate(CPU, 0x1000, start)
-	s.Translate(GPU, 0x2000, start)
-	s.Reset()
-	if s.Stats().Lookups[CPU] != 0 || s.Stats().Misses[GPU] != 0 || s.Stats().WalkPS[CPU] != 0 {
-		t.Fatal("reset kept counters")
-	}
-	// The walker must be idle again: a post-reset walk from t=0 takes
-	// exactly one cold walk, with no queueing behind pre-reset walks.
-	again := s.Translate(CPU, 0x1000, start)
-	if again != first {
-		t.Fatalf("post-reset walk ended %v, want %v", again, first)
 	}
 }
 

@@ -239,10 +239,6 @@ func TestAsyncHorizon(t *testing.T) {
 	if got := p.SyncPoint(env, clock.Time(6000)); got != clock.Time(6000) {
 		t.Errorf("second SyncPoint = %v, want now", got)
 	}
-	p.Reset()
-	if got := p.SyncPoint(env, clock.Time(0)); got != 0 {
-		t.Errorf("SyncPoint after Reset = %v, want 0", got)
-	}
 }
 
 func TestSyncFabricTracksNoHorizon(t *testing.T) {

@@ -18,8 +18,8 @@ var (
 // Protocol is one programming-model protocol: the runtime behaviour of
 // its Kind at phase boundaries. Each hook branches on the kind's
 // predicates, so a new protocol is a new Kind row, not a new type. A
-// Protocol is stateful across the phases of a run; Reset returns it to
-// its just-constructed state.
+// Protocol is stateful across the phases of a run; a new run starts on
+// a new build.
 type Protocol struct {
 	kind Kind
 	// granularity is the page size behind first-touch faults; zero means
@@ -182,12 +182,4 @@ func (p *Protocol) returnSync(env Env, now clock.Time) clock.Time {
 		now = p.ready
 	}
 	return now
-}
-
-// Reset returns the protocol to its just-constructed state.
-func (p *Protocol) Reset() {
-	p.ready = 0
-	p.pendingAcquire = false
-	p.pendingFaults = 0
-	clear(p.touched)
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 	"heteromem/internal/obs"
 )
@@ -52,14 +53,15 @@ type Stats struct {
 // Ring is a bidirectional ring interconnect.
 type Ring struct {
 	cfg Config
-	// cw[i] is the clockwise link from stop i to stop (i+1)%n;
-	// ccw[i] is the counter-clockwise link from stop (i+1)%n to stop i.
-	cw  []*clock.Resource
-	ccw []*clock.Resource
-	// path[from*Stops+to] is the link sequence a message traverses,
-	// precomputed so the Send hot path walks a slice instead of
-	// re-deriving direction and wrap-around arithmetic per hop.
-	path [][]*clock.Resource
+	// links[i] is the clockwise link from stop i to stop (i+1)%n, and
+	// links[n+i] the counter-clockwise link from stop (i+1)%n to stop i.
+	links []clock.Resource
+	// hops[span[k]:span[k+1]], k = from*Stops+to, indexes the links a
+	// message traverses, precomputed so the Send hot path walks a slice
+	// instead of re-deriving direction and wrap-around arithmetic per
+	// hop.
+	hops []uint32
+	span []uint32
 	// lbcShift is log2(LinkBytesPerCycle) when the link width is a power
 	// of two, else -1 (Send falls back to division).
 	lbcShift int
@@ -72,7 +74,7 @@ type Ring struct {
 // Instrument binds the ring's counts into b as registry counters under
 // noc.*. Per-epoch deltas of noc.link_busy_ps divided by the epoch
 // length and link count give ring-link utilisation. The owner of b
-// flushes it, and rebases it after resetting the ring.
+// flushes it.
 func (r *Ring) Instrument(b *obs.Batch, reg *obs.Registry) {
 	b.Bind(reg, "noc.messages", &r.stats.Messages)
 	b.Bind(reg, "noc.hops", &r.stats.TotalHops)
@@ -84,45 +86,52 @@ func (r *Ring) Instrument(b *obs.Batch, reg *obs.Registry) {
 func (r *Ring) Links() int { return 2 * r.cfg.Stops }
 
 // New returns a ring with idle links.
-func New(cfg Config) (*Ring, error) {
+func New(cfg Config) (*Ring, error) { return NewIn(nil, cfg) }
+
+// NewIn is New with the links and the route table carved from the arena
+// (nil falls back to the heap). The arena may be Reset only once the
+// ring is dropped.
+func NewIn(a *arena.Arena, cfg Config) (*Ring, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	r := &Ring{cfg: cfg, lbcShift: -1}
-	r.cw = make([]*clock.Resource, cfg.Stops)
-	r.ccw = make([]*clock.Resource, cfg.Stops)
-	for i := 0; i < cfg.Stops; i++ {
-		r.cw[i] = new(clock.Resource)
-		r.ccw[i] = new(clock.Resource)
-	}
 	if w := cfg.LinkBytesPerCycle; w&(w-1) == 0 {
 		r.lbcShift = bits.TrailingZeros(uint(w))
 	}
 	n := cfg.Stops
-	r.path = make([][]*clock.Resource, n*n)
+	// A message takes the shorter direction, so every stop reaches the
+	// others over the same total number of hops.
+	hopsFrom := 0
+	for d := 1; d < n; d++ {
+		hopsFrom += min(d, n-d)
+	}
+	r.links = arena.Make[clock.Resource](a, 2*n)
+	r.hops = arena.Make[uint32](a, n*hopsFrom)
+	r.span = arena.Make[uint32](a, n*n+1)
+	off := uint32(0)
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
+			r.span[from*n+to] = off
 			cwHops := ((to-from)%n + n) % n
-			links := make([]*clock.Resource, 0, n/2+1)
 			stop := from
 			if cwHops <= n-cwHops {
 				for h := 0; h < cwHops; h++ {
-					links = append(links, r.cw[stop])
+					r.hops[off] = uint32(stop)
+					off++
 					stop = (stop + 1) % n
 				}
 			} else {
 				for h := 0; h < n-cwHops; h++ {
 					prev := (stop - 1 + n) % n
-					links = append(links, r.ccw[prev])
+					r.hops[off] = uint32(n + prev)
+					off++
 					stop = prev
 				}
 			}
-			r.path[from*n+to] = links
 		}
 	}
+	r.span[n*n] = off
 	return r, nil
 }
 
@@ -175,10 +184,11 @@ func (r *Ring) Send(from, to, bytes int, now clock.Time) clock.Time {
 	ser := clock.Duration(uint64(cycles)) * r.cfg.CycleTime
 
 	t := now
-	links := r.path[from*r.cfg.Stops+to]
+	k := from*r.cfg.Stops + to
+	links := r.hops[r.span[k]:r.span[k+1]]
 	hops := len(links)
-	for _, link := range links {
-		start, _ := link.Acquire(t, ser)
+	for _, l := range links {
+		start, _ := r.links[l].Acquire(t, ser)
 		t = start.Add(r.cfg.HopLatency)
 	}
 	r.stats.Messages++
@@ -186,14 +196,4 @@ func (r *Ring) Send(from, to, bytes int, now clock.Time) clock.Time {
 	r.stats.Bytes += uint64(bytes)
 	r.linkBusyPS += uint64(ser) * uint64(hops)
 	return t.Add(ser)
-}
-
-// Reset idles all links and clears statistics.
-func (r *Ring) Reset() {
-	for i := range r.cw {
-		r.cw[i].Reset()
-		r.ccw[i].Reset()
-	}
-	r.stats = Stats{}
-	r.linkBusyPS = 0
 }

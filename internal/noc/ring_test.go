@@ -4,17 +4,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/clock"
 )
 
-func testRing(t *testing.T, stops int) *Ring {
-	t.Helper()
-	r, err := New(Config{
+func testConfig(stops int) Config {
+	return Config{
 		Stops:             stops,
 		HopLatency:        2 * clock.Nanosecond,
 		LinkBytesPerCycle: 32,
 		CycleTime:         1 * clock.Nanosecond,
-	})
+	}
+}
+
+func testRing(t *testing.T, stops int) *Ring {
+	t.Helper()
+	r, err := New(testConfig(stops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +86,7 @@ func TestLinkContention(t *testing.T) {
 		t.Fatalf("contending messages did not serialise: %v then %v", a, b)
 	}
 	// A message on the opposite side of the ring is unaffected.
-	r2 := testRing(t, 8)
-	c := r2.Send(4, 5, 64, 0)
-	r.Reset()
-	r.Send(0, 1, 3200, 0)
+	c := testRing(t, 8).Send(4, 5, 64, 0)
 	d := r.Send(4, 5, 64, 0)
 	if c != d {
 		t.Fatalf("disjoint links interfered: %v vs %v", c, d)
@@ -114,17 +116,30 @@ func TestSendOutOfRangePanics(t *testing.T) {
 	r.Send(0, 9, 64, 0)
 }
 
+// TestStatsAndReset counts traffic, then rebuilds the ring on its
+// rewound arena: the carved links come back idle and the stats zero, so
+// a message on the rebuilt ring arrives as on a new one.
 func TestStatsAndReset(t *testing.T) {
-	r := testRing(t, 8)
+	a := arena.New()
+	r, err := NewIn(a, testConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.Send(0, 2, 64, 0)
 	r.Send(2, 0, 128, 0)
 	st := r.Stats()
 	if st.Messages != 2 || st.Bytes != 192 || st.TotalHops != 4 {
 		t.Fatalf("stats %+v", st)
 	}
-	r.Reset()
+	a.Reset()
+	if r, err = NewIn(a, testConfig(8)); err != nil {
+		t.Fatal(err)
+	}
 	if r.Stats() != (Stats{}) {
-		t.Fatal("Reset did not clear stats")
+		t.Fatal("rebuilt ring kept stats")
+	}
+	if got, want := r.Send(0, 2, 64, 0), testRing(t, 8).Send(0, 2, 64, 0); got != want {
+		t.Fatalf("message on the rebuilt ring arrived at %v, on a new ring %v", got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package rescache is a persistent, content-addressed cache of
-// simulation results. The simulator is deterministic — its Reset()
-// bit-identity guarantee means the same design point, kernel and options
+// simulation results. The simulator is deterministic and every cell
+// runs on a cold build, so the same design point, kernel and options
 // always produce the same sim.Result — so memoizing results is *exact*:
 // a cache hit returns the very bytes a fresh simulation would compute,
 // and repeated design-space traffic (search drivers revisiting points,

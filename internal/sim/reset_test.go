@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"heteromem/internal/arena"
 	"heteromem/internal/memtech"
 	"heteromem/internal/obs"
 	"heteromem/internal/systems"
@@ -28,58 +29,67 @@ func resetSystems() []systems.System {
 	return append(systems.CaseStudies(), systems.GraceHopper(), nvm, dramCache, xlatLRB)
 }
 
-// TestResetMatchesFreshSimulator is the pooling contract: running a cell
-// on a Reset() simulator must be bit-identical — Result and all metrics
-// — to running it on a freshly constructed one.
+// TestResetMatchesFreshSimulator is the rebuild contract a sweep worker
+// relies on: a cell built on the worker's rewound arena, after the arena
+// carried a run of a different system, must be bit-identical (Result and
+// all metrics) to the cell built on a new arena. Simulator.Reset, which
+// rebuilds in place, must match it too.
 func TestResetMatchesFreshSimulator(t *testing.T) {
-	for _, sys := range resetSystems() {
+	sysList := resetSystems()
+	// The DRAM-cache point dirties the most slabs (directory chunks as
+	// well as construction), so it runs before every other system; the
+	// first system runs before it.
+	dirtiest := sysList[len(sysList)-2]
+	for _, sys := range sysList {
+		prev := dirtiest
+		if sys.Name == dirtiest.Name {
+			prev = sysList[0]
+		}
 		for _, kernel := range []string{"reduction", "merge-sort"} {
 			t.Run(sys.Name+"/"+kernel, func(t *testing.T) {
 				p, err := workload.Generate(kernel)
 				if err != nil {
 					t.Fatal(err)
 				}
+				build := func(sys systems.System, a *arena.Arena) *Simulator {
+					s, err := NewWithOptions(sys, Options{Metrics: obs.NewRegistry(), Arena: a})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				run := func(s *Simulator) Result {
+					res, err := s.Run(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				fresh := build(sys, arena.New())
+				want := run(fresh)
+				check := func(how string, s *Simulator) {
+					if got := run(s); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: result differs from a new arena's:\n got %+v\nwant %+v", how, got, want)
+					}
+					if got, want := s.Metrics().Snapshot(), fresh.Metrics().Snapshot(); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: metrics differ from a new arena's:\n got %+v\nwant %+v", how, got, want)
+					}
+				}
 
-				fresh, err := NewWithOptions(sys, Options{Metrics: obs.NewRegistry()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Same simulator, run twice with a Reset in between: the
-				// second run must not see any first-run state.
-				pooled, err := NewWithOptions(sys, Options{Metrics: obs.NewRegistry()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := pooled.Run(p); err != nil {
-					t.Fatal(err)
-				}
-				pooled.Reset()
-				got, err := pooled.Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("reused simulator result differs from fresh:\n got %+v\nwant %+v", got, want)
-				}
-				gotM := pooled.Metrics().Snapshot()
-				wantM := fresh.Metrics().Snapshot()
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("reused simulator metrics differ from fresh:\n got %+v\nwant %+v", gotM, wantM)
-				}
+				a := arena.New()
+				run(build(prev, a))
+				a.Reset()
+				rebuilt := build(sys, a)
+				check("rewound arena after "+prev.Name, rebuilt)
+				rebuilt.Reset()
+				check("Reset after a run", rebuilt)
 			})
 		}
 	}
 }
 
-// TestResetClearsResultState checks a reset simulator also behaves
-// across different kernels: state from kernel A must not leak into a
-// later run of kernel B.
+// TestResetClearsResultState checks Reset across different kernels:
+// state from kernel A must not leak into a later run of kernel B.
 func TestResetClearsResultState(t *testing.T) {
 	sys := systems.CaseStudies()[0]
 	a, err := workload.Generate("reduction")

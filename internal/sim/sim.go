@@ -98,14 +98,17 @@ type Options struct {
 
 	// Arena, when non-nil, backs the simulator's metadata with
 	// bump-allocated slabs instead of individual heap allocations: at
-	// construction the cache tag/state arrays, MSHR files, core replay
-	// rings and predictor table, and while it runs the DRAM-cache
-	// directory chunks, a grown GPU replay ring and an uncapped MSHR
-	// file's registers. The simulator carves from the arena for its whole
-	// life, so it must run on the goroutine that owns the arena, and the
-	// caller must not Reset the arena while simulators built from it are
-	// still in use. Each sweep worker builds its simulators out of one
-	// arena, rewound between systems (see internal/harness).
+	// construction the cache tag/state arrays, MSHR files, ring links
+	// and routes, DRAM bank and bus arrays, backend channel resources,
+	// core replay rings and predictor table, and while it runs the
+	// DRAM-cache directory chunks, a grown GPU replay ring and an
+	// uncapped MSHR file's registers. The simulator carves from the
+	// arena for its whole life, so it must run on the goroutine that
+	// owns the arena, and the caller must not Reset the arena while
+	// simulators built from it are still in use. Each sweep worker
+	// rewinds its one arena and builds a new simulator from it for every
+	// cell (see internal/harness), so a cell starts from exactly the
+	// state a fresh build has: the arena zeroes every carving.
 	Arena *arena.Arena
 
 	// Metrics attaches an observability registry: every component's
@@ -134,11 +137,12 @@ type Options struct {
 
 // Simulator runs kernels on one system configuration. A Simulator is
 // stateful across phases of a run (caches stay warm, first-touch state
-// persists); call Reset between measurements — a reset simulator
-// produces bit-identical results to a freshly constructed one, so sweep
-// harnesses pool simulators instead of rebuilding them per cell.
+// persists), so each measurement runs on a new build: sweep harnesses
+// build one per cell on a rewound arena (Options.Arena), and Reset
+// rebuilds one in place.
 type Simulator struct {
 	sys     systems.System
+	opts    Options
 	hier    *mem.Hierarchy
 	cpuCore *cpu.Core
 	gpuCore *gpu.Core
@@ -224,6 +228,7 @@ func NewWithOptions(sys systems.System, opts Options) (*Simulator, error) {
 	}
 	s := &Simulator{
 		sys:    sys,
+		opts:   opts,
 		hier:   hier,
 		fabric: comm.New(sys.Fabric, sys.Params, hier.DRAM()),
 		space:  space,
@@ -330,20 +335,25 @@ func MustNew(sys systems.System) *Simulator {
 	return s
 }
 
-// Reset returns the simulator to its just-constructed state so the next
-// Run starts cold: hierarchy (caches, ring, DRAM, MSHRs, scratchpad,
-// directory), cores, fabric, address space, programming-model state and
-// every attached metric are cleared. Instruments stay wired.
+// Reset rebuilds the simulator in place, so the next Run starts cold
+// exactly as a new build does: it builds a fresh simulator from the
+// system and Options this one was built with, takes the fresh
+// simulator's state (a run span set with SetRunSpan is cleared) and
+// clears the attached registry and sampler. A simulator built from an
+// arena re-carves from it, so the arena grows by one build per Reset
+// until its owner rewinds it. Sweeps build each cell on a rewound arena
+// instead (internal/harness); the one caller is the benchmark's traced
+// pass (bench -trace 1), which keeps one simulator per system.
 func (s *Simulator) Reset() {
-	s.hier.Reset()
-	s.cpuCore.Reset()
-	s.fabric.Reset()
-	s.space.Reset()
-	s.sharedHandle = addrspace.Object{}
-	s.proto.Reset()
+	fresh, err := NewWithOptions(s.sys, s.opts)
+	if err != nil {
+		// The same system and options built s, so they cannot fail now.
+		panic(err)
+	}
+	*s = *fresh
+	s.env.s = s
 	s.metrics.Reset()
 	s.sampler.Reset()
-	s.obs.Rebase()
 }
 
 // flushObs carries every count accumulated since the last flush into

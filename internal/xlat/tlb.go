@@ -107,13 +107,6 @@ func (t *TLB) Flush() {
 	}
 }
 
-// Reset returns the TLB to its just-constructed state: entries and the
-// LRU clock both cleared (the simulator Reset() lifecycle).
-func (t *TLB) Reset() {
-	t.Flush()
-	t.tick = 0
-}
-
 func (t *TLB) String() string {
 	return fmt.Sprintf("tlb(%d entries, %dB pages, reach %dKB)",
 		len(t.sets)*len(t.sets[0]), t.PageSize(), t.Reach()>>10)
