@@ -91,7 +91,7 @@ func TestExecutorCacheVerifyCatchesPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := internProgram("reduction")
+	p, _, err := internProgram("reduction")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +273,11 @@ func TestVerifySampledDeterministic(t *testing.T) {
 // TestWorkloadFingerprintDistinguishes pins that the fingerprint reacts
 // to what it must: materialized streams, transfer shape, and objects.
 func TestWorkloadFingerprintDistinguishes(t *testing.T) {
-	p1, err := internProgram("reduction")
+	p1, _, err := internProgram("reduction")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := internProgram("convolution")
+	p2, _, err := internProgram("convolution")
 	if err != nil {
 		t.Fatal(err)
 	}

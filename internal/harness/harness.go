@@ -126,12 +126,12 @@ type job struct {
 // — go through the pool.
 func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell, error) {
 	programs := make([]*workload.Program, len(kernels))
+	fps := make([]string, len(kernels))
 	for i, kernel := range kernels {
-		p, err := internProgram(kernel)
-		if err != nil {
+		var err error
+		if programs[i], fps[i], err = internProgram(kernel); err != nil {
 			return nil, err
 		}
-		programs[i] = p
 	}
 
 	n := len(kernels) * len(sysList)
@@ -161,10 +161,6 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	var pending []job
 	if e.Cache != nil {
 		keys = make([]rescache.Key, n)
-		fps := make([]string, len(programs))
-		for i, p := range programs {
-			fps[i] = WorkloadFingerprint(p)
-		}
 		for ki, p := range programs {
 			for si := range sysList {
 				idx := ki*len(sysList) + si

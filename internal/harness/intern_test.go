@@ -6,18 +6,21 @@ import (
 )
 
 func TestInternProgramSharesOneInstance(t *testing.T) {
-	a, err := internProgram("reduction")
+	a, fa, err := internProgram("reduction")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := internProgram("reduction")
+	b, fb, err := internProgram("reduction")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("internProgram returned distinct instances for one kernel")
 	}
-	if _, err := internProgram("no-such-kernel"); err == nil {
+	if fa != fb || fa != WorkloadFingerprint(a) {
+		t.Fatalf("interned fingerprints %s, %s; WorkloadFingerprint %s", fa, fb, WorkloadFingerprint(a))
+	}
+	if _, _, err := internProgram("no-such-kernel"); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -30,7 +33,7 @@ func TestInternProgramConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := internProgram("convolution")
+			p, _, err := internProgram("convolution")
 			if err != nil {
 				t.Error(err)
 				return

@@ -28,9 +28,10 @@ func PointKey(sys systems.System, p *workload.Program, opts sim.Options) rescach
 
 // cellKey assembles the key of simulating p with opts on the system
 // whose systems.Hash is spec, where fp is p's WorkloadFingerprint. The
-// hashes come in precomputed so a sweep hashes each system and kernel
-// once; PointKey and the executor both build their keys here, so the
-// two cannot drift apart.
+// hashes come in precomputed so a sweep hashes each system once and
+// reads each kernel's fingerprint from its interned program; PointKey
+// and the executor both build their keys here, so the two cannot drift
+// apart.
 func cellKey(spec string, p *workload.Program, fp string, opts sim.Options) rescache.Key {
 	return rescache.Key{
 		Spec:     spec,

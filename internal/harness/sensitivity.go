@@ -24,7 +24,7 @@ type SensitivityPoint struct {
 // dominates; at large volumes the 16 GB/s link rate does, and the gap to
 // the memory-controller path keeps widening.
 func RunTransferSensitivity(kernel string, scales []float64) ([]SensitivityPoint, error) {
-	base, err := internProgram(kernel)
+	base, _, err := internProgram(kernel)
 	if err != nil {
 		return nil, err
 	}

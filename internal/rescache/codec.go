@@ -7,18 +7,23 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
+	"unsafe"
 
 	"heteromem/internal/sim"
 )
 
 // A blob is a header — magic, the layout digest, the schema version and
-// the four key strings — followed by the sim.Result, written by one
-// reflection walk in field order: unsigned integers as uvarints, signed
-// integers as zigzag varints, strings as a uvarint length and the bytes,
-// arrays and structs element by element. The encoding is canonical: the
-// decoder accepts only minimal varints and no trailing bytes, so a blob
-// it accepts re-encodes to the same bytes.
+// the four key strings — followed by the sim.Result's leaves in field
+// order: unsigned integers as uvarints, signed integers as zigzag
+// varints, strings as a uvarint length and the bytes, arrays and structs
+// element by element. The encoding is canonical: the decoder accepts
+// only minimal varints and no trailing bytes, so a blob it accepts
+// re-encodes to the same bytes.
+//
+// The encoder, the decoder and the layout digest all walk one plan of
+// sim.Result's leaves, built once per process from its reflect.Type. A
+// leaf is read and written through its byte offset in the result, so a
+// hit makes no reflect.Value; the offsets never leave this file.
 
 // magic opens every blob.
 var magic = [4]byte{'H', 'M', 'R', 'B'}
@@ -26,12 +31,16 @@ var magic = [4]byte{'H', 'M', 'R', 'B'}
 // layoutLen is the length of the layout digest in the header.
 const layoutLen = 8
 
-// resultLayout is the digest of sim.Result's layout: every leaf's field
-// path and kind, in walk order. Adding, removing, reordering, renaming
-// or retyping a field changes it, so blobs written before the change
-// read back as stale misses instead of decoding into the wrong fields.
-// layoutErr is set if sim.Result has a field the walk cannot encode.
-var resultLayout, layoutErr = layoutDigest(reflect.TypeFor[sim.Result]())
+// resultPlan is sim.Result's plan. resultLayout is the digest of its
+// layout: every leaf's field path and kind. Adding, removing,
+// reordering, renaming or retyping a field changes it, so blobs written
+// before the change read back as stale misses instead of decoding into
+// the wrong fields. layoutErr is set if sim.Result has a field the plan
+// cannot encode.
+var (
+	resultPlan, layoutErr = planOf[sim.Result]()
+	resultLayout          = resultPlan.digest()
+)
 
 var (
 	errMagic  = errors.New("not a result blob")
@@ -41,15 +50,41 @@ var (
 	errStale  = errors.New("written under another schema or key")
 )
 
-// layoutDigest walks t and digests its leaves' paths and kinds.
-func layoutDigest(t reflect.Type) ([layoutLen]byte, error) {
-	var b strings.Builder
-	err := describe(&b, t, t.Name())
-	sum := sha256.Sum256([]byte(b.String()))
-	return [layoutLen]byte(sum[:layoutLen]), err
+// layout is a struct type's leaves in encoding order, with the text its
+// digest hashes: one line of path and kind per leaf, each array
+// described once, by its first element.
+type layout struct {
+	leaves []leaf
+	text   []byte
 }
 
-func describe(b *strings.Builder, t reflect.Type, path string) error {
+// leaf is one integer or string field, off bytes into the value. Its
+// path names it from the type down, an array by its length
+// ("Result.Mem.L1Hits[2]"), so the elements of an array share a path.
+type leaf struct {
+	off  uintptr
+	kind reflect.Kind
+	size uintptr
+	path string
+}
+
+// plan is the layout of T, which encodes and decodes T's values.
+type plan[T any] struct{ layout }
+
+// planOf builds T's plan. A field the blob cannot hold — unexported, or
+// a map, slice, float, pointer, bool or other kind — is an error naming
+// its path, and ends the plan there.
+func planOf[T any]() (*plan[T], error) {
+	p := &plan[T]{}
+	t := reflect.TypeFor[T]()
+	return p, p.add(t, 0, t.Name(), true, true)
+}
+
+// add appends the leaves of a t at offset off. encode and describe say
+// whether they go into the blob and into the digested text: an array's
+// later elements are encoded but not described, and an empty array is
+// described but not encoded.
+func (l *layout) add(t reflect.Type, off uintptr, path string, encode, describe bool) error {
 	switch t.Kind() {
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
@@ -57,20 +92,82 @@ func describe(b *strings.Builder, t reflect.Type, path string) error {
 			if !f.IsExported() {
 				return fmt.Errorf("rescache: cannot encode %s.%s: unexported field", path, f.Name)
 			}
-			if err := describe(b, f.Type, path+"."+f.Name); err != nil {
+			if err := l.add(f.Type, off+f.Offset, path+"."+f.Name, encode, describe); err != nil {
 				return err
 			}
 		}
 		return nil
 	case reflect.Array:
-		return describe(b, t.Elem(), fmt.Sprintf("%s[%d]", path, t.Len()))
+		elem, path := t.Elem(), fmt.Sprintf("%s[%d]", path, t.Len())
+		if t.Len() == 0 {
+			return l.add(elem, off, path, false, describe)
+		}
+		for i := 0; i < t.Len(); i++ {
+			if err := l.add(elem, off+uintptr(i)*elem.Size(), path, encode, describe && i == 0); err != nil {
+				return err
+			}
+		}
+		return nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.String:
-		fmt.Fprintf(b, "%s %s\n", path, t.Kind())
+		if describe {
+			l.text = fmt.Appendf(l.text, "%s %s\n", path, t.Kind())
+		}
+		if encode {
+			l.leaves = append(l.leaves, leaf{off: off, kind: t.Kind(), size: t.Size(), path: path})
+		}
 		return nil
 	}
 	return fmt.Errorf("rescache: cannot encode %s: %s field", path, t.Kind())
+}
+
+func (l *layout) digest() [layoutLen]byte {
+	sum := sha256.Sum256(l.text)
+	return [layoutLen]byte(sum[:layoutLen])
+}
+
+// append appends v's leaves to buf.
+func (p *plan[T]) append(buf []byte, v *T) []byte {
+	base := unsafe.Pointer(v)
+	for i := range p.leaves {
+		l := &p.leaves[i]
+		at := unsafe.Add(base, l.off)
+		switch l.kind {
+		case reflect.String:
+			buf = appendString(buf, *(*string)(at))
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			buf = binary.AppendVarint(buf, loadInt(at, l.size))
+		default:
+			buf = binary.AppendUvarint(buf, loadUint(at, l.size))
+		}
+	}
+	return buf
+}
+
+// decode reads v's leaves from d, failing d at the first malformed one
+// or an integer too wide for its field.
+func (p *plan[T]) decode(d *decoder, v *T) {
+	base := unsafe.Pointer(v)
+	for i := range p.leaves {
+		l := &p.leaves[i]
+		at := unsafe.Add(base, l.off)
+		ok := true
+		switch l.kind {
+		case reflect.String:
+			*(*string)(at) = d.string()
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			ok = storeInt(at, l.size, d.varint())
+		default:
+			ok = storeUint(at, l.size, d.uvarint())
+		}
+		if !ok {
+			d.fail()
+		}
+		if d.bad {
+			return
+		}
+	}
 }
 
 // appendEnvelope appends env's blob to buf.
@@ -81,7 +178,7 @@ func appendEnvelope(buf []byte, env *envelope) []byte {
 	for _, s := range [...]string{env.Key.Spec, env.Key.Kernel, env.Key.Workload, env.Key.Options} {
 		buf = appendString(buf, s)
 	}
-	return appendValue(buf, reflect.ValueOf(&env.Result).Elem())
+	return resultPlan.append(buf, &env.Result)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -89,24 +186,63 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendValue(buf []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			buf = appendValue(buf, v.Field(i))
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			buf = appendValue(buf, v.Index(i))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		buf = binary.AppendUvarint(buf, v.Uint())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		buf = binary.AppendVarint(buf, v.Int())
-	case reflect.String:
-		buf = appendString(buf, v.String())
+// loadUint and loadInt read the integer of the given size at p.
+// storeUint and storeInt write x there and report whether it fits; the
+// decoder fails on a value that does not, whatever they wrote.
+func loadUint(p unsafe.Pointer, size uintptr) uint64 {
+	switch size {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
+	case 4:
+		return uint64(*(*uint32)(p))
 	}
-	return buf
+	return *(*uint64)(p)
+}
+
+func loadInt(p unsafe.Pointer, size uintptr) int64 {
+	switch size {
+	case 1:
+		return int64(*(*int8)(p))
+	case 2:
+		return int64(*(*int16)(p))
+	case 4:
+		return int64(*(*int32)(p))
+	}
+	return *(*int64)(p)
+}
+
+func storeUint(p unsafe.Pointer, size uintptr, x uint64) bool {
+	switch size {
+	case 1:
+		*(*uint8)(p) = uint8(x)
+		return x <= math.MaxUint8
+	case 2:
+		*(*uint16)(p) = uint16(x)
+		return x <= math.MaxUint16
+	case 4:
+		*(*uint32)(p) = uint32(x)
+		return x <= math.MaxUint32
+	}
+	*(*uint64)(p) = x
+	return true
+}
+
+func storeInt(p unsafe.Pointer, size uintptr, x int64) bool {
+	switch size {
+	case 1:
+		*(*int8)(p) = int8(x)
+		return x == int64(int8(x))
+	case 2:
+		*(*int16)(p) = int16(x)
+		return x == int64(int16(x))
+	case 4:
+		*(*int32)(p) = int32(x)
+		return x == int64(int32(x))
+	}
+	*(*int64)(p) = x
+	return true
 }
 
 // decodeResult decodes the result of a blob probed under schema and
@@ -162,7 +298,13 @@ func (d *decoder) fail() {
 
 // uvarint reads a minimally encoded uvarint: a longer encoding of the
 // same value ends in a zero byte, and would not re-encode to itself.
+// Most leaves of a result are small, so a one-byte value is read first.
 func (d *decoder) uvarint() uint64 {
+	if len(d.data) > 0 && d.data[0] < 0x80 {
+		x := uint64(d.data[0])
+		d.data = d.data[1:]
+		return x
+	}
 	x, n := binary.Uvarint(d.data)
 	if n <= 0 || (n > 1 && d.data[n-1] == 0) {
 		d.fail()
@@ -211,7 +353,7 @@ func (d *decoder) schema() int {
 
 // result decodes the sim.Result that ends the blob.
 func (d *decoder) result(res *sim.Result) error {
-	d.value(reflect.ValueOf(res).Elem())
+	resultPlan.decode(d, res)
 	switch {
 	case d.bad:
 		return errShort
@@ -219,33 +361,4 @@ func (d *decoder) result(res *sim.Result) error {
 		return errExtra
 	}
 	return nil
-}
-
-func (d *decoder) value(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField() && !d.bad; i++ {
-			d.value(v.Field(i))
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len() && !d.bad; i++ {
-			d.value(v.Index(i))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if x := d.uvarint(); !v.OverflowUint(x) {
-			v.SetUint(x)
-		} else {
-			d.fail()
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if x := d.varint(); !v.OverflowInt(x) {
-			v.SetInt(x)
-		} else {
-			d.fail()
-		}
-	case reflect.String:
-		v.SetString(d.string())
-	default:
-		d.fail()
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,10 +58,33 @@ func fillLeaves(t *testing.T, v reflect.Value, path string, n *uint64) {
 	}
 }
 
+// leavesOf lists the settable leaves under v, the integers and strings
+// a reflection walk reaches.
+func leavesOf(v reflect.Value) []reflect.Value {
+	switch v.Kind() {
+	case reflect.Struct:
+		var out []reflect.Value
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, leavesOf(v.Field(i))...)
+		}
+		return out
+	case reflect.Array:
+		var out []reflect.Value
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, leavesOf(v.Index(i))...)
+		}
+		return out
+	}
+	return []reflect.Value{v}
+}
+
 // TestCodecCoversEveryResultField sets every leaf of sim.Result to a
 // distinct value and requires the blob round trip to reproduce it
-// exactly. A field of a kind the codec cannot encode (map, slice,
-// float, pointer, bool, unexported) fails here and in layoutErr.
+// exactly, in the bytes the reference reflection walk writes. Then it
+// perturbs each leaf a reflection walk reaches, one at a time: the blob
+// must change and decode to the perturbed result, so a field the plan
+// skips fails here. A field of a kind the codec cannot encode (map,
+// slice, float, pointer, bool, unexported) fails here and in layoutErr.
 func TestCodecCoversEveryResultField(t *testing.T) {
 	if layoutErr != nil {
 		t.Fatal(layoutErr)
@@ -71,7 +95,14 @@ func TestCodecCoversEveryResultField(t *testing.T) {
 	if leaves < 60 {
 		t.Fatalf("walked only %d leaves of sim.Result", leaves)
 	}
+	if n := len(resultPlan.leaves); n != int(leaves) {
+		t.Fatalf("plan has %d leaves, a reflection walk %d", n, leaves)
+	}
 	blob := appendEnvelope(nil, &env)
+	header := len(appendEnvelope(nil, &envelope{Schema: env.Schema, Key: env.Key})) - len(resultPlan.append(nil, &sim.Result{}))
+	if ref := referenceAppendResult(nil, &env.Result); !bytes.Equal(blob[header:], ref) {
+		t.Fatalf("plan encoding differs from the reference walk:\n plan %x\n  ref %x", blob[header:], ref)
+	}
 	got, err := decodeEnvelope(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +113,100 @@ func TestCodecCoversEveryResultField(t *testing.T) {
 	if again := appendEnvelope(nil, &got); !bytes.Equal(again, blob) {
 		t.Fatal("re-encoding is not byte-identical")
 	}
+
+	root := reflect.ValueOf(&env.Result).Elem()
+	for i, v := range leavesOf(root) {
+		if off := v.UnsafeAddr() - root.UnsafeAddr(); resultPlan.leaves[i].off != off {
+			t.Fatalf("leaf %d (%s): plan offset %d, field offset %d", i, resultPlan.leaves[i].path, resultPlan.leaves[i].off, off)
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() ^ 1)
+		default:
+			v.SetUint(v.Uint() ^ 1)
+		}
+		perturbed := appendEnvelope(nil, &env)
+		if bytes.Equal(perturbed, blob) {
+			t.Errorf("leaf %d (%s): perturbing it leaves the blob unchanged", i, resultPlan.leaves[i].path)
+		}
+		if got, err := decodeEnvelope(perturbed); err != nil || !reflect.DeepEqual(got, env) {
+			t.Errorf("leaf %d (%s): perturbed blob decodes to %+v, %v", i, resultPlan.leaves[i].path, got.Result, err)
+		}
+		v.Set(old)
+	}
+}
+
+// TestPlanNarrowIntegers runs the plan over integers narrower than 64
+// bits, which sim.Result does not have today: each leaf takes its
+// extremes and the values just past them, and the plan's decoder must
+// accept and reject exactly what the reference reflection decoder does,
+// decoding to the same value. A value past an extreme must be rejected.
+func TestPlanNarrowIntegers(t *testing.T) {
+	type narrow struct {
+		U8  uint8
+		I8  int8
+		U16 uint16
+		I16 int16
+		U32 uint32
+		I32 int32
+		A   [2]int8
+		S   string
+	}
+	p, err := planOf[narrow]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := map[reflect.Kind][][2]int64{ // value, 1 if it fits
+		reflect.Uint8:  {{0, 1}, {math.MaxUint8, 1}, {math.MaxUint8 + 1, 0}},
+		reflect.Uint16: {{math.MaxUint16, 1}, {math.MaxUint16 + 1, 0}},
+		reflect.Uint32: {{math.MaxUint32, 1}, {math.MaxUint32 + 1, 0}},
+		reflect.Int8:   {{math.MinInt8, 1}, {math.MaxInt8, 1}, {math.MinInt8 - 1, 0}, {math.MaxInt8 + 1, 0}},
+		reflect.Int16:  {{math.MinInt16, 1}, {math.MaxInt16, 1}, {math.MinInt16 - 1, 0}, {math.MaxInt16 + 1, 0}},
+		reflect.Int32:  {{math.MinInt32, 1}, {math.MaxInt32, 1}, {math.MinInt32 - 1, 0}, {math.MaxInt32 + 1, 0}},
+	}
+	for i, l := range p.leaves {
+		for _, e := range edges[l.kind] {
+			var data []byte
+			for j, m := range p.leaves {
+				switch {
+				case m.kind == reflect.String:
+					data = appendString(data, "s")
+				case j != i:
+					data = append(data, 0)
+				case m.kind >= reflect.Uint:
+					data = binary.AppendUvarint(data, uint64(e[0]))
+				default:
+					data = binary.AppendVarint(data, e[0])
+				}
+			}
+			var got, want narrow
+			d := decoder{data: data}
+			p.decode(&d, &got)
+			ref := decoder{data: data}
+			ref.referenceValue(reflect.ValueOf(&want).Elem())
+			switch {
+			case d.bad != ref.bad:
+				t.Errorf("%s = %d: plan rejects %v, reference rejects %v", l.path, e[0], d.bad, ref.bad)
+			case d.bad != (e[1] == 0):
+				t.Errorf("%s = %d: rejected %v, want %v", l.path, e[0], d.bad, e[1] == 0)
+			case !d.bad && got != want:
+				t.Errorf("%s = %d: plan decodes %+v, reference %+v", l.path, e[0], got, want)
+			case !d.bad && !bytes.Equal(p.append(nil, &got), data):
+				t.Errorf("%s = %d: does not re-encode to its bytes", l.path, e[0])
+			}
+		}
+	}
+}
+
+// layoutDigest digests t's layout, as resultLayout digests sim.Result's.
+func layoutDigest(t reflect.Type) ([layoutLen]byte, error) {
+	var l layout
+	err := l.add(t, 0, t.Name(), true, true)
+	return l.digest(), err
 }
 
 // TestLayoutDigest pins what the layout digest reacts to: any change
@@ -97,6 +222,26 @@ func TestLayoutDigest(t *testing.T) {
 	want, err := layoutDigest(reflect.TypeFor[base]())
 	if err != nil {
 		t.Fatal(err)
+	}
+	type withArrays struct {
+		A [3][2]struct {
+			X int64
+			S string
+		}
+		E [0]uint32
+		N uint8
+	}
+	// The plan's digest is the reference walk's on every layout, so the
+	// digest of sim.Result, and every blob's header, is unchanged.
+	for _, typ := range []reflect.Type{reflect.TypeFor[sim.Result](), reflect.TypeFor[base](), reflect.TypeFor[withArrays]()} {
+		got, err := layoutDigest(typ)
+		ref, rerr := referenceLayoutDigest(typ)
+		if err != nil || rerr != nil || got != ref {
+			t.Errorf("%v: layout digest %x (%v), reference %x (%v)", typ, got, err, ref, rerr)
+		}
+	}
+	if ref, _ := referenceLayoutDigest(reflect.TypeFor[sim.Result]()); resultLayout != ref {
+		t.Errorf("resultLayout %x, reference %x", resultLayout, ref)
 	}
 	type renamed struct {
 		M uint64
@@ -150,6 +295,9 @@ func TestLayoutDigest(t *testing.T) {
 		if err == nil {
 			t.Errorf("%v: no error for a field the codec cannot encode", typ)
 			continue
+		}
+		if _, rerr := referenceLayoutDigest(typ); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%v: error %q, reference %v", typ, err, rerr)
 		}
 		if name := typ.Field(0).Name; !strings.Contains(err.Error(), "."+name) {
 			t.Errorf("%v: error %q does not name field %s", typ, err, name)
@@ -289,5 +437,21 @@ func TestJSONStoreRefillsOnce(t *testing.T) {
 	}
 	if v := fmt.Sprintf("v%d", SchemaVersion); filepath.Ext(fresh.blobPath(digest)) != ".bin" || !strings.Contains(fresh.blobPath(digest), v) {
 		t.Fatalf("blob path %s, want %s/<dd>/<digest>.bin", fresh.blobPath(digest), v)
+	}
+}
+
+// BenchmarkDecodeResult prices decoding one blob as a probe does: the
+// header, the schema and key compared in place, and every leaf of a
+// sim.Result whose leaves all hold distinct, multi-byte values.
+func BenchmarkDecodeResult(b *testing.B) {
+	env := envelope{Schema: SchemaVersion, Key: testKey("bench")}
+	var leaves uint64
+	fillLeaves(&testing.T{}, reflect.ValueOf(&env.Result).Elem(), "", &leaves)
+	blob := appendEnvelope(nil, &env)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeResult(blob, SchemaVersion, env.Key); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

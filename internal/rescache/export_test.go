@@ -18,9 +18,9 @@ func decodeEnvelope(data []byte) (envelope, error) {
 	return env, nil
 }
 
-// EncodeBlob, DecodeBlob and DecodeResult expose the blob codec to the
-// external test package, whose fuzz target seeds itself from simulated
-// results.
+// EncodeBlob, DecodeBlob, DecodeResult and ReferenceDecodeBlob expose
+// the blob codec, and the reference reflection decoder, to the external
+// test package, whose fuzz target seeds itself from simulated results.
 func EncodeBlob(schema int, key Key, res sim.Result) []byte {
 	return appendEnvelope(nil, &envelope{Schema: schema, Key: key, Result: res})
 }
@@ -32,4 +32,9 @@ func DecodeBlob(data []byte) (schema int, key Key, res sim.Result, err error) {
 
 func DecodeResult(data []byte, schema int, key Key) (sim.Result, error) {
 	return decodeResult(data, schema, key)
+}
+
+func ReferenceDecodeBlob(data []byte) (schema int, key Key, res sim.Result, err error) {
+	env, err := referenceDecodeEnvelope(data)
+	return env.Schema, env.Key, env.Result, err
 }

@@ -14,9 +14,11 @@ import (
 // bytes: the encoding is canonical, so an accepted blob is exactly the
 // one Put would have written. The probe's decoder, which checks the
 // schema and key in place, must accept exactly the blobs of its own
-// schema and key, and return the same result. The corpus is seeded with blobs of the
-// case-study results, their truncations and a blob of the JSON-envelope
-// format.
+// schema and key, and return the same result. The reference decoder,
+// the plain reflection walk the plan replaced, must accept exactly the
+// blobs the plan's decoder accepts and decode them to the same result.
+// The corpus is seeded with blobs of the case-study results, their
+// truncations and a blob of the JSON-envelope format.
 func FuzzDecodeEnvelope(f *testing.F) {
 	cells, err := harness.RunCaseStudies([]string{"reduction"})
 	if err != nil {
@@ -37,6 +39,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		schema, key, res, err := rescache.DecodeBlob(data)
+		rschema, rkey, rres, rerr := rescache.ReferenceDecodeBlob(data)
+		if (err == nil) != (rerr == nil) || err == nil && (schema != rschema || key != rkey || res != rres) {
+			t.Fatalf("plan and reference decoders disagree: %v, %v", err, rerr)
+		}
 		if err != nil {
 			if _, perr := rescache.DecodeResult(data, schema, key); perr == nil {
 				t.Fatalf("probe decoder accepted a blob the envelope decoder rejects (%v)", err)

@@ -55,6 +55,12 @@ func Save(s System) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return marshal(s)
+}
+
+// marshal is Save without the validation: the bytes appendSave must
+// reproduce.
+func marshal(s System) ([]byte, error) {
 	j := systemJSON[config.CommParams]{
 		Name:                  s.Name,
 		Model:                 s.Model,
