@@ -211,6 +211,9 @@ func main() {
 		if err := cache.Err(); err != nil {
 			log.Printf("warning: cache degraded to memory-only: %v", err)
 		}
+		if err := cache.Close(); err != nil {
+			log.Printf("warning: closing the cache: %v", err)
+		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

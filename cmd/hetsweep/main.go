@@ -93,6 +93,9 @@ func main() {
 			if err := cache.Err(); err != nil {
 				log.Printf("warning: cache writes degraded to memory-only: %v", err)
 			}
+			if err := cache.Close(); err != nil {
+				log.Printf("warning: closing the cache: %v", err)
+			}
 		}()
 	} else if *cacheVerify > 0 {
 		log.Fatal("-cache-verify needs -cache")

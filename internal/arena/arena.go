@@ -34,10 +34,13 @@ import (
 )
 
 const (
-	// slabMin is the smallest element count a fresh batching slab holds;
-	// batching slabs double as a type's demand grows, bounding slab count
-	// logarithmically.
-	slabMin = 1024
+	// slabMinBytes is the smallest footprint of a type's first batching
+	// slab, however large its elements; batching slabs double as a
+	// type's demand grows, bounding slab count logarithmically. A
+	// minimum in elements would make a large element type's first slab
+	// large, though a type such as the DRAM bank state asks for a few
+	// dozen elements.
+	slabMinBytes = 8 << 10
 	// exactCut sends requests of at least this many elements to their own
 	// exact-fit slab instead of the doubling curve. Large carvings (replay
 	// rings, L3 tag columns) would otherwise trigger slabs up to twice
@@ -155,7 +158,7 @@ func Make[T any](a *Arena, n int) []T {
 		// Small requests batch into doubling slabs so hundreds of little
 		// carvings still cost a logarithmic number of allocations.
 		if n < exactCut {
-			p.small = max(p.small, slabMin)
+			p.small = max(p.small, slabMinBytes/max(int(rt.Elem().Size()), 1), 1)
 			size = max(n, p.small)
 			p.small = min(2*p.small, slabCap)
 		}

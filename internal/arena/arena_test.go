@@ -88,11 +88,36 @@ func TestMixedTypesShareOneArena(t *testing.T) {
 
 func TestOversizedRequestGetsOwnSlab(t *testing.T) {
 	a := New()
-	big := Make[uint64](a, 3*slabMin)
-	if len(big) != 3*slabMin {
+	const n = 3 * slabMinBytes / 8
+	big := Make[uint64](a, n)
+	if len(big) != n {
 		t.Fatalf("len = %d", len(big))
 	}
-	big[3*slabMin-1] = 1
+	big[n-1] = 1
+}
+
+func TestLargeElementsFirstSlab(t *testing.T) {
+	// A type's first batching slab holds slabMinBytes, not a fixed
+	// element count: a few carvings of a large element type retain at
+	// most that, and an element larger than it retains only itself.
+	type bank struct{ state [24]uint64 }
+	a := New()
+	for range 3 {
+		Make[bank](a, 2)
+	}
+	if a.Bytes() > slabMinBytes {
+		t.Fatalf("three carvings of a %d-byte type retained %d bytes, want at most %d", 24*8, a.Bytes(), slabMinBytes)
+	}
+	type huge struct{ b [2 * slabMinBytes]byte }
+	b := New()
+	Make[huge](b, 1)
+	if got := b.Bytes(); got != 2*slabMinBytes {
+		t.Fatalf("one %d-byte element retained %d bytes", 2*slabMinBytes, got)
+	}
+	type empty struct{}
+	if e := Make[empty](New(), 3); len(e) != 3 {
+		t.Fatalf("len = %d, want 3", len(e))
+	}
 }
 
 func TestLargeRequestsExactFit(t *testing.T) {
@@ -136,7 +161,7 @@ func TestExactCarvingsStrandNoBatchingRoom(t *testing.T) {
 	// batching slab: while that slab has room for the next small
 	// carving, no batching slab is opened.
 	a := New()
-	const big, small = 2 * exactCut, slabMin
+	const big, small = 2 * exactCut, slabMinBytes / 8
 	room := 0 // free elements left in the current batching slab
 	for i := 0; i < 16; i++ {
 		before := a.Bytes()

@@ -149,8 +149,8 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 	// Cache probe phase: resolve every hit before the pool spins up, so
 	// a warm sweep never constructs a simulator. pending collects the
 	// jobs that still need a worker (misses, and hits sampled for
-	// verification); hits remembers what to report to the observer once
-	// it has begun.
+	// verification); hits remembers what to report to the observer, if
+	// there is one, once it has begun.
 	type hit struct {
 		ki, si  int
 		probeNS int64
@@ -165,7 +165,11 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 			for si := range sysList {
 				idx := ki*len(sysList) + si
 				keys[idx] = cellKey(specs[si], p, fps[ki], sim.Options{})
-				at := time.Now()
+				// Only an observer reports a hit's probe time.
+				var at time.Time
+				if obsv != nil {
+					at = time.Now()
+				}
 				res, ok := e.Cache.Get(keys[idx])
 				if !ok {
 					pending = append(pending, job{ki: ki, si: si})
@@ -175,7 +179,9 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				// the same point hits, so restamp the cell's own labels.
 				res.System, res.Kernel = sysList[si].Name, p.Name
 				cells[idx] = Cell{System: sysList[si].Name, Kernel: p.Name, Result: res}
-				hits = append(hits, hit{ki: ki, si: si, probeNS: int64(time.Since(at)), at: at})
+				if obsv != nil {
+					hits = append(hits, hit{ki: ki, si: si, probeNS: int64(time.Since(at)), at: at})
+				}
 				if verifySampled(keys[idx], e.CacheVerify) {
 					pending = append(pending, job{ki: ki, si: si, verify: true})
 				}

@@ -33,12 +33,7 @@ func PointKey(sys systems.System, p *workload.Program, opts sim.Options) rescach
 // and the executor both build their keys here, so the two cannot drift
 // apart.
 func cellKey(spec string, p *workload.Program, fp string, opts sim.Options) rescache.Key {
-	return rescache.Key{
-		Spec:     spec,
-		Kernel:   p.Name,
-		Workload: fp,
-		Options:  optionsFingerprint(opts),
-	}
+	return rescache.NewKey(spec, p.Name, fp, optionsFingerprint(opts))
 }
 
 // phaseFP pins one phase's shape. Generator-backed compute phases are

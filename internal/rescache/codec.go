@@ -9,7 +9,10 @@ import (
 	"reflect"
 	"unsafe"
 
+	"heteromem/internal/comm"
+	"heteromem/internal/memtech"
 	"heteromem/internal/sim"
+	"heteromem/internal/xlat"
 )
 
 // A blob is a header — magic, the layout digest, the schema version and
@@ -23,7 +26,9 @@ import (
 // The encoder, the decoder and the layout digest all walk one plan of
 // sim.Result's leaves, built once per process from its reflect.Type. A
 // leaf is read and written through its byte offset in the result, so a
-// hit makes no reflect.Value; the offsets never leave this file.
+// hit makes no reflect.Value; the offsets never leave this file. A
+// string leaf that holds one of a fixed set of names decodes to that
+// name without allocating a copy of it (see resultNames).
 
 // magic opens every blob.
 var magic = [4]byte{'H', 'M', 'R', 'B'}
@@ -38,9 +43,32 @@ const layoutLen = 8
 // the wrong fields. layoutErr is set if sim.Result has a field the plan
 // cannot encode.
 var (
-	resultPlan, layoutErr = planOf[sim.Result]()
+	resultPlan, layoutErr = planOf[sim.Result](resultNames())
 	resultLayout          = resultPlan.digest()
 )
+
+// resultNames lists, by leaf path, the simulator's fixed name sets that
+// a sim.Result's string fields take their values from: the memory
+// technologies, the fabrics and the labels of the translation presets.
+// The names do not enter the layout digest or the blob; they only spare
+// a decode the copy of a string it already has.
+func resultNames() map[string][]string {
+	var memTechs, fabrics, translations []string
+	for _, k := range memtech.AllKinds() {
+		memTechs = append(memTechs, k.String())
+	}
+	for _, k := range comm.AllKinds() {
+		fabrics = append(fabrics, k.String())
+	}
+	for _, name := range xlat.Presets() {
+		translations = append(translations, xlat.MustParsePreset(name).Label())
+	}
+	return map[string][]string{
+		"Result.MemTech":     memTechs,
+		"Result.FabricName":  fabrics,
+		"Result.Translation": translations,
+	}
+}
 
 var (
 	errMagic  = errors.New("not a result blob")
@@ -56,27 +84,32 @@ var (
 type layout struct {
 	leaves []leaf
 	text   []byte
+	names  map[string][]string // given to the string leaves, by path
 }
 
 // leaf is one integer or string field, off bytes into the value. Its
 // path names it from the type down, an array by its length
 // ("Result.Mem.L1Hits[2]"), so the elements of an array share a path.
+// names, for a string leaf, are the values decode reuses.
 type leaf struct {
-	off  uintptr
-	kind reflect.Kind
-	size uintptr
-	path string
+	off   uintptr
+	kind  reflect.Kind
+	size  uintptr
+	path  string
+	names []string
 }
 
 // plan is the layout of T, which encodes and decodes T's values.
 type plan[T any] struct{ layout }
 
-// planOf builds T's plan. A field the blob cannot hold — unexported, or
-// a map, slice, float, pointer, bool or other kind — is an error naming
-// its path, and ends the plan there.
-func planOf[T any]() (*plan[T], error) {
+// planOf builds T's plan, giving each string leaf the names listed
+// under its path. A field the blob cannot hold — unexported, or a map,
+// slice, float, pointer, bool or other kind — is an error naming its
+// path, and ends the plan there.
+func planOf[T any](names map[string][]string) (*plan[T], error) {
 	p := &plan[T]{}
 	t := reflect.TypeFor[T]()
+	p.names = names
 	return p, p.add(t, 0, t.Name(), true, true)
 }
 
@@ -115,7 +148,7 @@ func (l *layout) add(t reflect.Type, off uintptr, path string, encode, describe 
 			l.text = fmt.Appendf(l.text, "%s %s\n", path, t.Kind())
 		}
 		if encode {
-			l.leaves = append(l.leaves, leaf{off: off, kind: t.Kind(), size: t.Size(), path: path})
+			l.leaves = append(l.leaves, leaf{off: off, kind: t.Kind(), size: t.Size(), path: path, names: l.names[path]})
 		}
 		return nil
 	}
@@ -146,8 +179,9 @@ func (p *plan[T]) append(buf []byte, v *T) []byte {
 }
 
 // decode reads v's leaves from d, failing d at the first malformed one
-// or an integer too wide for its field.
-func (p *plan[T]) decode(d *decoder, v *T) {
+// or an integer too wide for its field. A string equal to reuse or to
+// one of its leaf's names is that string, not a copy.
+func (p *plan[T]) decode(d *decoder, v *T, reuse string) {
 	base := unsafe.Pointer(v)
 	for i := range p.leaves {
 		l := &p.leaves[i]
@@ -155,7 +189,7 @@ func (p *plan[T]) decode(d *decoder, v *T) {
 		ok := true
 		switch l.kind {
 		case reflect.String:
-			*(*string)(at) = d.string()
+			*(*string)(at) = d.name(reuse, l.names)
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 			ok = storeInt(at, l.size, d.varint())
 		default:
@@ -251,7 +285,9 @@ func storeInt(p unsafe.Pointer, size uintptr, x int64) bool {
 // report a blob of another format or layout. The blob's schema and key
 // strings are compared in place, without copying them out, and a blob
 // of another schema or key fails with errStale before its result is
-// decoded.
+// decoded. A result string equal to the key's kernel, or to a name of
+// the simulator's fixed sets, reuses that string, so decoding a sweep's
+// blob allocates only its system name.
 func decodeResult(data []byte, schema int, key Key) (sim.Result, error) {
 	d, err := openBlob(data)
 	if err != nil {
@@ -265,7 +301,7 @@ func decodeResult(data []byte, schema int, key Key) (sim.Result, error) {
 		return sim.Result{}, errStale
 	}
 	var res sim.Result
-	if err := d.result(&res); err != nil {
+	if err := d.result(&res, key.Kernel); err != nil {
 		return sim.Result{}, err
 	}
 	return res, nil
@@ -321,14 +357,28 @@ func (d *decoder) varint() int64 {
 }
 
 func (d *decoder) string() string {
+	return d.name("", nil)
+}
+
+// name reads a string, returning reuse or the first of names it equals
+// instead of a copy of the blob's bytes.
+func (d *decoder) name(reuse string, names []string) string {
 	n := d.uvarint()
 	if n > uint64(len(d.data)) {
 		d.fail()
 		return ""
 	}
-	s := string(d.data[:n])
+	b := d.data[:n]
 	d.data = d.data[n:]
-	return s
+	if string(b) == reuse {
+		return reuse
+	}
+	for _, name := range names {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // match reads a string and reports whether it equals s, without
@@ -351,9 +401,10 @@ func (d *decoder) schema() int {
 	return int(x)
 }
 
-// result decodes the sim.Result that ends the blob.
-func (d *decoder) result(res *sim.Result) error {
-	resultPlan.decode(d, res)
+// result decodes the sim.Result that ends the blob, reusing reuse for
+// any string equal to it.
+func (d *decoder) result(res *sim.Result, reuse string) error {
+	resultPlan.decode(d, res, reuse)
 	switch {
 	case d.bad:
 		return errShort

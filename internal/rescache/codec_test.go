@@ -156,7 +156,7 @@ func TestPlanNarrowIntegers(t *testing.T) {
 		A   [2]int8
 		S   string
 	}
-	p, err := planOf[narrow]()
+	p, err := planOf[narrow](nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPlanNarrowIntegers(t *testing.T) {
 			}
 			var got, want narrow
 			d := decoder{data: data}
-			p.decode(&d, &got)
+			p.decode(&d, &got, "")
 			ref := decoder{data: data}
 			ref.referenceValue(reflect.ValueOf(&want).Elem())
 			switch {
@@ -442,16 +442,60 @@ func TestJSONStoreRefillsOnce(t *testing.T) {
 
 // BenchmarkDecodeResult prices decoding one blob as a probe does: the
 // header, the schema and key compared in place, and every leaf of a
-// sim.Result whose leaves all hold distinct, multi-byte values.
+// sim.Result whose integer leaves all hold distinct, multi-byte values.
+// In "sweep" the strings are those a sweep's blob holds: the key's
+// kernel and names from the simulator's fixed sets, which decode
+// without a copy, and a system name, which is copied. In "other-names"
+// every string is one the decoder has no copy of.
 func BenchmarkDecodeResult(b *testing.B) {
 	env := envelope{Schema: SchemaVersion, Key: testKey("bench")}
 	var leaves uint64
 	fillLeaves(&testing.T{}, reflect.ValueOf(&env.Result).Elem(), "", &leaves)
-	blob := appendEnvelope(nil, &env)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeResult(blob, SchemaVersion, env.Key); err != nil {
-			b.Fatal(err)
+	other := appendEnvelope(nil, &env)
+	env.Result.Kernel = env.Key.Kernel
+	env.Result.MemTech = "hbm"
+	env.Result.Translation = "xlat-shared-2m"
+	env.Result.FabricName = "pci-aperture"
+	sweep := appendEnvelope(nil, &env)
+	for _, bc := range []struct {
+		name string
+		blob []byte
+	}{{"sweep", sweep}, {"other-names", other}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeResult(bc.blob, SchemaVersion, env.Key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeReusesNames pins what BenchmarkDecodeResult's "sweep" blob
+// allocates: its system name and nothing else. Every string a sim.Result
+// of the simulator's fixed sets holds decodes to the set's own string.
+func TestDecodeReusesNames(t *testing.T) {
+	key := testKey("names")
+	for path, names := range resultNames() {
+		found := false
+		for _, l := range resultPlan.leaves {
+			found = found || l.path == path && l.kind == reflect.String && len(l.names) == len(names)
 		}
+		if !found || len(names) == 0 {
+			t.Errorf("names %q: no string leaf of sim.Result at %s carries them", names, path)
+		}
+	}
+	res := testResult(3)
+	res.FabricName = "memctrl"
+	blob := appendEnvelope(nil, &envelope{Schema: SchemaVersion, Key: key, Result: res})
+	allocs := testing.AllocsPerRun(100, func() {
+		got, err := decodeResult(blob, SchemaVersion, key)
+		if err != nil || got != res {
+			t.Fatalf("decoded %+v, %v", got, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("decoding allocated %v times, want at most 1 (the system name)", allocs)
 	}
 }

@@ -12,10 +12,15 @@ func decodeEnvelope(data []byte) (envelope, error) {
 	}
 	env := envelope{Schema: d.schema()}
 	env.Key = Key{Spec: d.string(), Kernel: d.string(), Workload: d.string(), Options: d.string()}
-	if err := d.result(&env.Result); err != nil {
+	if err := d.result(&env.Result, ""); err != nil {
 		return envelope{}, err
 	}
 	return env, nil
+}
+
+// blobPath is the path of the blob of the key with the given digest.
+func (s *Store) blobPath(digest string) string {
+	return s.disk.blobPath(digest)
 }
 
 // EncodeBlob, DecodeBlob, DecodeResult and ReferenceDecodeBlob expose

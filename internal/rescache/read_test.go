@@ -194,6 +194,9 @@ func TestStoreOfEarlierLayoutFormulasHits(t *testing.T) {
 // FuzzKeyDigest checks the hand-written digest against its definition:
 // for any four strings, Digest is the hex sha256 of json.Marshal(key),
 // whether it took the hand-written path or fell back to json.Marshal.
+// The raw sum the store keys its memory tier by must hex-encode to
+// Digest, NewKey must carry the same sum, and the relative path a read
+// builds on its stack must be the tail of the blob's full path.
 func FuzzKeyDigest(f *testing.F) {
 	f.Add("sha256:abc", "reduction", "0123", "")
 	f.Add("<", "k", "w", "")
@@ -215,8 +218,61 @@ func FuzzKeyDigest(f *testing.F) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(data)
-		if got, want := k.Digest(), hex.EncodeToString(sum[:]); got != want {
-			t.Fatalf("Digest(%+q) = %s, want %s (sha256 of %s)", k, got, want, data)
+		digest := k.Digest()
+		if want := hex.EncodeToString(sum[:]); digest != want {
+			t.Fatalf("Digest(%+q) = %s, want %s (sha256 of %s)", k, digest, want, data)
+		}
+		raw := k.sum256()
+		if hex.EncodeToString(raw[:]) != digest {
+			t.Fatalf("raw sum %x does not encode to Digest %s", raw, digest)
+		}
+		if nk := NewKey(spec, kernel, workload, options); nk.sum != raw || nk.Digest() != digest {
+			t.Fatalf("NewKey carries sum %x, want %x", nk.sum, raw)
+		}
+		var buf [relPathLen]byte
+		rel := filepath.FromSlash(string(appendRelPath(buf[:0], &raw)))
+		if path := (&blobs{prefix: "v3" + string(filepath.Separator)}).blobPath(digest); len(rel) != relPathLen ||
+			!strings.HasSuffix(path, string(filepath.Separator)+rel) {
+			t.Fatalf("relative path %q is not the tail of %q", rel, path)
 		}
 	})
+}
+
+// BenchmarkGetDiskHit prices a disk hit: the key's sum, the blob's
+// read through the store's directory, its decode and its promotion into
+// the memory tier. Every probe is of a key the store has not seen, so
+// each one reads the disk; the store is reopened, untimed, once every
+// key has been probed.
+func BenchmarkGetDiskHit(b *testing.B) {
+	dir := b.TempDir()
+	fill, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]Key, 256)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprint(i))
+		if err := fill.Put(keys[i], testResult(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fill.Close()
+	var s *Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(keys) == 0 {
+			b.StopTimer()
+			s.Close()
+			if s, err = Open(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, ok := s.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+	b.StopTimer()
+	s.Close()
 }

@@ -9,12 +9,14 @@
 //
 // The store is two-tier:
 //
-//   - an in-process sharded map, keyed by the point digest, serving
+//   - an in-process sharded map, keyed by the key's sha256, serving
 //     repeat probes within one process without touching the disk;
 //   - an optional on-disk content-addressed directory of binary result
 //     blobs under <dir>/v<schema>/<dd>/<digest>.bin, written atomically
 //     (temp file + rename) so concurrent writers racing on the same key
-//     converge to one well-formed blob.
+//     converge to one well-formed blob. On Linux the store holds the
+//     v<schema> directory open from Open to Close and resolves every
+//     blob relative to it (see blobs_linux.go).
 //
 // A blob is a compact binary envelope (see codec.go): a magic number, a
 // digest of sim.Result's field layout, the schema version and the full
@@ -59,11 +61,27 @@ const SchemaVersion = 3
 // mem-tech, translation); Kernel and Workload pin the program identity
 // and its generated shape; Options fingerprints any sim.Options that
 // alter results (empty for the baseline sweep configuration).
+//
+// A key built by NewKey carries its sha256, so a cell's probe and its
+// store share one hash; a key written as a literal computes it on each
+// use. Changing a field of a key from NewKey leaves its sum stale: build
+// a new key instead. A stale sum cannot serve a wrong result, since
+// every blob carries the full key and a read checks it, but it files
+// the blob where the new fields will never look.
 type Key struct {
 	Spec     string `json:"spec"`
 	Kernel   string `json:"kernel"`
 	Workload string `json:"workload"`
 	Options  string `json:"options,omitempty"`
+
+	sum [sha256.Size]byte // zero until NewKey computes it
+}
+
+// NewKey returns the key of the four strings with its sum computed.
+func NewKey(spec, kernel, workload, options string) Key {
+	k := Key{Spec: spec, Kernel: kernel, Workload: workload, Options: options}
+	k.sum = k.sum256()
+	return k
 }
 
 // Digest returns the key's content address: the sha256 of its canonical
@@ -72,19 +90,26 @@ type Key struct {
 // envelope, so a schema bump retires old entries without recomputing
 // addresses.
 func (k Key) Digest() string {
+	sum := k.sum256()
+	return hex.EncodeToString(sum[:])
+}
+
+// sum256 returns the sum NewKey computed, or computes it for a literal
+// key. A real sum of all zero bytes would only be recomputed.
+func (k *Key) sum256() [sha256.Size]byte {
+	if k.sum != ([sha256.Size]byte{}) {
+		return k.sum
+	}
 	var buf [256]byte
 	data, ok := k.appendJSON(buf[:0])
 	if !ok {
 		var err error
-		if data, err = json.Marshal(k); err != nil {
+		if data, err = json.Marshal(*k); err != nil {
 			// Keys are plain strings; Marshal cannot fail.
 			panic("rescache: marshaling key: " + err.Error())
 		}
 	}
-	sum := sha256.Sum256(data)
-	var digest [2 * sha256.Size]byte
-	hex.Encode(digest[:], sum[:])
-	return string(digest[:])
+	return sha256.Sum256(data)
 }
 
 // appendJSON appends json.Marshal(k) to buf, written by hand, when every
@@ -94,7 +119,7 @@ func (k Key) Digest() string {
 // control byte, non-ASCII, invalid UTF-8 — reports false, and Digest
 // marshals the key instead, so the digest never depends on which path
 // computed it.
-func (k Key) appendJSON(buf []byte) ([]byte, bool) {
+func (k *Key) appendJSON(buf []byte) ([]byte, bool) {
 	if !verbatimJSON(k.Spec) || !verbatimJSON(k.Kernel) || !verbatimJSON(k.Workload) || !verbatimJSON(k.Options) {
 		return buf, false
 	}
@@ -160,8 +185,21 @@ const blobBufLen = 1024
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[string]sim.Result
+	m  map[[sha256.Size]byte]sim.Result // made by the first store into it
 }
+
+// store puts res under sum.
+func (sh *shard) store(sum *[sha256.Size]byte, res sim.Result) {
+	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = make(map[[sha256.Size]byte]sim.Result)
+	}
+	sh.m[*sum] = res
+	sh.mu.Unlock()
+}
+
+// errClosed is what reading or writing a blob of a closed store returns.
+var errClosed = errors.New("rescache: store is closed")
 
 // Store is the two-tier result cache. All methods are safe for
 // concurrent use by sweep workers; a nil *Store disables caching (Get
@@ -169,10 +207,10 @@ type shard struct {
 type Store struct {
 	dir    string // "" = memory-only
 	schema int    // SchemaVersion; tests open other schemas to simulate bumps
-	// blobDir is the schema-version directory with a trailing
-	// separator, so a blob path is one concatenation.
-	blobDir string
-	shards  [numShards]shard
+	// disk reads and writes the blobs of the schema-version directory;
+	// Close releases it.
+	disk   blobs
+	shards [numShards]shard
 
 	hits, misses      atomic.Uint64
 	memHits, diskHits atomic.Uint64
@@ -187,6 +225,11 @@ type Store struct {
 // creating it (and the current schema-version subdirectory) as needed.
 // An empty dir opens a memory-only store. A sim.Result field the blob
 // codec cannot encode makes every disk store fail to open.
+//
+// On Linux a disk store holds its schema-version directory open until
+// Close, and reads and writes the directory it opened even if the path
+// is later renamed or replaced. A store dropped without Close releases
+// the directory when the garbage collector finalizes it.
 func Open(dir string) (*Store, error) {
 	return open(dir, SchemaVersion)
 }
@@ -194,9 +237,6 @@ func Open(dir string) (*Store, error) {
 // open is Open for a store of the given schema version.
 func open(dir string, schema int) (*Store, error) {
 	s := &Store{dir: dir, schema: schema}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]sim.Result)
-	}
 	if dir != "" {
 		if layoutErr != nil {
 			return nil, layoutErr
@@ -205,9 +245,22 @@ func open(dir string, schema int) (*Store, error) {
 		if err := os.MkdirAll(versionDir, 0o755); err != nil {
 			return nil, fmt.Errorf("rescache: %w", err)
 		}
-		s.blobDir = versionDir + string(filepath.Separator)
+		if err := s.disk.open(versionDir); err != nil {
+			return nil, fmt.Errorf("rescache: %w", err)
+		}
 	}
 	return s, nil
+}
+
+// Close releases the store's disk tier. Afterwards Get serves only the
+// memory tier, and Put fills the memory tier and latches an error for
+// Err. Close is idempotent; a nil or memory-only store's Close does
+// nothing.
+func (s *Store) Close() error {
+	if s == nil || s.dir == "" {
+		return nil
+	}
+	return s.disk.close()
 }
 
 // Dir returns the store's on-disk root ("" for memory-only).
@@ -220,21 +273,26 @@ func (s *Store) Dir() string {
 
 // blobPath fans the CAS out on the digest's first byte so no single
 // directory accumulates the whole design space.
-func (s *Store) blobPath(digest string) string {
-	return s.blobDir + digest[:2] + string(filepath.Separator) + digest + ".bin"
+func (b *blobs) blobPath(digest string) string {
+	return b.prefix + digest[:2] + string(filepath.Separator) + digest + ".bin"
 }
 
-func (s *Store) shardFor(digest string) *shard {
-	// The digest is lowercase hex; fold its first two characters into
-	// a shard index.
-	return &s.shards[(hexVal(digest[0])*16+hexVal(digest[1]))%numShards]
+// relPathLen is the length of a blob's path relative to the
+// schema-version directory, "dd/<digest>.bin".
+const relPathLen = 2 + 1 + 2*sha256.Size + len(".bin")
+
+// appendRelPath appends the blob path of sum relative to the
+// schema-version directory, with '/' separators, to buf. The caller's
+// buffer can live on its stack.
+func appendRelPath(buf []byte, sum *[sha256.Size]byte) []byte {
+	buf = hex.AppendEncode(buf, sum[:1])
+	buf = append(buf, '/')
+	buf = hex.AppendEncode(buf, sum[:])
+	return append(buf, ".bin"...)
 }
 
-func hexVal(c byte) int {
-	if c >= 'a' {
-		return int(c-'a') + 10
-	}
-	return int(c - '0')
+func (s *Store) shardFor(sum *[sha256.Size]byte) *shard {
+	return &s.shards[sum[0]%numShards]
 }
 
 // Get probes both tiers for the key's result. A disk hit is promoted
@@ -249,10 +307,10 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 	start := time.Now()
 	defer func() { s.probeNS.Add(uint64(time.Since(start).Nanoseconds())) }()
 
-	digest := key.Digest()
-	sh := s.shardFor(digest)
+	sum := key.sum256()
+	sh := s.shardFor(&sum)
 	sh.mu.RLock()
-	res, ok := sh.m[digest]
+	res, ok := sh.m[sum]
 	sh.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
@@ -264,7 +322,7 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	var buf [blobBufLen]byte
-	data, err := readBlob(s.blobPath(digest), buf[:0])
+	data, err := s.disk.read(&sum, buf[:0])
 	if err != nil {
 		s.misses.Add(1)
 		return sim.Result{}, false
@@ -278,9 +336,7 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		s.misses.Add(1)
 		return sim.Result{}, false
 	}
-	sh.mu.Lock()
-	sh.m[digest] = res
-	sh.mu.Unlock()
+	sh.store(&sum, res)
 	s.hits.Add(1)
 	s.diskHits.Add(1)
 	return res, true
@@ -296,36 +352,15 @@ func (s *Store) Put(key Key, res sim.Result) error {
 	if s == nil {
 		return nil
 	}
-	digest := key.Digest()
-	sh := s.shardFor(digest)
-	sh.mu.Lock()
-	sh.m[digest] = res
-	sh.mu.Unlock()
+	sum := key.sum256()
+	s.shardFor(&sum).store(&sum, res)
 	s.puts.Add(1)
 	if s.dir == "" {
 		return nil
 	}
 	data := appendEnvelope(nil, &envelope{Schema: s.schema, Key: key, Result: res})
-	path := s.blobPath(digest)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return s.latch(fmt.Errorf("rescache: %w", err))
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+digest+".tmp-*")
-	if err != nil {
-		return s.latch(fmt.Errorf("rescache: %w", err))
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return s.latch(fmt.Errorf("rescache: writing %s: %w", path, err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return s.latch(fmt.Errorf("rescache: writing %s: %w", path, err))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return s.latch(fmt.Errorf("rescache: %w", err))
+	if err := s.disk.write(&sum, data); err != nil {
+		return s.latch(err)
 	}
 	s.bytesWritten.Add(uint64(len(data)))
 	return nil
