@@ -16,8 +16,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"heteromem/internal/clock"
 	"heteromem/internal/energy"
@@ -52,7 +50,6 @@ func main() {
 		intervalOut    = flag.String("interval-stats", "", "write the per-epoch interval statistics CSV (single system only)")
 		intervalCycles = flag.Uint64("interval-cycles", 100_000, "sampling epoch length in CPU cycles for -interval-stats")
 		metricsOut     = flag.String("metrics-json", "", "write the final metrics registry as JSON; \"-\" for stdout (single system only)")
-		serveAddr      = flag.String("serve", "", "serve live introspection (/metrics from phase-boundary snapshots, /progress, pprof) on this address while running")
 		hostprofEvery  = flag.Int("hostprof", 0, "host-time self-profiling: time one in every N memory-pipeline runs, reported as host.* metrics (0 = off)")
 	)
 	flag.Parse()
@@ -62,8 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	observing := *traceOut != "" || *intervalOut != "" || *metricsOut != "" ||
-		*serveAddr != "" || *hostprofEvery > 0
+	observing := *traceOut != "" || *intervalOut != "" || *metricsOut != "" || *hostprofEvery > 0
 	if (*traceOut != "" || *intervalOut != "" || *metricsOut != "") && *all {
 		log.Fatal("-trace, -interval-stats and -metrics-json apply to a single system; drop -all")
 	}
@@ -76,7 +72,7 @@ func main() {
 		}
 		if observing {
 			// Instrumented runs exist for their side channels (traces,
-			// interval CSVs, live metrics), which a cache hit would leave
+			// interval CSVs, metrics), which a cache hit would leave
 			// empty — simulate everything, but still fill the cache.
 			log.Print("observability sinks requested: cache hits disabled for this run; results are still stored")
 		}
@@ -135,7 +131,6 @@ func main() {
 	var reg *obs.Registry
 	var sampler *obs.Sampler
 	var tracer *obs.Tracer
-	var progress runProgress
 	if observing {
 		reg = obs.NewRegistry()
 		opts.Metrics = reg
@@ -153,19 +148,6 @@ func main() {
 		if *hostprofEvery > 0 {
 			opts.HostProf = obs.NewHostProf(*hostprofEvery)
 		}
-		if *serveAddr != "" {
-			pub := &obs.Publisher{}
-			opts.Publish = pub
-			srv, err := obs.Serve(*serveAddr, obs.ServerConfig{
-				Metrics:  pub.Latest,
-				Progress: func() any { return progress.snapshot() },
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer srv.Close()
-			log.Printf("serving introspection on http://%s (/progress, /metrics, /debug/pprof/)", srv.Addr())
-		}
 	}
 
 	tbl := report.Table{
@@ -173,9 +155,7 @@ func main() {
 		Headers: []string{"system", "sequential", "parallel", "communication", "total", "comm share"},
 	}
 	var results []sim.Result
-	progress.setTotal(len(sysList))
 	for _, sys := range sysList {
-		progress.setCurrent(sys.Name, p.Name)
 		var key rescache.Key
 		if cache != nil {
 			key = harness.PointKey(sys, p, opts)
@@ -198,7 +178,6 @@ func main() {
 				log.Printf("warning: %v", err)
 			}
 		}
-		progress.finishCurrent()
 		results = append(results, res)
 		tbl.AddRow(sys.Name,
 			report.Dur(res.Sequential), report.Dur(res.Parallel),
@@ -257,54 +236,6 @@ func lookup(cache *rescache.Store, key rescache.Key, observing bool) (sim.Result
 		return sim.Result{}, false
 	}
 	return cache.Get(key)
-}
-
-// runProgress is the /progress document for a hetsim run: which system
-// is simulating now and how many runs are done. Synchronised because the
-// introspection server reads it from HTTP goroutines.
-type runProgress struct {
-	mu      sync.Mutex
-	system  string
-	kernel  string
-	total   int
-	done    int
-	started time.Time
-}
-
-func (p *runProgress) setTotal(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total = n
-	p.started = time.Now()
-}
-
-func (p *runProgress) setCurrent(system, kernel string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.system, p.kernel = system, kernel
-}
-
-func (p *runProgress) finishCurrent() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.system, p.kernel = "", ""
-	p.done++
-}
-
-func (p *runProgress) snapshot() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	doc := map[string]any{
-		"total": p.total,
-		"done":  p.done,
-	}
-	if !p.started.IsZero() {
-		doc["elapsed_s"] = time.Since(p.started).Seconds()
-	}
-	if p.system != "" {
-		doc["current"] = p.system + "/" + p.kernel
-	}
-	return doc
 }
 
 // writeObservability flushes the attached sinks to their output files.

@@ -10,10 +10,9 @@
 //	hetsweep -figure 5 -memtech hbm   # case studies on an HBM backend
 //	hetsweep -figure 5 -xlat 2m       # … with address translation priced
 //
-// A sweep can be observed while it runs: -serve starts the live
-// introspection server (/progress, /metrics, pprof) and -out writes a
-// run-artifact directory (manifest.json, run ledger, aggregate metrics,
-// per-cell interval CSVs, Perfetto worker trace).
+// A sweep can be observed: -out writes a run-artifact directory
+// (manifest.json, run ledger, aggregate metrics, per-cell interval CSVs,
+// Perfetto worker trace).
 //
 // A sweep can be memoized across runs: -cache <dir> keeps a persistent
 // content-addressed result cache — any cell simulated by this or any
@@ -68,7 +67,6 @@ func main() {
 		cacheDir    = flag.String("cache", "", "content-addressed result cache directory: probe every cell before simulating, serve hits without a simulator, fill misses (see DESIGN.md §15)")
 		cacheVerify = flag.Float64("cache-verify", 0, "re-simulate this fraction of cache hits (deterministically sampled) and fail loudly on any mismatch — the determinism tripwire; 0 disables")
 
-		serveAddr      = flag.String("serve", "", "serve live sweep introspection (/progress, /metrics, pprof) on this address while running")
 		outDir         = flag.String("out", "", "write the run-artifact directory (manifest.json, ledger.jsonl, metrics.json, trace.json, results.csv, intervals/)")
 		intervalCycles = flag.Uint64("interval-cycles", 100_000, "per-cell interval-CSV epoch length in CPU cycles under -out (0 = no interval CSVs)")
 		hostprofEvery  = flag.Int("hostprof", 32, "host-time self-profiling: time one in every N memory-pipeline runs when observed (0 = off)")
@@ -102,8 +100,7 @@ func main() {
 	}
 
 	obsRun, err := setupObservability(observeConfig{
-		OutDir: *outDir, ServeAddr: *serveAddr,
-		IntervalPS: intervalPS, HostProfEvery: *hostprofEvery,
+		OutDir: *outDir, IntervalPS: intervalPS, HostProfEvery: *hostprofEvery,
 		Par: *par, Cache: cache,
 	})
 	if err != nil {

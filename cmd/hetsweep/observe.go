@@ -18,7 +18,6 @@ import (
 // observeConfig is the observability slice of hetsweep's flags.
 type observeConfig struct {
 	OutDir        string
-	ServeAddr     string
 	IntervalPS    uint64
 	HostProfEvery int
 	Par           int
@@ -27,17 +26,13 @@ type observeConfig struct {
 }
 
 // observedRun owns a sweep's observability lifetime: the harness
-// Observer the Executor reports into, the artifact sinks under -out, and
-// the live introspection server under -serve. The zero value (no -out,
-// no -serve) is inert.
+// Observer the Executor reports into and the artifact sinks under -out.
+// The zero value (no -out) is inert.
 type observedRun struct {
-	cfg    observeConfig
-	obs    *harness.Observer
-	ledger *obs.Ledger
-	tracer *obs.Tracer
-	srv    *obs.Server
-	start  time.Time
-	sweep  *sweepInfo
+	cfg   observeConfig
+	obs   *harness.Observer
+	start time.Time
+	sweep *sweepInfo
 }
 
 // sweepInfo captures what the primary sweep actually ran, for the
@@ -51,42 +46,25 @@ type sweepInfo struct {
 	gridName string
 }
 
-// setupObservability builds the run's observability from flags: with
-// neither -out nor -serve it returns an inert run whose observer is nil,
-// leaving the sweep fully uninstrumented.
+// setupObservability builds the run's observability from flags: without
+// -out it returns an inert run whose observer is nil, leaving the sweep
+// fully uninstrumented.
 func setupObservability(cfg observeConfig) (*observedRun, error) {
 	r := &observedRun{cfg: cfg, start: time.Now()}
-	if cfg.OutDir == "" && cfg.ServeAddr == "" {
+	if cfg.OutDir == "" {
 		return r, nil
 	}
-	r.obs = &harness.Observer{Name: "hetsweep", HostProfEvery: cfg.HostProfEvery}
-	if cfg.OutDir != "" {
-		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
-			return nil, err
-		}
-		led, err := obs.CreateLedger(filepath.Join(cfg.OutDir, "ledger.jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		r.ledger = led
-		r.tracer = obs.NewTracer()
-		r.obs.Ledger = led
-		r.obs.Trace = r.tracer
-		if cfg.IntervalPS > 0 {
-			r.obs.IntervalPS = cfg.IntervalPS
-			r.obs.IntervalDir = filepath.Join(cfg.OutDir, "intervals")
-		}
+	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
+		return nil, err
 	}
-	if cfg.ServeAddr != "" {
-		srv, err := obs.Serve(cfg.ServeAddr, obs.ServerConfig{
-			Metrics:  r.obs.Metrics,
-			Progress: func() any { return r.obs.Progress() },
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.srv = srv
-		log.Printf("serving sweep introspection on http://%s (/progress, /metrics, /debug/pprof/)", srv.Addr())
+	led, err := obs.CreateLedger(filepath.Join(cfg.OutDir, "ledger.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	r.obs = &harness.Observer{Name: "hetsweep", HostProfEvery: cfg.HostProfEvery, Ledger: led, Trace: obs.NewTracer()}
+	if cfg.IntervalPS > 0 {
+		r.obs.IntervalPS = cfg.IntervalPS
+		r.obs.IntervalDir = filepath.Join(cfg.OutDir, "intervals")
 	}
 	return r, nil
 }
@@ -106,26 +84,16 @@ func (r *observedRun) setSweep(info sweepInfo) {
 }
 
 // close flushes the artifact directory (manifest, metrics, trace,
-// results) and stops the server. Failures are reported but never mask
-// the sweep's own output.
+// results). Failures are reported but never mask the sweep's own output.
 func (r *observedRun) close() {
-	if r.srv != nil {
-		if err := r.srv.Close(); err != nil {
-			log.Printf("warning: closing introspection server: %v", err)
-		}
-	}
 	if r.obs == nil {
 		return
 	}
-	if r.cfg.OutDir != "" {
-		if err := r.writeArtifacts(); err != nil {
-			log.Printf("warning: writing %s: %v", r.cfg.OutDir, err)
-		}
+	if err := r.writeArtifacts(); err != nil {
+		log.Printf("warning: writing %s: %v", r.cfg.OutDir, err)
 	}
-	if r.ledger != nil {
-		if err := r.ledger.Close(); err != nil {
-			log.Printf("warning: closing ledger: %v", err)
-		}
+	if err := r.obs.Ledger.Close(); err != nil {
+		log.Printf("warning: closing ledger: %v", err)
 	}
 	if err := r.obs.Err(); err != nil {
 		log.Printf("warning: sweep observability: %v", err)
@@ -134,16 +102,17 @@ func (r *observedRun) close() {
 
 func (r *observedRun) writeArtifacts() error {
 	dir := r.cfg.OutDir
+	metrics := r.obs.Metrics()
 	if err := writeFileWith(filepath.Join(dir, "metrics.json"), func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		return enc.Encode(r.obs.Metrics())
+		return enc.Encode(metrics)
 	}); err != nil {
 		return err
 	}
-	if r.tracer != nil && r.tracer.Len() > 0 {
+	if r.obs.Trace.Len() > 0 {
 		if err := writeFileWith(filepath.Join(dir, "trace.json"), func(f *os.File) error {
-			return r.tracer.WriteJSON(f)
+			return r.obs.Trace.WriteJSON(f)
 		}); err != nil {
 			return err
 		}
@@ -158,7 +127,7 @@ func (r *observedRun) writeArtifacts() error {
 	return writeFileWith(filepath.Join(dir, "manifest.json"), func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		return enc.Encode(r.manifest())
+		return enc.Encode(r.manifest(metrics.Counters))
 	})
 }
 
@@ -212,12 +181,13 @@ type manifestCache struct {
 	BytesWritten  uint64  `json:"bytes_written,omitempty"`
 }
 
-func (r *observedRun) manifest() runManifest {
-	prog := r.obs.Progress()
+// manifest builds manifest.json from the sweep's aggregate counters
+// (Observer.Metrics), whose sweep.cells.* entries carry the cell counts.
+func (r *observedRun) manifest(counters map[string]uint64) runManifest {
 	// The observer reports the worker pool the sweep actually ran with
 	// (the -par flag after clamping); fall back to the flag's default
 	// resolution if no sweep ran.
-	workers := len(prog.Workers)
+	workers := r.obs.Workers()
 	if workers == 0 {
 		if workers = r.cfg.Par; workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
@@ -231,7 +201,8 @@ func (r *observedRun) manifest() runManifest {
 		DurationSec: time.Since(r.start).Seconds(),
 		Workers:     workers,
 	}
-	m.Cells, m.Failed = prog.Done, prog.Failed
+	m.Cells = int(counters["sweep.cells.done"])
+	m.Failed = int(counters["sweep.cells.failed"])
 	if r.sweep != nil {
 		m.Grid = r.sweep.gridPath
 		m.GridSHA256 = r.sweep.gridSHA
@@ -248,8 +219,8 @@ func (r *observedRun) manifest() runManifest {
 			Hits:          st.Hits,
 			Misses:        st.Misses,
 			HitRate:       st.HitRate(),
-			CachedCells:   prog.CachedCells,
-			VerifiedCells: prog.VerifiedCells,
+			CachedCells:   int(counters["sweep.cells.cached"]),
+			VerifiedCells: int(counters["sweep.cells.verified"]),
 			BytesRead:     st.BytesRead,
 			BytesWritten:  st.BytesWritten,
 		}

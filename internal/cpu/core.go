@@ -342,6 +342,3 @@ func (c *Core) FlushObs() {
 	c.obs.Flush()
 	c.memLatPS.Merge(&c.exec.memLat)
 }
-
-// Predictor returns the core's branch predictor, or nil if it has none.
-func (c *Core) Predictor() *bpred.Gshare { return c.pred }

@@ -249,7 +249,7 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				if j.verify {
 					kind = "verify"
 				}
-				span := obsv.beginCell(w, sys.Name, specs[j.si], p.Name, kind)
+				span := obsv.beginCell(sys.Name, p.Name, kind)
 				started := time.Now()
 				ar.Reset()
 				s, err := sim.NewWithOptions(sys, sim.Options{

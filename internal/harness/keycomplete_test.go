@@ -27,7 +27,7 @@ func TestOptionsFingerprintComplete(t *testing.T) {
 		},
 	}
 	excluded := map[string]bool{
-		"Arena": true, "Metrics": true, "Sampler": true, "Tracer": true, "HostProf": true, "Publish": true,
+		"Arena": true, "Metrics": true, "Sampler": true, "Tracer": true, "HostProf": true,
 	}
 	base := optionsFingerprint(sim.Options{})
 	typ := reflect.TypeOf(sim.Options{})

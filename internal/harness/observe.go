@@ -38,14 +38,13 @@ func CheckFlags(intervalCycles uint64, hostprofEvery int, cacheVerify float64) (
 // Observer wires a sweep into the observability layer: every cell the
 // Executor runs appends a structured record to the run ledger, opens a
 // hierarchical span (sweep → design point → kernel; the simulator hangs
-// its phase spans underneath), feeds a live progress view, and merges
-// the per-worker metric registries into one sweep-wide snapshot that the
-// introspection server can expose while the sweep is still running.
+// its phase spans underneath), counts toward the sweep.cells.* counters,
+// and merges the per-worker metric registries into one sweep-wide
+// snapshot (Metrics).
 //
 // The Observer itself is nil-safe from the Executor's side — a nil
 // *Observer disables all of it — and internally synchronised, so any
-// number of workers report cells while HTTP handlers read Progress() and
-// Metrics() concurrently.
+// number of workers report cells concurrently.
 type Observer struct {
 	// Name labels the sweep's root span (defaults to "sweep").
 	Name string
@@ -76,19 +75,12 @@ type Observer struct {
 	cached   int
 	verified int
 	built    int
-	workers  []workerState
+	workers  int
 	start    time.Time
 	err      error
-	finished bool
 	// cache is the sweep's result cache, when one is attached; Metrics
-	// and Progress read its counters live.
+	// reads its counters.
 	cache *rescache.Store
-}
-
-type workerState struct {
-	current string
-	done    int
-	busy    time.Duration
 }
 
 // CellRecord is the ledger line appended for every completed sweep cell.
@@ -126,35 +118,8 @@ type CellRecord struct {
 	OwnershipOps    int     `json:"ownership_ops,omitempty"`
 }
 
-// WorkerProgress is one worker's live state within SweepProgress.
-type WorkerProgress struct {
-	ID      int     `json:"id"`
-	Current string  `json:"current,omitempty"`
-	Done    int     `json:"done"`
-	BusySec float64 `json:"busy_s"`
-	Util    float64 `json:"util"`
-}
-
-// SweepProgress is the live progress document served at /progress.
-type SweepProgress struct {
-	Total       int     `json:"total"`
-	Done        int     `json:"done"`
-	Failed      int     `json:"failed"`
-	ElapsedSec  float64 `json:"elapsed_s"`
-	ETASec      float64 `json:"eta_s"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-	// Cache fields are present only when the sweep runs with a result
-	// cache: cells served from the cache, cells verified against it,
-	// and the store's own hit rate over all probes.
-	CacheOn       bool             `json:"cache,omitempty"`
-	CachedCells   int              `json:"cached_cells,omitempty"`
-	VerifiedCells int              `json:"verified_cells,omitempty"`
-	CacheHitRate  float64          `json:"cache_hit_rate,omitempty"`
-	Workers       []WorkerProgress `json:"workers"`
-}
-
-// begin opens the sweep: records the start instant, sizes the worker
-// table, attaches the result cache (if any), and writes the root span.
+// begin opens the sweep: records the start instant and the worker
+// count, attaches the result cache (if any), and writes the root span.
 // Called once by RunSystems.
 func (o *Observer) begin(totalCells, workers int, cache *rescache.Store) {
 	if o == nil {
@@ -168,8 +133,7 @@ func (o *Observer) begin(totalCells, workers int, cache *rescache.Store) {
 	o.cached, o.verified = 0, 0
 	o.built = 0
 	o.cache = cache
-	o.finished = false
-	o.workers = make([]workerState, workers)
+	o.workers = workers
 	o.points = make(map[string]*obs.Span)
 	o.agg = obs.Snapshot{Counters: map[string]uint64{}}
 	name := o.Name
@@ -196,24 +160,23 @@ func (o *Observer) pointLocked(system string) *obs.Span {
 	return point
 }
 
-// beginCell marks worker w busy on (system, kernel) and opens the cell's
-// span (kind "kernel" for a simulation, "verify" for a cache-verify
-// re-simulation) beneath the system's lazily created point span. The
-// returned span parents the simulator's phase spans via SetRunSpan.
-func (o *Observer) beginCell(w int, system, spec, kernel, kind string) *obs.Span {
+// beginCell opens the cell's span (kind "kernel" for a simulation,
+// "verify" for a cache-verify re-simulation) beneath the system's lazily
+// created point span. The returned span parents the simulator's phase
+// spans via SetRunSpan.
+func (o *Observer) beginCell(system, kernel, kind string) *obs.Span {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.workers[w].current = system + "/" + kernel
 	return o.pointLocked(system).Child(kind, kernel)
 }
 
 // cachedCell records a cell served from the result cache: one ledger
 // record with cached:true, a closed kernel span, a slice on the cache
-// trace track, and a progress bump. No worker ran it, so worker state
-// and the metric aggregate are untouched.
+// trace track, and a sweep.cells.{done,cached} bump. No worker ran it,
+// so the metric aggregate is untouched.
 func (o *Observer) cachedCell(system, spec, kernel string, res sim.Result, probeNS int64, started time.Time) {
 	if o == nil {
 		return
@@ -252,7 +215,7 @@ func (o *Observer) simBuilt() {
 
 // endCell completes a cell: merges the worker registry's snapshot into
 // the sweep aggregate, appends the ledger record, closes the cell span,
-// emits the worker-track trace slice, and updates progress counters.
+// emits the worker-track trace slice, and updates the cell counters.
 func (o *Observer) endCell(w int, span *obs.Span, rec CellRecord, snap obs.Snapshot, queued, started time.Time) {
 	if o == nil {
 		return
@@ -268,8 +231,8 @@ func (o *Observer) endCell(w int, span *obs.Span, rec CellRecord, snap obs.Snaps
 	defer o.mu.Unlock()
 	o.agg.Merge(snap)
 	if rec.Verify {
-		// A verify re-run duplicates a cell already counted as cached;
-		// it advances worker accounting but not sweep progress.
+		// A verify re-run duplicates a cell already counted as cached,
+		// so it does not count toward sweep.cells.done.
 		o.verified++
 	} else {
 		o.done++
@@ -277,10 +240,6 @@ func (o *Observer) endCell(w int, span *obs.Span, rec CellRecord, snap obs.Snaps
 	if rec.Err != "" {
 		o.failed++
 	}
-	ws := &o.workers[w]
-	ws.current = ""
-	ws.done++
-	ws.busy += end.Sub(started)
 	if err := o.Ledger.Append(rec); err != nil && o.err == nil {
 		o.err = err
 	}
@@ -305,7 +264,6 @@ func (o *Observer) finish() {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.finished = true
 	for _, p := range o.points {
 		p.End(nil)
 	}
@@ -342,42 +300,15 @@ func (o *Observer) Err() error {
 	return o.err
 }
 
-// Progress returns the live progress document: cells done/total, ETA
-// from the observed cell rate, and per-worker state. Safe to call
-// concurrently with a running sweep.
-func (o *Observer) Progress() SweepProgress {
+// Workers returns the worker-pool size of the last sweep (the Executor's
+// Par after clamping); 0 before any sweep has begun.
+func (o *Observer) Workers() int {
 	if o == nil {
-		return SweepProgress{}
+		return 0
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	now := time.Now()
-	elapsed := now.Sub(o.start)
-	p := SweepProgress{
-		Total:      o.total,
-		Done:       o.done,
-		Failed:     o.failed,
-		ElapsedSec: elapsed.Seconds(),
-	}
-	if elapsed > 0 && o.done > 0 {
-		p.CellsPerSec = float64(o.done) / elapsed.Seconds()
-		p.ETASec = float64(o.total-o.done) / p.CellsPerSec
-	}
-	if o.cache != nil {
-		p.CacheOn = true
-		p.CachedCells = o.cached
-		p.VerifiedCells = o.verified
-		p.CacheHitRate = o.cache.Stats().HitRate()
-	}
-	for i := range o.workers {
-		ws := o.workers[i]
-		wp := WorkerProgress{ID: i, Current: ws.current, Done: ws.done, BusySec: ws.busy.Seconds()}
-		if elapsed > 0 {
-			wp.Util = ws.busy.Seconds() / elapsed.Seconds()
-		}
-		p.Workers = append(p.Workers, wp)
-	}
-	return p
+	return o.workers
 }
 
 // Metrics returns the sweep-wide aggregate metric snapshot: the merge of

@@ -150,17 +150,13 @@ func TestObservedSweepLedger(t *testing.T) {
 		t.Error("no phase spans: simulator run spans not wired")
 	}
 
-	prog := o.Progress()
-	if prog.Done != n || prog.Total != n || prog.Failed != 0 {
-		t.Errorf("progress %+v, want done=total=%d failed=0", prog, n)
-	}
-	if len(prog.Workers) != 2 {
-		t.Errorf("%d workers in progress, want 2", len(prog.Workers))
-	}
-
 	snap := o.Metrics()
-	if snap.Counters["sweep.cells.done"] != uint64(n) {
-		t.Errorf("sweep.cells.done = %d, want %d", snap.Counters["sweep.cells.done"], n)
+	if c := snap.Counters; c["sweep.cells.done"] != uint64(n) || c["sweep.cells.total"] != uint64(n) || c["sweep.cells.failed"] != 0 {
+		t.Errorf("sweep.cells done=%d total=%d failed=%d, want done=total=%d failed=0",
+			c["sweep.cells.done"], c["sweep.cells.total"], c["sweep.cells.failed"], n)
+	}
+	if w := o.Workers(); w != 2 {
+		t.Errorf("%d workers, want 2", w)
 	}
 	var simCounters, hostCounters int
 	for name, v := range snap.Counters {
@@ -241,7 +237,7 @@ func TestObservedSweepIntervalCSVs(t *testing.T) {
 func TestNilObserverIsNoop(t *testing.T) {
 	var o *Observer
 	o.begin(1, 1, nil)
-	span := o.beginCell(0, "s", "spec", "k", "kernel")
+	span := o.beginCell("s", "k", "kernel")
 	o.endCell(0, span, CellRecord{}, obs.Snapshot{}, time.Time{}, time.Time{})
 	o.cachedCell("s", "spec", "k", sim.Result{}, 0, time.Time{})
 	o.simBuilt()
@@ -249,8 +245,8 @@ func TestNilObserverIsNoop(t *testing.T) {
 	if err := o.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if p := o.Progress(); p.Total != 0 {
-		t.Error("nil observer progress not zero")
+	if w := o.Workers(); w != 0 {
+		t.Error("nil observer workers not zero")
 	}
 	if s := o.Metrics(); len(s.Counters) != 0 {
 		t.Error("nil observer metrics not empty")

@@ -122,8 +122,8 @@ func streamDigest(s trace.Stream) string {
 // optionsFingerprint reduces the result-affecting sim.Options to a
 // canonical string. The baseline configuration (no overrides) maps to
 // "", so sweep keys stay stable as new option axes appear. Arena,
-// Metrics, Sampler, Tracer, HostProf and Publish never change results
-// (pinned by the observability equivalence tests) and are excluded.
+// Metrics, Sampler, Tracer and HostProf never change results (pinned
+// by the observability equivalence tests) and are excluded.
 func optionsFingerprint(opts sim.Options) string {
 	var parts []string
 	if opts.DisableCoalescing {

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Satellite: registry snapshots and text exports must iterate
-// sorted-by-name so -metrics-json and /metrics output is diff-stable
-// regardless of the order components registered their instruments.
+// Registry JSON exports must iterate sorted-by-name so -metrics-json
+// and metrics.json output is diff-stable regardless of the order
+// components registered their instruments.
 
 func TestWriteJSONOrderIndependent(t *testing.T) {
 	build := func(names []string) string {
@@ -44,25 +44,5 @@ func TestWriteJSONOrderIndependent(t *testing.T) {
 	ni := strings.Index(a, `"noc.hops"`)
 	if !(ci < di && di < ni) {
 		t.Errorf("WriteJSON names not sorted: cpu@%d dram@%d noc@%d\n%s", ci, di, ni, a)
-	}
-}
-
-func TestSnapshotSortedNameHelpers(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("b").Inc()
-	reg.Counter("a").Inc()
-	reg.Gauge("z").Set(1)
-	reg.Gauge("y").Set(1)
-	reg.Histogram("q").Observe(1)
-	reg.Histogram("p").Observe(1)
-	s := reg.Snapshot()
-	if got := s.SortedCounterNames(); got[0] != "a" || got[1] != "b" {
-		t.Errorf("SortedCounterNames = %v", got)
-	}
-	if got := s.SortedGaugeNames(); got[0] != "y" || got[1] != "z" {
-		t.Errorf("SortedGaugeNames = %v", got)
-	}
-	if got := s.SortedHistogramNames(); got[0] != "p" || got[1] != "q" {
-		t.Errorf("SortedHistogramNames = %v", got)
 	}
 }

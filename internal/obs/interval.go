@@ -62,14 +62,6 @@ func NewSampler(reg *Registry, intervalPS uint64) *Sampler {
 	}
 }
 
-// Interval returns the epoch length in picoseconds; zero on nil.
-func (s *Sampler) Interval() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // AddDerived registers a derived per-epoch column, appended after the raw
 // counter columns in CSV output. Registering a name again replaces the
 // earlier function, so a sampler shared by pooled simulators keeps one

@@ -129,10 +129,6 @@ type Options struct {
 	// memory pipeline (memsys.*), flushed into Metrics as host.* counters
 	// through the batched path. Requires Metrics to be visible anywhere.
 	HostProf *obs.HostProf
-	// Publish, when non-nil, receives a registry snapshot at every phase
-	// boundary, giving concurrent readers (the live introspection server)
-	// a race-free mid-run view of Metrics.
-	Publish *obs.Publisher
 }
 
 // Simulator runs kernels on one system configuration. A Simulator is
@@ -175,10 +171,8 @@ type Simulator struct {
 	// and memsys.Chain.
 	hostProf                *obs.HostProf
 	secSeq, secPar, secXfer int
-	// pub receives phase-boundary registry snapshots for concurrent
-	// readers; runSpan, when set (SetRunSpan), parents one host-time
-	// ledger span per executed phase.
-	pub     *obs.Publisher
+	// runSpan, when set (SetRunSpan), parents one host-time ledger span
+	// per executed phase.
 	runSpan *obs.Span
 
 	// Scratch buffers reused across phases and runs so the replay path
@@ -261,7 +255,6 @@ func NewWithOptions(sys systems.System, opts Options) (*Simulator, error) {
 		s.secPar = opts.HostProf.Section("sim.phase.parallel")
 		s.secXfer = opts.HostProf.Section("sim.phase.transfer")
 	}
-	s.pub = opts.Publish
 	s.registerDerived()
 	return s, nil
 }
@@ -372,16 +365,6 @@ func (s *Simulator) flushObs() {
 	s.hostProf.FlushTo(s.metrics)
 }
 
-// publishObs hands the current registry snapshot to concurrent readers.
-// Called at phase boundaries only — snapshots allocate, so the
-// co-simulation inner loop never publishes.
-func (s *Simulator) publishObs() {
-	if s.pub == nil {
-		return
-	}
-	s.pub.Publish(s.metrics.Snapshot())
-}
-
 // phaseSection maps a phase kind onto its host-profiler section.
 func (s *Simulator) phaseSection(k workload.PhaseKind) int {
 	switch k {
@@ -481,14 +464,12 @@ func (s *Simulator) Run(p *workload.Program) (Result, error) {
 			uint64(phaseStart), uint64(now), nil)
 		s.flushObs()
 		s.sampler.Advance(uint64(now))
-		s.publishObs()
 	}
 	// Program end is a synchronisation point: outstanding asynchronous
 	// copies must land before the program completes.
 	now = s.proto.SyncPoint(&s.env, now)
 	s.flushObs()
 	s.sampler.Finish(uint64(now))
-	s.publishObs()
 	res.Mem = s.hier.Stats()
 	res.Fabric = s.fabric.Stats()
 	res.FabricName = s.sys.Fabric.String()
