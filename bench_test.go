@@ -286,10 +286,10 @@ func BenchmarkTranslation(b *testing.B) {
 
 // BenchmarkSweepWarmCache prices a fully warm sweep: the case-study
 // grid is simulated once into a disk cache, then every iteration
-// re-runs the sweep through a fresh store on the same directory — a
-// cold memory tier, so each cell is a disk probe, decode and promote,
-// never a simulation. Compare against BenchmarkFigure5CaseStudies for
-// the cold cost of the same cells.
+// re-runs the sweep through a fresh store on the same directory, so
+// each cell is a disk probe and decode, never a simulation. Compare
+// against BenchmarkFigure5CaseStudies for the cold cost of the same
+// cells.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	dir := b.TempDir()
 	sysList := systems.CaseStudies()

@@ -188,7 +188,7 @@ func main() {
 		st := cache.Stats()
 		log.Printf("cache %s: %d hits, %d misses", cache.Dir(), st.Hits, st.Misses)
 		if err := cache.Err(); err != nil {
-			log.Printf("warning: cache degraded to memory-only: %v", err)
+			log.Printf("warning: some results were not stored in the cache: %v", err)
 		}
 		if err := cache.Close(); err != nil {
 			log.Printf("warning: closing the cache: %v", err)

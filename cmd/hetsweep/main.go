@@ -89,7 +89,7 @@ func main() {
 			log.Printf("cache %s: %d hits, %d misses (%.1f%% hit rate), %d B read, %d B written",
 				*cacheDir, st.Hits, st.Misses, 100*st.HitRate(), st.BytesRead, st.BytesWritten)
 			if err := cache.Err(); err != nil {
-				log.Printf("warning: cache writes degraded to memory-only: %v", err)
+				log.Printf("warning: some results were not stored in the cache: %v", err)
 			}
 			if err := cache.Close(); err != nil {
 				log.Printf("warning: closing the cache: %v", err)
@@ -196,10 +196,12 @@ func main() {
 		case 6:
 			fmt.Println(harness.RenderFigure6(caseStudies()))
 		case 7:
-			cells, err := exec.RunAddressSpaces(kernels)
+			sysList := systems.AddressSpaces()
+			cells, err := exec.RunSystems(sysList, kernels)
 			if err != nil {
 				log.Fatal(err)
 			}
+			obsRun.setSweep(sweepInfo{systems: sysList, kernels: kernels, cells: cells})
 			fmt.Println(harness.RenderFigure7(cells))
 		default:
 			log.Fatalf("no figure %d (have 5-7)", n)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -90,5 +91,96 @@ func TestManifestMatchesObserver(t *testing.T) {
 	}
 	if m.Cells != 2 || m.Cache.CachedCells != 2 || m.Cache.VerifiedCells != 2 {
 		t.Errorf("warm manifest = %+v, cache %+v; want 2 cells, all cached and verified", m, *m.Cache)
+	}
+}
+
+// TestTwoSweepsShareArtifacts runs two sweeps on one Observer, as
+// -all does for Figures 5 and 7: the manifest, metrics.json, the ledger
+// and results.csv must all count the cells of both, and the manifest
+// must report the larger worker pool.
+func TestTwoSweepsShareArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	run, err := setupObservability(observeConfig{OutDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := []string{"reduction"}
+	for i, sweep := range []struct {
+		systems []systems.System
+		par     int
+	}{
+		{systems.CaseStudies()[:2], 2},
+		{systems.AddressSpaces()[:3], 1},
+	} {
+		cells, err := harness.Executor{Par: sweep.par, Obs: run.observer()}.RunSystems(sweep.systems, kernels)
+		if err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+		run.setSweep(sweepInfo{systems: sweep.systems, kernels: kernels, cells: cells})
+	}
+	run.close()
+	const cells = 5
+
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var m runManifest
+	if err := json.Unmarshal(read("manifest.json"), &m); err != nil {
+		t.Fatalf("manifest.json: %v", err)
+	}
+	if m.Cells != cells || len(m.Systems) != cells || m.Workers != 2 || !slices.Equal(m.Kernels, kernels) {
+		t.Errorf("manifest cells %d, systems %d, workers %d, kernels %q; want %d, %d, 2, %q",
+			m.Cells, len(m.Systems), m.Workers, m.Kernels, cells, cells, kernels)
+	}
+	var metrics struct{ Counters map[string]uint64 }
+	if err := json.Unmarshal(read("metrics.json"), &metrics); err != nil {
+		t.Fatalf("metrics.json: %v", err)
+	}
+	for _, name := range []string{"sweep.cells.total", "sweep.cells.done", "sweep.sims_built"} {
+		if got := metrics.Counters[name]; got != cells {
+			t.Errorf("metrics.json %s = %d, want %d", name, got, cells)
+		}
+	}
+	var records int
+	for _, line := range strings.Split(strings.TrimSpace(string(read("ledger.jsonl"))), "\n") {
+		if strings.Contains(line, `"t":"cell"`) {
+			records++
+		}
+	}
+	if records != cells {
+		t.Errorf("ledger has %d cell records, want %d", records, cells)
+	}
+	if rows := strings.Count(string(read("results.csv")), "\n") - 1; rows != cells {
+		t.Errorf("results.csv has %d rows, want %d", rows, cells)
+	}
+
+	// Both sweeps share one time axis: the second's cell slices begin
+	// after the first's end.
+	var trace struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts, Dur  float64
+		}
+	}
+	if err := json.Unmarshal(read("trace.json"), &trace); err != nil {
+		t.Fatalf("trace.json: %v", err)
+	}
+	firstEnd, secondStart := 0.0, math.Inf(1)
+	for _, e := range trace.TraceEvents {
+		switch {
+		case e.Ph != "X":
+		case strings.HasPrefix(e.Name, "ideal-"):
+			secondStart = min(secondStart, e.Ts)
+		default:
+			firstEnd = max(firstEnd, e.Ts+e.Dur)
+		}
+	}
+	if !(firstEnd > 0 && secondStart >= firstEnd) {
+		t.Errorf("second sweep's slices start at %v us, the first's end at %v us", secondStart, firstEnd)
 	}
 }

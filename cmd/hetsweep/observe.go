@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"heteromem/internal/harness"
@@ -35,7 +36,7 @@ type observedRun struct {
 	sweep *sweepInfo
 }
 
-// sweepInfo captures what the primary sweep actually ran, for the
+// sweepInfo captures what the run's sweeps actually ran, for the
 // manifest and results.csv.
 type sweepInfo struct {
 	systems  []systems.System
@@ -73,14 +74,26 @@ func setupObservability(cfg observeConfig) (*observedRun, error) {
 // when observability is off.
 func (r *observedRun) observer() *harness.Observer { return r.obs }
 
-// setSweep records the primary sweep's shape and cells for the artifact
-// directory. Called by the grid and case-study paths once their cells
-// exist.
+// setSweep records a sweep's shape and cells for the artifact
+// directory. Called by every path that runs a sweep, once its cells
+// exist; a later sweep of the same run adds its systems, kernels and
+// cells to the earlier ones', so the artifacts cover every cell the
+// Observer counted.
 func (r *observedRun) setSweep(info sweepInfo) {
 	if r.obs == nil {
 		return
 	}
-	r.sweep = &info
+	if r.sweep == nil {
+		r.sweep = &info
+		return
+	}
+	r.sweep.systems = slices.Concat(r.sweep.systems, info.systems)
+	r.sweep.cells = slices.Concat(r.sweep.cells, info.cells)
+	for _, k := range info.kernels {
+		if !slices.Contains(r.sweep.kernels, k) {
+			r.sweep.kernels = append(slices.Clip(r.sweep.kernels), k)
+		}
+	}
 }
 
 // close flushes the artifact directory (manifest, metrics, trace,

@@ -260,8 +260,8 @@ var (
 	// RenderFigure7 formats an address-space sweep as Figure 7.
 	RenderFigure7 = harness.RenderFigure7
 	// OpenResultCache opens (or creates) a persistent result cache at a
-	// directory; "" opens a memory-only store. Close the store when
-	// done with it: on Linux it holds its directory open.
+	// directory; "" is an error, and a nil store caches nothing. Close
+	// the store when done with it: on Linux it holds its directory open.
 	OpenResultCache = rescache.Open
 	// PointKey derives the exact cache key for (system, program, options).
 	PointKey = harness.PointKey

@@ -15,8 +15,8 @@ import (
 
 // TestExecutorCacheColdWarm is the heart of the PR: a cold sweep fills
 // the cache, and a warm re-run — through a fresh store on the same
-// directory, so even the memory tier starts cold — serves every cell
-// from disk and returns bit-identical cells.
+// directory — serves every cell from disk and returns bit-identical
+// cells.
 func TestExecutorCacheColdWarm(t *testing.T) {
 	dir := t.TempDir()
 	sysList := systems.CaseStudies()[:3]

@@ -97,11 +97,7 @@ func (e Executor) RunCaseStudies(kernels []string) ([]Cell, error) {
 
 // RunAddressSpaces simulates the four Figure 7 configurations.
 func (e Executor) RunAddressSpaces(kernels []string) ([]Cell, error) {
-	var sysList []systems.System
-	for _, m := range addrspace.AllModels() {
-		sysList = append(sysList, systems.ForModel(m))
-	}
-	return e.RunSystems(sysList, kernels)
+	return e.RunSystems(systems.AddressSpaces(), kernels)
 }
 
 // job is one pending cell of a sweep.
@@ -279,9 +275,9 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				if j.verify {
 					continue
 				}
-				// (miss) fill the cache before publishing the cell. Write
-				// failures degrade to memory-only; the store latches them
-				// for the CLI to surface as a warning.
+				// (miss) fill the cache before publishing the cell. A
+				// failed write leaves the result unstored; the store
+				// latches the error for the CLI to surface as a warning.
 				if e.Cache != nil {
 					_ = e.Cache.Put(keys[idx], res)
 				}

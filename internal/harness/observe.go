@@ -40,7 +40,9 @@ func CheckFlags(intervalCycles uint64, hostprofEvery int, cacheVerify float64) (
 // hierarchical span (sweep → design point → kernel; the simulator hangs
 // its phase spans underneath), counts toward the sweep.cells.* counters,
 // and merges the per-worker metric registries into one sweep-wide
-// snapshot (Metrics).
+// snapshot (Metrics). One Observer may watch several RunSystems calls:
+// each call is a sweep span of its own in the ledger, while the counts,
+// the metric aggregate and the trace's time axis run over all of them.
 //
 // The Observer itself is nil-safe from the Executor's side — a nil
 // *Observer disables all of it — and internally synchronised, so any
@@ -65,23 +67,26 @@ type Observer struct {
 	IntervalPS  uint64
 	IntervalDir string
 
-	mu       sync.Mutex
-	sweep    *obs.Span
-	points   map[string]*obs.Span
-	agg      obs.Snapshot
-	total    int
-	done     int
-	failed   int
-	cached   int
-	verified int
-	built    int
-	workers  int
-	start    time.Time
-	err      error
+	mu     sync.Mutex
+	sweep  *obs.Span // the current call's root span
+	points map[string]*obs.Span
+	agg    obs.Snapshot
+	total  int
+	cells  cellCounts
+	// atBegin is cells when the current call began; the call's sweep
+	// span reports the difference.
+	atBegin cellCounts
+	built   int
+	workers int
+	start   time.Time // the first call's start: the trace's zero
+	err     error
 	// cache is the sweep's result cache, when one is attached; Metrics
 	// reads its counters.
 	cache *rescache.Store
 }
+
+// cellCounts are the cell counts behind the sweep.cells.* counters.
+type cellCounts struct{ done, failed, cached, verified int }
 
 // CellRecord is the ledger line appended for every completed sweep cell.
 // Host times are wall-clock nanoseconds; simulated durations are
@@ -118,24 +123,26 @@ type CellRecord struct {
 	OwnershipOps    int     `json:"ownership_ops,omitempty"`
 }
 
-// begin opens the sweep: records the start instant and the worker
-// count, attaches the result cache (if any), and writes the root span.
-// Called once by RunSystems.
+// begin opens one RunSystems call's sweep: the first call records the
+// start instant; every call adds its cells to the total, raises the
+// worker count to its pool if larger, attaches its result cache (if
+// any), and writes its root span.
 func (o *Observer) begin(totalCells, workers int, cache *rescache.Store) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.start = time.Now()
-	o.total = totalCells
-	o.done, o.failed = 0, 0
-	o.cached, o.verified = 0, 0
-	o.built = 0
-	o.cache = cache
-	o.workers = workers
+	if o.start.IsZero() {
+		o.start = time.Now()
+	}
+	o.total += totalCells
+	o.atBegin = o.cells
+	if cache != nil {
+		o.cache = cache
+	}
+	o.workers = max(o.workers, workers)
 	o.points = make(map[string]*obs.Span)
-	o.agg = obs.Snapshot{Counters: map[string]uint64{}}
 	name := o.Name
 	if name == "" {
 		name = "sweep"
@@ -192,8 +199,8 @@ func (o *Observer) cachedCell(system, spec, kernel string, res sim.Result, probe
 	rec.Cached = true
 	rec.ProbeNS = probeNS
 	rec.WallNS = end.Sub(started).Nanoseconds()
-	o.done++
-	o.cached++
+	o.cells.done++
+	o.cells.cached++
 	if err := o.Ledger.Append(rec); err != nil && o.err == nil {
 		o.err = err
 	}
@@ -233,12 +240,12 @@ func (o *Observer) endCell(w int, span *obs.Span, rec CellRecord, snap obs.Snaps
 	if rec.Verify {
 		// A verify re-run duplicates a cell already counted as cached,
 		// so it does not count toward sweep.cells.done.
-		o.verified++
+		o.cells.verified++
 	} else {
-		o.done++
+		o.cells.done++
 	}
 	if rec.Err != "" {
-		o.failed++
+		o.cells.failed++
 	}
 	if err := o.Ledger.Append(rec); err != nil && o.err == nil {
 		o.err = err
@@ -256,8 +263,8 @@ func (o *Observer) endCell(w int, span *obs.Span, rec CellRecord, snap obs.Snaps
 		map[string]any{"queue_wait_ns": rec.QueueWaitNS})
 }
 
-// finish closes the point and sweep spans. Called once after the worker
-// pool drains.
+// finish closes the call's point and sweep spans. Called once per
+// RunSystems call, after the worker pool drains.
 func (o *Observer) finish() {
 	if o == nil {
 		return
@@ -267,10 +274,11 @@ func (o *Observer) finish() {
 	for _, p := range o.points {
 		p.End(nil)
 	}
-	attrs := map[string]any{"cells": o.done, "failed": o.failed}
+	now, at := o.cells, o.atBegin
+	attrs := map[string]any{"cells": now.done - at.done, "failed": now.failed - at.failed}
 	if o.cache != nil {
-		attrs["cached"] = o.cached
-		attrs["verified"] = o.verified
+		attrs["cached"] = now.cached - at.cached
+		attrs["verified"] = now.verified - at.verified
 	}
 	o.sweep.End(attrs)
 	if err := o.Ledger.Err(); err != nil && o.err == nil {
@@ -300,8 +308,8 @@ func (o *Observer) Err() error {
 	return o.err
 }
 
-// Workers returns the worker-pool size of the last sweep (the Executor's
-// Par after clamping); 0 before any sweep has begun.
+// Workers returns the largest worker pool of the Observer's sweeps (the
+// Executor's Par after clamping); 0 before any sweep has begun.
 func (o *Observer) Workers() int {
 	if o == nil {
 		return 0
@@ -311,9 +319,10 @@ func (o *Observer) Workers() int {
 	return o.workers
 }
 
-// Metrics returns the sweep-wide aggregate metric snapshot: the merge of
-// every completed cell's registry, plus sweep.* bookkeeping counters;
-// sweep.sims_built counts the simulators the workers constructed.
+// Metrics returns the aggregate metric snapshot of every sweep the
+// Observer watched: the merge of every completed cell's registry, plus
+// sweep.* bookkeeping counters; sweep.sims_built counts the simulators
+// the workers constructed.
 // The returned snapshot is a private copy, safe to serialise while
 // workers keep merging.
 func (o *Observer) Metrics() obs.Snapshot {
@@ -325,12 +334,12 @@ func (o *Observer) Metrics() obs.Snapshot {
 	defer o.mu.Unlock()
 	out.Merge(o.agg)
 	out.Counters["sweep.cells.total"] = uint64(o.total)
-	out.Counters["sweep.cells.done"] = uint64(o.done)
-	out.Counters["sweep.cells.failed"] = uint64(o.failed)
+	out.Counters["sweep.cells.done"] = uint64(o.cells.done)
+	out.Counters["sweep.cells.failed"] = uint64(o.cells.failed)
 	out.Counters["sweep.sims_built"] = uint64(o.built)
 	if o.cache != nil {
-		out.Counters["sweep.cells.cached"] = uint64(o.cached)
-		out.Counters["sweep.cells.verified"] = uint64(o.verified)
+		out.Counters["sweep.cells.cached"] = uint64(o.cells.cached)
+		out.Counters["sweep.cells.verified"] = uint64(o.cells.verified)
 		for name, v := range o.cache.Stats().Counters() {
 			out.Counters[name] = v
 		}

@@ -13,8 +13,7 @@ import (
 	"heteromem/internal/sim"
 )
 
-// probe opens a fresh store on dir, so Get reads the disk tier, and
-// probes k once.
+// probe opens a fresh store on dir and probes k once.
 func probe(t *testing.T, dir string, k Key) (sim.Result, bool, Stats) {
 	t.Helper()
 	s, err := Open(dir)
@@ -194,7 +193,7 @@ func TestStoreOfEarlierLayoutFormulasHits(t *testing.T) {
 // FuzzKeyDigest checks the hand-written digest against its definition:
 // for any four strings, Digest is the hex sha256 of json.Marshal(key),
 // whether it took the hand-written path or fell back to json.Marshal.
-// The raw sum the store keys its memory tier by must hex-encode to
+// The raw sum the store addresses blobs by must hex-encode to
 // Digest, NewKey must carry the same sum, and the relative path a read
 // builds on its stack must be the tail of the blob's full path.
 func FuzzKeyDigest(f *testing.F) {
@@ -239,40 +238,26 @@ func FuzzKeyDigest(f *testing.F) {
 }
 
 // BenchmarkGetDiskHit prices a disk hit: the key's sum, the blob's
-// read through the store's directory, its decode and its promotion into
-// the memory tier. Every probe is of a key the store has not seen, so
-// each one reads the disk; the store is reopened, untimed, once every
-// key has been probed.
+// read through the store's directory and its decode. Every probe reads
+// the disk.
 func BenchmarkGetDiskHit(b *testing.B) {
-	dir := b.TempDir()
-	fill, err := Open(dir)
+	s, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close()
 	keys := make([]Key, 256)
 	for i := range keys {
 		keys[i] = testKey(fmt.Sprint(i))
-		if err := fill.Put(keys[i], testResult(uint64(i))); err != nil {
+		if err := s.Put(keys[i], testResult(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
-	fill.Close()
-	var s *Store
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%len(keys) == 0 {
-			b.StopTimer()
-			s.Close()
-			if s, err = Open(dir); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
 		if _, ok := s.Get(keys[i%len(keys)]); !ok {
 			b.Fatal("miss")
 		}
 	}
-	b.StopTimer()
-	s.Close()
 }

@@ -7,16 +7,13 @@
 // warm re-runs of a sweep, a simulation service under load) becomes
 // nearly free.
 //
-// The store is two-tier:
-//
-//   - an in-process sharded map, keyed by the key's sha256, serving
-//     repeat probes within one process without touching the disk;
-//   - an optional on-disk content-addressed directory of binary result
-//     blobs under <dir>/v<schema>/<dd>/<digest>.bin, written atomically
-//     (temp file + rename) so concurrent writers racing on the same key
-//     converge to one well-formed blob. On Linux the store holds the
-//     v<schema> directory open from Open to Close and resolves every
-//     blob relative to it (see blobs_linux.go).
+// The store is its directory: a content-addressed tree of binary result
+// blobs under <dir>/v<schema>/<dd>/<digest>.bin, written atomically
+// (temp file + rename) so concurrent writers racing on the same key
+// converge to one well-formed blob. Every probe reads the disk; nothing
+// is kept in memory between probes. On Linux the store holds the
+// v<schema> directory open from Open to Close and resolves every blob
+// relative to it (see blobs_linux.go).
 //
 // A blob is a compact binary envelope (see codec.go): a magic number, a
 // digest of sim.Result's field layout, the schema version and the full
@@ -38,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,11 +153,12 @@ type envelope struct {
 
 // Stats is a point-in-time copy of the store's counters.
 type Stats struct {
-	// Hits and Misses count probes; Hits = MemHits + DiskHits.
-	Hits, Misses      uint64
-	MemHits, DiskHits uint64
-	// Puts counts stores; Corrupt counts disk entries that failed to
-	// decode or verify and were treated as misses.
+	// Hits and Misses count probes.
+	Hits, Misses uint64
+	// DiskHits equals Hits: every hit is read from disk.
+	DiskHits uint64
+	// Puts counts Put calls, stored or not; Corrupt counts blobs that
+	// failed to decode or verify and were treated as misses.
 	Puts, Corrupt uint64
 	// BytesRead and BytesWritten count disk blob traffic.
 	BytesRead, BytesWritten uint64
@@ -177,56 +174,38 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-const numShards = 64
-
 // blobBufLen is the stack buffer Get reads a blob into: a blob is about
 // 370 bytes, and a larger one grows the buffer on the heap.
 const blobBufLen = 1024
 
-type shard struct {
-	mu sync.RWMutex
-	m  map[[sha256.Size]byte]sim.Result // made by the first store into it
-}
-
-// store puts res under sum.
-func (sh *shard) store(sum *[sha256.Size]byte, res sim.Result) {
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[[sha256.Size]byte]sim.Result)
-	}
-	sh.m[*sum] = res
-	sh.mu.Unlock()
-}
-
 // errClosed is what reading or writing a blob of a closed store returns.
 var errClosed = errors.New("rescache: store is closed")
 
-// Store is the two-tier result cache. All methods are safe for
+// Store is the result cache of one directory. All methods are safe for
 // concurrent use by sweep workers; a nil *Store disables caching (Get
 // always misses without counting, Put is a no-op).
 type Store struct {
-	dir    string // "" = memory-only
-	schema int    // SchemaVersion; tests open other schemas to simulate bumps
+	dir    string
+	schema int // SchemaVersion; tests open other schemas to simulate bumps
 	// disk reads and writes the blobs of the schema-version directory;
 	// Close releases it.
-	disk   blobs
-	shards [numShards]shard
+	disk blobs
 
-	hits, misses      atomic.Uint64
-	memHits, diskHits atomic.Uint64
-	puts, corrupt     atomic.Uint64
-	bytesRead         atomic.Uint64
-	bytesWritten      atomic.Uint64
-	probeNS           atomic.Uint64
-	writeErr          atomic.Pointer[error]
+	hits, misses  atomic.Uint64
+	puts, corrupt atomic.Uint64
+	bytesRead     atomic.Uint64
+	bytesWritten  atomic.Uint64
+	probeNS       atomic.Uint64
+	writeErr      atomic.Pointer[error]
 }
 
 // Open returns a store backed by the content-addressed directory dir,
 // creating it (and the current schema-version subdirectory) as needed.
-// An empty dir opens a memory-only store. A sim.Result field the blob
-// codec cannot encode makes every disk store fail to open.
+// An empty dir is an error: a nil *Store is the "no cache" value. A
+// sim.Result field the blob codec cannot encode makes every store fail
+// to open.
 //
-// On Linux a disk store holds its schema-version directory open until
+// On Linux a store holds its schema-version directory open until
 // Close, and reads and writes the directory it opened even if the path
 // is later renamed or replaced. A store dropped without Close releases
 // the directory when the garbage collector finalizes it.
@@ -236,34 +215,34 @@ func Open(dir string) (*Store, error) {
 
 // open is Open for a store of the given schema version.
 func open(dir string, schema int) (*Store, error) {
+	if dir == "" {
+		return nil, errors.New("rescache: no directory given")
+	}
+	if layoutErr != nil {
+		return nil, layoutErr
+	}
 	s := &Store{dir: dir, schema: schema}
-	if dir != "" {
-		if layoutErr != nil {
-			return nil, layoutErr
-		}
-		versionDir := filepath.Join(dir, "v"+strconv.Itoa(schema))
-		if err := os.MkdirAll(versionDir, 0o755); err != nil {
-			return nil, fmt.Errorf("rescache: %w", err)
-		}
-		if err := s.disk.open(versionDir); err != nil {
-			return nil, fmt.Errorf("rescache: %w", err)
-		}
+	versionDir := filepath.Join(dir, "v"+strconv.Itoa(schema))
+	if err := os.MkdirAll(versionDir, 0o755); err != nil {
+		return nil, fmt.Errorf("rescache: %w", err)
+	}
+	if err := s.disk.open(versionDir); err != nil {
+		return nil, fmt.Errorf("rescache: %w", err)
 	}
 	return s, nil
 }
 
-// Close releases the store's disk tier. Afterwards Get serves only the
-// memory tier, and Put fills the memory tier and latches an error for
-// Err. Close is idempotent; a nil or memory-only store's Close does
-// nothing.
+// Close releases the store's directory. Afterwards Get misses, and Put
+// stores nothing and latches an error for Err. Close is idempotent; a
+// nil store's Close does nothing.
 func (s *Store) Close() error {
-	if s == nil || s.dir == "" {
+	if s == nil {
 		return nil
 	}
 	return s.disk.close()
 }
 
-// Dir returns the store's on-disk root ("" for memory-only).
+// Dir returns the store's directory ("" for a nil store).
 func (s *Store) Dir() string {
 	if s == nil {
 		return ""
@@ -291,15 +270,10 @@ func appendRelPath(buf []byte, sum *[sha256.Size]byte) []byte {
 	return append(buf, ".bin"...)
 }
 
-func (s *Store) shardFor(sum *[sha256.Size]byte) *shard {
-	return &s.shards[sum[0]%numShards]
-}
-
-// Get probes both tiers for the key's result. A disk hit is promoted
-// into the memory tier. An undecodable, truncated, schema-stale or
-// key-mismatched blob is a miss counted as Corrupt; a blob of another
-// sim.Result layout, retired by a code change like a schema bump, is a
-// plain miss.
+// Get reads the key's result from its blob. A missing blob is a miss;
+// an undecodable, truncated, schema-stale or key-mismatched blob is a
+// miss counted as Corrupt; a blob of another sim.Result layout, retired
+// by a code change like a schema bump, is a plain miss.
 func (s *Store) Get(key Key) (sim.Result, bool) {
 	if s == nil {
 		return sim.Result{}, false
@@ -308,19 +282,6 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 	defer func() { s.probeNS.Add(uint64(time.Since(start).Nanoseconds())) }()
 
 	sum := key.sum256()
-	sh := s.shardFor(&sum)
-	sh.mu.RLock()
-	res, ok := sh.m[sum]
-	sh.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-		s.memHits.Add(1)
-		return res, true
-	}
-	if s.dir == "" {
-		s.misses.Add(1)
-		return sim.Result{}, false
-	}
 	var buf [blobBufLen]byte
 	data, err := s.disk.read(&sum, buf[:0])
 	if err != nil {
@@ -328,7 +289,7 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	s.bytesRead.Add(uint64(len(data)))
-	res, err = decodeResult(data, s.schema, key)
+	res, err := decodeResult(data, s.schema, key)
 	if err != nil {
 		if !errors.Is(err, errLayout) {
 			s.corrupt.Add(1)
@@ -336,28 +297,22 @@ func (s *Store) Get(key Key) (sim.Result, bool) {
 		s.misses.Add(1)
 		return sim.Result{}, false
 	}
-	sh.store(&sum, res)
 	s.hits.Add(1)
-	s.diskHits.Add(1)
 	return res, true
 }
 
-// Put stores the result under the key in both tiers. The disk blob is
-// written to a temp file and renamed into place, so concurrent workers
-// racing on the same key each install a complete blob and the last
-// rename wins — with deterministic results, all racers carry identical
-// bytes. Disk errors are returned and also latched for Err(); the memory
-// tier is always updated, so a failing disk never poisons correctness.
+// Put writes the result as the key's blob: to a temp file renamed into
+// place, so concurrent workers racing on the same key each install a
+// complete blob and the last rename wins — with deterministic results,
+// all racers carry identical bytes. A write error is returned and also
+// latched for Err; the result is then not stored, and a later probe of
+// the key misses.
 func (s *Store) Put(key Key, res sim.Result) error {
 	if s == nil {
 		return nil
 	}
 	sum := key.sum256()
-	s.shardFor(&sum).store(&sum, res)
 	s.puts.Add(1)
-	if s.dir == "" {
-		return nil
-	}
 	data := appendEnvelope(nil, &envelope{Schema: s.schema, Key: key, Result: res})
 	if err := s.disk.write(&sum, data); err != nil {
 		return s.latch(err)
@@ -366,15 +321,14 @@ func (s *Store) Put(key Key, res sim.Result) error {
 	return nil
 }
 
-// latch records the first disk-write error for Err and returns err.
+// latch records the first write error for Err and returns err.
 func (s *Store) latch(err error) error {
 	s.writeErr.CompareAndSwap(nil, &err)
 	return err
 }
 
-// Err returns the first disk-write error the store encountered, if any.
-// Write failures degrade the store to its memory tier; they never fail
-// a sweep.
+// Err returns the first write error the store encountered, if any. A
+// failed write leaves its result unstored; it never fails a sweep.
 func (s *Store) Err() error {
 	if s == nil {
 		return nil
@@ -391,11 +345,11 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
+	hits := s.hits.Load()
 	return Stats{
-		Hits:         s.hits.Load(),
+		Hits:         hits,
 		Misses:       s.misses.Load(),
-		MemHits:      s.memHits.Load(),
-		DiskHits:     s.diskHits.Load(),
+		DiskHits:     hits,
 		Puts:         s.puts.Load(),
 		Corrupt:      s.corrupt.Load(),
 		BytesRead:    s.bytesRead.Load(),
@@ -410,8 +364,6 @@ func (s Stats) Counters() map[string]uint64 {
 	return map[string]uint64{
 		"rescache.hits":          s.Hits,
 		"rescache.misses":        s.Misses,
-		"rescache.mem_hits":      s.MemHits,
-		"rescache.disk_hits":     s.DiskHits,
 		"rescache.puts":          s.Puts,
 		"rescache.corrupt":       s.Corrupt,
 		"rescache.bytes":         s.BytesRead + s.BytesWritten,

@@ -41,32 +41,15 @@ func TestDigestStable(t *testing.T) {
 	}
 }
 
-func TestMemoryOnlyStore(t *testing.T) {
-	s, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, res := testKey("1"), testResult(100)
-	if _, ok := s.Get(k); ok {
-		t.Fatal("hit on empty store")
-	}
-	if err := s.Put(k, res); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(k)
-	if !ok || got != res {
-		t.Fatalf("Get = %+v, %v; want %+v, true", got, ok, res)
-	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.MemHits != 1 || st.DiskHits != 0 || st.Puts != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BytesWritten != 0 {
-		t.Fatalf("memory-only store wrote %d bytes", st.BytesWritten)
+// TestOpenRequiresDirectory pins that a store is its directory: there
+// is no store without one, and a nil *Store is the "no cache" value.
+func TestOpenRequiresDirectory(t *testing.T) {
+	if s, err := Open(""); err == nil || s != nil {
+		t.Fatalf(`Open("") = store %t, error %v; want an error`, s != nil, err)
 	}
 }
 
-func TestDiskPersistenceAndPromotion(t *testing.T) {
+func TestDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
@@ -76,13 +59,15 @@ func TestDiskPersistenceAndPromotion(t *testing.T) {
 	if err := s1.Put(k, res); err != nil {
 		t.Fatal(err)
 	}
-	if s1.Stats().BytesWritten == 0 {
-		t.Fatal("no bytes written to disk")
+	info, err := os.Stat(s1.blobPath(k.Digest()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s1.Stats(); st.BytesWritten != uint64(info.Size()) {
+		t.Fatalf("wrote %d bytes, the blob is %d", st.BytesWritten, info.Size())
 	}
 
-	// A fresh store on the same directory has a cold memory tier: the
-	// first probe is a disk hit, which is promoted so the second probe
-	// is a memory hit.
+	// A fresh store on the same directory reads the blob on every probe.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +79,31 @@ func TestDiskPersistenceAndPromotion(t *testing.T) {
 		}
 	}
 	st := s2.Stats()
-	if st.DiskHits != 1 || st.MemHits != 1 || st.Hits != 2 || st.Misses != 0 {
-		t.Fatalf("stats after promotion = %+v", st)
+	if st.DiskHits != 2 || st.Hits != 2 || st.Misses != 0 || st.BytesRead != 2*uint64(info.Size()) {
+		t.Fatalf("stats = %+v, want 2 disk hits reading %d bytes each", st, info.Size())
 	}
-	if st.BytesRead == 0 {
-		t.Fatal("disk hit read no bytes")
+}
+
+// TestDeletedBlobMisses deletes a blob after its Put: the store keeps
+// no copy of the result, so probing the key on the same store misses.
+func TestDeletedBlobMisses(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k := testKey("deleted")
+	if err := s.Put(k, testResult(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.blobPath(k.Digest())); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := s.Get(k); ok {
+		t.Fatalf("Get of a deleted blob = %+v, a hit", res)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want one plain miss", st)
 	}
 }
 
@@ -293,7 +298,7 @@ func TestNilStore(t *testing.T) {
 }
 
 func TestStatsCountersAndHitRate(t *testing.T) {
-	st := Stats{Hits: 3, Misses: 1, MemHits: 2, DiskHits: 1, BytesRead: 10, BytesWritten: 20}
+	st := Stats{Hits: 3, Misses: 1, DiskHits: 3, BytesRead: 10, BytesWritten: 20}
 	if got := st.HitRate(); got != 0.75 {
 		t.Fatalf("HitRate = %v, want 0.75", got)
 	}
@@ -303,5 +308,10 @@ func TestStatsCountersAndHitRate(t *testing.T) {
 	c := st.Counters()
 	if c["rescache.hits"] != 3 || c["rescache.misses"] != 1 || c["rescache.bytes"] != 30 {
 		t.Fatalf("counters = %v", c)
+	}
+	for _, gone := range []string{"rescache.mem_hits", "rescache.disk_hits"} {
+		if _, ok := c[gone]; ok {
+			t.Errorf("counters hold %s", gone)
+		}
 	}
 }

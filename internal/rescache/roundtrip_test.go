@@ -50,8 +50,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestResultSurvivesDiskStore drives the same populated results through
-// the full disk path: Put, then Get from a store with a cold memory
-// tier, must reproduce the exact struct.
+// the full disk path: Put, then Get from a fresh store on the same
+// directory, must reproduce the exact struct.
 func TestResultSurvivesDiskStore(t *testing.T) {
 	cells, err := harness.RunCaseStudies([]string{"reduction"})
 	if err != nil {

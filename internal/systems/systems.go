@@ -257,6 +257,16 @@ func GraceHopper() System {
 	}
 }
 
+// AddressSpaces returns the four Figure 7 systems, one per address-space
+// model (ForModel), in the order of addrspace.AllModels.
+func AddressSpaces() []System {
+	var out []System
+	for _, m := range addrspace.AllModels() {
+		out = append(out, ForModel(m))
+	}
+	return out
+}
+
 // ForModel returns a system exercising the given address-space model with
 // ideal communication and a shared cache — the Figure 7 configuration
 // that isolates pure address-space effects.
