@@ -66,7 +66,8 @@ type Config struct {
 	// line offset choose this cache among caches that interleave lines,
 	// as the L3 tiles do. Every line the cache sees has the same value
 	// there, so the set index skips those bits; indexing with them would
-	// leave all but one in 2^InterleaveBits sets unused.
+	// leave all but one in 2^InterleaveBits sets unused. Tags leave them
+	// out too: lines that differ only there would share a block.
 	InterleaveBits uint
 }
 
@@ -86,6 +87,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("cache %s: max explicit ways %d out of range", c.Name, c.MaxExplicitWays)
 	case c.InterleaveBits > 32:
 		return fmt.Errorf("cache %s: interleave bits %d exceed 32", c.Name, c.InterleaveBits)
+	case bits.TrailingZeros(uint(c.SizeBytes/c.Ways))+int(c.InterleaveBits) > 63:
+		return fmt.Errorf("cache %s: %d bytes per way and %d interleave bits leave no tag bits", c.Name, c.SizeBytes/c.Ways, c.InterleaveBits)
 	case c.Policy == LocalityAware && c.MaxExplicitWays == c.Ways:
 		return fmt.Errorf("cache %s: explicit ways must be smaller than associativity (paper constraint II-B5)", c.Name)
 	}
@@ -127,6 +130,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// vaBits is the virtual address width the tag columns are laid out for:
+// that of x86-64 and ARMv8. The simulated address space's regions start
+// at 0, 2^46 and 2^47 (addrspace).
+const vaBits = 48
+
 // chunkSets is the number of sets per metadata chunk: the largest
 // Table II geometry (one L3 tile), so every baseline cache is exactly
 // one chunk and only larger directories (the DRAM cache's) span more.
@@ -145,6 +153,19 @@ const (
 // branch-free via bits.TrailingZeros64, and the recency array is touched
 // only on the hit it refreshes — a lookup no longer drags every block's
 // cold metadata through the host cache.
+//
+// A block stores its hardware tag, not its line number: the line address
+// without its interleave and set-index fields (tagOf). The low 32 bits
+// of every tag sit in one column; the high 32 bits get a column of their
+// own only in a chunk that has stored a tag needing them, and until then
+// a lookup never reads one. A Table II L1 or L2 needs it, or lines of the
+// CPU-private, GPU-private and shared regions (2^46 apart) would alias; a
+// Table II L3 tile (1,024 sets, 2 interleave bits) or the DRAM-cache
+// directory never does. A cache whose tag starts low enough that an
+// address below 2^vaBits may need more than 32 tag bits, as an L1's or
+// L2's does, carves the column's memory with every chunk, so a run that
+// brings it such lines carves nothing; any other cache carves it on the
+// first fill that needs it.
 //
 // The arrays are split into chunks of chunkSets sets. The first chunk is
 // built with the cache, its header inside the Cache; every later one is
@@ -169,6 +190,9 @@ type Cache struct {
 	lineShift uint
 	// setShift is lineShift plus the interleave bits the set index skips.
 	setShift uint
+	// tagShift is setShift plus the set-index width: the address bits
+	// from there up are the tag.
+	tagShift uint
 	// tick is the recency clock; it stays at most maxStamp (see advance).
 	tick    uint32
 	stats   Stats
@@ -180,9 +204,14 @@ type Cache struct {
 
 // chunk holds the metadata of up to chunkSets consecutive sets.
 type chunk struct {
-	// tags and lastUse are indexed [set*ways+way], set local to the chunk.
-	// A lastUse stamp only orders the ways of its set (see advance).
-	tags    []uint64
+	// tags, high and lastUse are indexed [set*ways+way], set local to the
+	// chunk. tags holds the low 32 bits of each block's tag and high the
+	// upper 32. high is empty in a chunk that has stored no tag needing
+	// it, so while it is empty every stored tag's upper half is zero; its
+	// capacity may hold the column carved with the chunk (see Cache). A
+	// lastUse stamp only orders the ways of its set (see advance).
+	tags    []uint32
+	high    []uint32
 	lastUse []uint32
 	// valid, dirty and explicit hold one bit per way, one word per set.
 	valid    []uint64
@@ -190,19 +219,29 @@ type chunk struct {
 	explicit []uint64
 }
 
-func newChunk(a *arena.Arena, sets, ways int) chunk {
-	return chunk{
-		tags:     arena.Make[uint64](a, sets*ways),
+// wideTags reports whether a tag starting at address bit tagShift may
+// need more than 32 bits for an address below 2^vaBits, so that every
+// chunk carves its high column when it is built.
+func wideTags(tagShift uint) bool { return tagShift+32 < vaBits }
+
+func newChunk(a *arena.Arena, sets, ways int, wide bool) chunk {
+	ch := chunk{
+		tags:     arena.Make[uint32](a, sets*ways),
 		lastUse:  arena.Make[uint32](a, sets*ways),
 		valid:    arena.Make[uint64](a, sets),
 		dirty:    arena.Make[uint64](a, sets),
 		explicit: arena.Make[uint64](a, sets),
 	}
+	if wide {
+		ch.high = arena.Make[uint32](a, sets*ways)[:0]
+	}
+	return ch
 }
 
 // clear invalidates every block of the chunk.
 func (ch *chunk) clear() {
 	clear(ch.tags)
+	clear(ch.high)
 	clear(ch.lastUse)
 	clear(ch.valid)
 	clear(ch.dirty)
@@ -238,17 +277,19 @@ func NewIn(a *arena.Arena, cfg Config) (*Cache, error) {
 	// Sizes and ways are powers of two, so a cache larger than one chunk
 	// is a whole number of chunks.
 	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	tagShift := lineShift + cfg.InterleaveBits + uint(bits.TrailingZeros(uint(numSets)))
 	c := &Cache{
 		cfg:       cfg,
 		ways:      cfg.Ways,
 		arena:     a,
-		first:     newChunk(a, min(numSets, chunkSets), cfg.Ways),
+		first:     newChunk(a, min(numSets, chunkSets), cfg.Ways, wideTags(tagShift)),
 		chunks:    arena.Make[*chunk](a, max(1, numSets/chunkSets)),
 		live:      arena.Grow[*chunk](a, nil, 1),
 		waysMask:  uint64(1)<<uint(cfg.Ways) - 1, // Ways == 64 wraps the shift to 0, so this is all-ones there too
 		setMask:   uint64(numSets - 1),
 		lineShift: lineShift,
 		setShift:  lineShift + cfg.InterleaveBits,
+		tagShift:  tagShift,
 		maxExpl:   cfg.MaxExplicitWays,
 	}
 	c.chunks[0], c.live[0] = &c.first, &c.first
@@ -288,8 +329,23 @@ func (c *Cache) LineFor(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
 }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.setShift) & c.setMask }
-func (c *Cache) tagOf(addr uint64) uint64    { return addr >> c.lineShift }
+// setIndex returns addr's set. Its shift and those of tagOf and lineAddr
+// are masked to six bits only to spare the compiler's oversized-shift
+// handling on the hot path: validate keeps tagShift, the largest, below 64.
+func (c *Cache) setIndex(addr uint64) uint64 { return addr >> (c.setShift & 63) & c.setMask }
+
+// tagOf returns the hardware tag of addr's line: the address bits above
+// its interleave and set-index fields.
+func (c *Cache) tagOf(addr uint64) uint64 { return addr >> (c.tagShift & 63) }
+
+// lineAddr inverts tagOf: the base address of the line with the given tag
+// in the set of addr. The interleave bits come from addr too, as every
+// line the cache sees shares them (Config.InterleaveBits).
+func (c *Cache) lineAddr(tag, addr uint64) uint64 {
+	shift := c.tagShift & 63
+	index := uint64(1)<<shift - uint64(c.cfg.LineBytes) // interleave and set fields
+	return tag<<shift | addr&index
+}
 
 // locate returns the chunk holding addr's set, nil if it was never
 // filled, and the set's index within that chunk.
@@ -306,42 +362,52 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.advance()
 	c.stats.Accesses++
 	if ch, s := c.locate(addr); ch != nil {
-		tag := c.tagOf(addr)
-		base := int(s) * c.ways
-		// Linear tag scan: invalid ways hold tag 0 (zeroed at carving, fill
-		// overwrite and invalidation), so a tag match is almost always a
-		// hit and the valid bit only breaks the tag-0 tie. The straight
-		// walk beats iterating the valid mask bit by bit on warm sets.
-		for w, t := range ch.tags[base : base+c.ways] {
-			if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
-				ch.lastUse[base+w] = c.tick
-				if write {
-					ch.dirty[s] |= 1 << uint(w)
-				}
-				c.stats.Hits++
-				return true
+		if w := c.find(ch, s, c.tagOf(addr)); w >= 0 {
+			ch.lastUse[int(s)*c.ways+w] = c.tick
+			if write {
+				ch.dirty[s] |= 1 << uint(w)
 			}
+			c.stats.Hits++
+			return true
 		}
 	}
 	c.stats.Misses++
 	return false
 }
 
+// find returns the way of set s in ch that holds a valid block with the
+// given tag, or -1.
+//
+// The scan walks the low tag column straight through; the straight walk
+// beats iterating the valid mask bit by bit on warm sets. Invalid ways
+// are zeroed (at carving, invalidation and flush) and a zero low half is
+// common among real tags too, so a match needs the valid bit. Only then
+// is the high half compared, from its column if the chunk uses one; a
+// chunk without it holds only tags whose high half is zero.
+func (c *Cache) find(ch *chunk, s, tag uint64) int {
+	lo, hi := uint32(tag), uint32(tag>>32)
+	base := int(s) * c.ways
+	for w, t := range ch.tags[base : base+c.ways] {
+		if t == lo && ch.valid[s]>>(uint(w)&63)&1 != 0 && ch.highAt(base+w) == hi {
+			return w
+		}
+	}
+	return -1
+}
+
+// highAt returns the high half of the tag at index i.
+func (ch *chunk) highAt(i int) uint32 {
+	if len(ch.high) == 0 {
+		return 0
+	}
+	return ch.high[i]
+}
+
 // Probe reports whether the line containing addr is present without
 // disturbing replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	ch, s := c.locate(addr)
-	if ch == nil {
-		return false
-	}
-	tag := c.tagOf(addr)
-	base := int(s) * c.ways
-	for w, t := range ch.tags[base : base+c.ways] {
-		if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
-			return true
-		}
-	}
-	return false
+	return ch != nil && c.find(ch, s, c.tagOf(addr)) >= 0
 }
 
 // Fill inserts the line containing addr. explicit marks the block as
@@ -359,18 +425,16 @@ func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
 
 	// Upgrade in place if already present (fill after racing lookups,
 	// or a push of resident data).
-	for w, t := range ch.tags[base : base+c.ways] {
-		if t == tag && ch.valid[s]&(1<<uint(w)) != 0 {
-			ch.lastUse[base+w] = c.tick
-			bit := uint64(1) << uint(w)
-			if explicit {
-				ch.explicit[s] |= bit
-			}
-			if dirty {
-				ch.dirty[s] |= bit
-			}
-			return Eviction{}
+	if w := c.find(ch, s, tag); w >= 0 {
+		ch.lastUse[base+w] = c.tick
+		bit := uint64(1) << uint(w)
+		if explicit {
+			ch.explicit[s] |= bit
 		}
+		if dirty {
+			ch.dirty[s] |= bit
+		}
+		return Eviction{}
 	}
 
 	victim := c.chooseVictim(ch, s, explicit)
@@ -384,7 +448,7 @@ func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
 	if ch.valid[s]&bit != 0 {
 		ev = Eviction{
 			Valid:    true,
-			Addr:     ch.tags[idx] << c.lineShift,
+			Addr:     c.lineAddr(uint64(ch.highAt(idx))<<32|uint64(ch.tags[idx]), addr),
 			Dirty:    ch.dirty[s]&bit != 0,
 			Explicit: ch.explicit[s]&bit != 0,
 		}
@@ -393,7 +457,16 @@ func (c *Cache) Fill(addr uint64, explicit, dirty bool) Eviction {
 			c.stats.Writebacks++
 		}
 	}
-	ch.tags[idx] = tag
+	lo, hi := uint32(tag), uint32(tag>>32)
+	if hi != 0 && len(ch.high) == 0 {
+		if ch.high = ch.high[:cap(ch.high)]; len(ch.high) == 0 {
+			ch.high = arena.Make[uint32](c.arena, len(ch.tags))
+		}
+	}
+	ch.tags[idx] = lo
+	if len(ch.high) != 0 {
+		ch.high[idx] = hi
+	}
 	ch.lastUse[idx] = c.tick
 	ch.valid[s] |= bit
 	if dirty {
@@ -457,7 +530,7 @@ func (c *Cache) renumber() {
 // materialize builds the chunk holding addr's set on its first fill.
 func (c *Cache) materialize(addr uint64) *chunk {
 	ch := new(chunk)
-	*ch = newChunk(c.arena, chunkSets, c.ways)
+	*ch = newChunk(c.arena, chunkSets, c.ways, wideTags(c.tagShift))
 	c.chunks[c.setIndex(addr)>>chunkShift] = ch
 	c.live = arena.Grow(c.arena, c.live, len(c.live)+1)
 	c.live[len(c.live)-1] = ch
@@ -517,22 +590,21 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if ch == nil {
 		return false, false
 	}
-	tag := c.tagOf(addr)
-	base := int(s) * c.ways
-	for m := ch.valid[s]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if ch.tags[base+w] == tag {
-			bit := uint64(1) << uint(w)
-			d := ch.dirty[s]&bit != 0
-			ch.valid[s] &^= bit
-			ch.dirty[s] &^= bit
-			ch.explicit[s] &^= bit
-			ch.tags[base+w] = 0
-			ch.lastUse[base+w] = 0
-			return true, d
-		}
+	w := c.find(ch, s, c.tagOf(addr))
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	bit, i := uint64(1)<<uint(w), int(s)*c.ways+w
+	d := ch.dirty[s]&bit != 0
+	ch.valid[s] &^= bit
+	ch.dirty[s] &^= bit
+	ch.explicit[s] &^= bit
+	ch.tags[i] = 0
+	if len(ch.high) != 0 {
+		ch.high[i] = 0
+	}
+	ch.lastUse[i] = 0
+	return true, d
 }
 
 // FlushAll invalidates every block and returns the number of dirty lines

@@ -25,14 +25,22 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "div", SizeBytes: 1024, LineBytes: 64, Ways: 5},
 		{Name: "expl-range", SizeBytes: 1024, LineBytes: 64, Ways: 4, MaxExplicitWays: 5},
 		{Name: "expl-full", SizeBytes: 1024, LineBytes: 64, Ways: 4, Policy: LocalityAware, MaxExplicitWays: 4},
+		// 2^62 bytes per way and two interleave bits: the tag would start
+		// at address bit 64.
+		{Name: "no-tag", SizeBytes: 1 << 62, LineBytes: 1 << 62, Ways: 1, InterleaveBits: 2},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %s accepted, want error", cfg.Name)
 		}
 	}
-	if _, err := New(Config{Name: "ok", SizeBytes: 1024, LineBytes: 64, Ways: 4}); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, cfg := range []Config{
+		{Name: "ok", SizeBytes: 1024, LineBytes: 64, Ways: 4},
+		{Name: "tag-at-63", SizeBytes: 1 << 62, LineBytes: 1 << 62, Ways: 1, InterleaveBits: 1},
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 }
 

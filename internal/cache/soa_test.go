@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// aosCache is the pre-SoA array-of-structs implementation, kept verbatim
-// as the behavioural oracle for the packed-bitmask layout: every
-// operation below mirrors the original Cache method line for line, so a
-// divergence in the randomized equivalence test pins the exact operation
-// where the data-layout migration changed semantics.
+// aosCache is the pre-SoA array-of-structs implementation, kept as the
+// behavioural oracle for the packed-bitmask layout and the tag columns:
+// every operation below mirrors the original Cache method line for line,
+// so a divergence in the randomized equivalence test pins the exact
+// operation where the data layout changed semantics. A block keeps its
+// whole line number as its tag, and the set index skips the interleave
+// bits as Cache's does.
 type aosBlock struct {
 	tag      uint64
 	valid    bool
@@ -24,6 +26,7 @@ type aosCache struct {
 	sets      [][]aosBlock
 	setMask   uint64
 	lineShift uint
+	setShift  uint
 	tick      uint64
 	stats     Stats
 	maxExpl   int
@@ -36,6 +39,7 @@ func newAOS(cfg Config) *aosCache {
 		sets:      make([][]aosBlock, numSets),
 		setMask:   uint64(numSets - 1),
 		lineShift: lineShiftOf(cfg.LineBytes),
+		setShift:  lineShiftOf(cfg.LineBytes) + cfg.InterleaveBits,
 		maxExpl:   cfg.MaxExplicitWays,
 	}
 	if c.maxExpl == 0 {
@@ -59,7 +63,7 @@ func lineShiftOf(lineBytes int) uint {
 	return s
 }
 
-func (c *aosCache) setIndex(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
+func (c *aosCache) setIndex(addr uint64) uint64 { return (addr >> c.setShift) & c.setMask }
 func (c *aosCache) tagOf(addr uint64) uint64    { return addr >> c.lineShift }
 
 func (c *aosCache) Lookup(addr uint64, write bool) bool {
@@ -225,9 +229,9 @@ const (
 )
 
 // stepBoth applies one operation to the cache and to the oracle and
-// compares every return value, every Eviction field and the Stats
-// afterwards. For a lookup b1 is the write flag; for a fill b1 and b2
-// are the explicit and dirty flags.
+// compares every return value, every Eviction field (the evicted line's
+// address included) and the Stats afterwards. For a lookup b1 is the
+// write flag; for a fill b1 and b2 are the explicit and dirty flags.
 func stepBoth(soa *Cache, aos *aosCache, op int, a uint64, b1, b2 bool) error {
 	switch op {
 	case opLookup:
@@ -392,60 +396,113 @@ func runOracle(t *testing.T, cfg Config, arm func(*Cache)) (renumbers int) {
 }
 
 // FuzzCacheMatchesOracle lets the fuzzer pick the geometry (1 to 64
-// ways, both policies, an explicit-way cap), the starting clock (fresh
-// or up to 255 ticks below the renumbering limit) and the operation
-// sequence, and compares every return value, Eviction and the Stats
-// with the AoS oracle. The clock is set back to its start after every
-// renumbering.
+// ways, 1 to 1,024 sets, both policies, an explicit-way cap, up to two
+// interleave bits), the starting clock (fresh or up to 255 ticks below the
+// renumbering limit) and the operation sequence, and compares every
+// return value, Eviction and the Stats with the AoS oracle (runOracleOps).
+// The seeds cover, in order: a plain geometry, an interleaved one, lines
+// of the three address-space regions that share their low tag bits, lines
+// above 2^48 and near 2^64, and a geometry whose first chunk has no high
+// tag column until a fill needs one.
 func FuzzCacheMatchesOracle(f *testing.F) {
-	f.Add([]byte{2, 0, 2, 0xff, 0, 1, 1, 2, 0x21, 3, 0x41, 4, 1, 5, 0, 6})
-	f.Add([]byte{6, 1, 0, 0x10, 1, 1, 1, 2, 1, 3, 0x09, 4, 0x19, 5, 0, 1, 5, 0})
-	f.Add([]byte{0, 0, 3, 0xfe, 1, 1, 1, 0, 0, 3, 4, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
+	f.Add([]byte{2, 0, 2, 0xff, 0, 1, 0, 1, 2, 0, 0x21, 3, 0, 0x41, 4, 0, 1, 5, 0, 0, 6, 0})
+	f.Add([]byte{6, 1, 0x6a, 0x10, 1, 1, 0, 1, 2, 0, 1, 3, 0, 0x09, 4, 0, 0x19, 5, 0, 0, 1, 0, 5, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 0x09, 7, 0, 0x09, 7, 1, 0x09, 7, 2, 0x21, 7, 1, 0x00, 7, 0, 0x00, 7, 2, 0x03, 7, 1})
+	f.Add([]byte{0, 0, 0x71, 0xfe, 0x09, 3, 0x0f, 0x09, 3, 0xff, 0x01, 3, 0x0f, 0x09, 3, 0x03, 0x03, 3, 0xff, 0x01, 3, 0x03})
+	f.Add([]byte{3, 1, 0x0f, 0, 0x01, 9, 0, 0x01, 9, 1, 0x09, 9, 3, 0x00, 9, 1, 0x00, 9, 0, 0x03, 9, 3, 0x04, 0, 0})
+	f.Fuzz(runOracleOps)
+}
+
+// TestCacheMatchesOracleGenerated runs the fuzz target's comparison on
+// seeded random inputs, so every geometry, region and clock case it can
+// generate is covered without the fuzzing engine.
+func TestCacheMatchesOracleGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7a9))
+	data := make([]byte, 4+3*400)
+	for range 300 {
+		rng.Read(data)
+		runOracleOps(t, data)
+	}
+}
+
+// runOracleOps decodes data into a geometry, a starting clock and an
+// operation sequence, and compares the cache with the AoS oracle after
+// every operation. The clock is set back to its start after every
+// renumbering.
+//
+// Header, four bytes: log2 ways; policy (low bit) and explicit-way cap;
+// geometry (log2 sets in the low two bits, times 128 when bit 2 is set,
+// interleave bits from bits 3 and 4, the cache's interleave value in the
+// top three); clock offset. Every line the cache sees carries its
+// interleave value, as Config.InterleaveBits requires.
+//
+// Each op is three bytes. The first holds the operation (low three bits),
+// its flags (the next two) and the set (the top three). The second is the
+// tag below the region, enough to overflow a 64-way set. The third picks
+// the region: its low two bits select the CPU-private base 0, the
+// GPU-private base 2^46, the shared base 2^47, or a base at 2^48 and up
+// that reaches toward 2^64 with the byte's upper bits. Where the set-index
+// and interleave fields take at most 8 bits together, lines of the first
+// three regions share their low 32 tag bits, so a tag compare that
+// ignored the high bits would confuse them; where they take 10 or more,
+// the cache starts without a high tag column and the last region makes
+// a fill carve one.
+func runOracleOps(t *testing.T, data []byte) {
+	if len(data) < 4 {
+		return
+	}
+	ways := 1 << (data[0] % 7)
+	geo := data[2]
+	sets := 1 << (geo & 3)
+	if geo&4 != 0 {
+		sets <<= 7
+	}
+	ilv := uint(geo>>3&3) % 3
+	cfg := Config{Name: "fuzz", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways, InterleaveBits: ilv}
+	if ways > 1 && data[1]&1 != 0 {
+		cfg.Policy = LocalityAware
+		cfg.MaxExplicitWays = int(data[1]>>1) % ways
+	}
+	soa, err := New(cfg)
+	if err != nil {
+		t.Fatalf("generated config %+v rejected: %v", cfg, err)
+	}
+	aos := newAOS(cfg)
+	var start uint32
+	if data[3] != 0 {
+		start = maxStamp - uint32(data[3])
+	}
+	soa.tick = start
+	ilvValue := uint64(geo>>5) & (1<<ilv - 1)
+	for i := 4; i+2 < len(data); i += 3 {
+		b, r := data[i], data[i+2]
+		op := int(b&7) % numOps
+		line := uint64(data[i+1])*uint64(sets) + uint64(b>>5)%uint64(sets)
+		line = line<<ilv | ilvValue
+		var base uint64
+		switch r & 3 {
+		case 1:
+			base = 1 << 46
+		case 2:
+			base = 2 << 46
+		case 3:
+			base = uint64(r)<<56 | 1<<48
 		}
-		// Header: log2 ways, policy and cap, log2 sets, clock offset.
-		ways := 1 << (data[0] % 7)
-		sets := 1 << (data[2] % 4)
-		cfg := Config{Name: "fuzz", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways}
-		if ways > 1 && data[1]&1 != 0 {
-			cfg.Policy = LocalityAware
-			cfg.MaxExplicitWays = int(data[1]>>1) % ways
+		a := base + line*64 + uint64(i%64)
+		before := soa.tick
+		if err := stepBoth(soa, aos, op, a, b&8 != 0, b&16 != 0); err != nil {
+			t.Fatalf("op at byte %d (%+v): %v", i, cfg, err)
 		}
-		soa, err := New(cfg)
-		if err != nil {
-			t.Fatalf("generated config %+v rejected: %v", cfg, err)
+		if soa.tick < before {
+			soa.tick = start
 		}
-		aos := newAOS(cfg)
-		var start uint32
-		if data[3] != 0 {
-			start = maxStamp - uint32(data[3])
+		if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
+			t.Fatalf("op at byte %d: ValidBlocks %d vs oracle %d", i, g, o)
 		}
-		soa.tick = start
-		// Each op is two bytes. The first holds the operation (low three
-		// bits), its flags (the next two) and the set (the top three);
-		// the second is the tag, enough to overflow a 64-way set.
-		for i := 4; i+1 < len(data); i += 2 {
-			b := data[i]
-			op := int(b&7) % numOps
-			line := uint64(data[i+1])*uint64(sets) + uint64(b>>5)%uint64(sets)
-			a := line*64 + uint64(i%64)
-			before := soa.tick
-			if err := stepBoth(soa, aos, op, a, b&8 != 0, b&16 != 0); err != nil {
-				t.Fatalf("op at byte %d (%+v): %v", i, cfg, err)
-			}
-			if soa.tick < before {
-				soa.tick = start
-			}
-			if g, o := soa.ValidBlocks(), aos.ValidBlocks(); g != o {
-				t.Fatalf("op at byte %d: ValidBlocks %d vs oracle %d", i, g, o)
-			}
-			if g, o := soa.ExplicitBlocks(), aos.ExplicitBlocks(); g != o {
-				t.Fatalf("op at byte %d: ExplicitBlocks %d vs oracle %d", i, g, o)
-			}
+		if g, o := soa.ExplicitBlocks(), aos.ExplicitBlocks(); g != o {
+			t.Fatalf("op at byte %d: ExplicitBlocks %d vs oracle %d", i, g, o)
 		}
-	})
+	}
 }
 
 // TestWaysLimit pins the packed-state associativity bound: 64 ways is

@@ -70,8 +70,8 @@ type Executor struct {
 	// Par is the number of workers; zero or negative means GOMAXPROCS.
 	Par int
 	// Obs, when non-nil, observes the sweep: run-ledger cell records,
-	// hierarchical spans, live progress, aggregated metrics, worker
-	// traces, per-cell interval sampling. Nil keeps the sweep fully
+	// hierarchical spans, the sweep.cells.* counts, aggregated metrics,
+	// worker traces, per-cell interval sampling. Nil keeps the sweep fully
 	// uninstrumented.
 	Obs *Observer
 	// Cache, when non-nil, memoizes cells through the content-addressed

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heteromem/internal/arena"
+	"heteromem/internal/memsys"
 	"heteromem/internal/memtech"
 	"heteromem/internal/systems"
 	"heteromem/internal/workload"
@@ -19,11 +20,44 @@ func TestConstructionArenaBudget(t *testing.T) {
 	if _, err := NewWithOptions(systems.CPUGPU(), Options{Arena: a}); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 2 << 20
+	const budget = 1536 << 10
 	if got := a.Bytes(); got > budget {
 		t.Errorf("building CPU+GPU retained %d KiB of arena slabs, budget %d KiB", got>>10, budget>>10)
 	}
 	t.Logf("arena retains %d KiB", a.Bytes()>>10)
+}
+
+// TestDRAMCacheChunkArenaBudget bounds what one DRAM-cache directory
+// chunk carves when a fill first reaches it: at the default 16 ways, two
+// 32-bit columns of 16,384 ways (tags and recency stamps) and three state
+// words for each of its 1,024 sets, 152 KiB, and no high tag column for a
+// GPU-private line. Filling one line into every unbuilt chunk of a Table
+// II Fusion simulator's directory spreads the batching slabs the state
+// words come from over 63 chunks.
+func TestDRAMCacheChunkArenaBudget(t *testing.T) {
+	sys := systems.Fusion()
+	sys.MemTech = memtech.Spec{Kind: memtech.DRAMCache}
+	a := arena.New()
+	s, err := NewWithOptions(sys, Options{Arena: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := s.Hierarchy().Backend().(*memsys.DRAMCacheStage).Dir
+	built := a.Bytes()
+	m0, n := dir.Chunks()
+	stride := uint64(dir.Sets()/n) * uint64(dir.Config().LineBytes) // one chunk's sets
+	for k := m0; k < n; k++ {
+		dir.Fill(1<<46+uint64(k)*stride, false, false)
+	}
+	if m, _ := dir.Chunks(); m != n {
+		t.Fatalf("filling one line per chunk materialized %d of %d chunks", m, n)
+	}
+	const budget = 156 << 10
+	perChunk := (a.Bytes() - built) / uintptr(n-m0)
+	if perChunk > budget {
+		t.Errorf("a DRAM-cache directory chunk carves %d KiB of arena slabs, budget %d KiB", perChunk>>10, budget>>10)
+	}
+	t.Logf("a directory chunk carves %d bytes (%d chunks)", perChunk, n-m0)
 }
 
 // TestMemControllerRunCarvesNothing pins that Fusion's block transfers
@@ -95,10 +129,10 @@ func TestRecycledArenaHeapBudget(t *testing.T) {
 		b := heap(build)
 		minBuild, minCell = min(minBuild, b), min(minCell, b+heap(run))
 	}
-	// A build takes 8,904 bytes: the component structs themselves, which
+	// A build takes 9,160 bytes: the component structs themselves, which
 	// the arena does not carve (its batching slabs would retain a
-	// thousand of each per worker). A cell takes 13,608 bytes; its budget
-	// leaves about 800 bytes for small changes to the run's own
+	// thousand of each per worker). A cell takes 13,944 bytes; its budget
+	// leaves about 400 bytes for small changes to the run's own
 	// allocations.
 	const buildBudget, cellBudget = 9 << 10, 14 << 10
 	if minBuild > buildBudget {
